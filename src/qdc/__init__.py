@@ -65,7 +65,6 @@ from .index import (
     load_index,
     save_index,
     search_topk,
-    search_topk_batch,
 )
 from .metrics import (
     MetricReport,
@@ -82,9 +81,9 @@ from .pipeline import (
     bench,
     evaluate_matrix,
     init_state,
-    joint_train,
     mine_hard_negatives,
     old_task_average,
+    retrieve,
     retrieve_eval,
     run_continual,
     train_task,

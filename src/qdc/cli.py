@@ -22,10 +22,10 @@ from .config import (
     save_config,
 )
 from .datagen import TaskDataset, generate_task_stream, export_stream, load_beir_dataset
-from .drift import compensate_query_path, ledger_from_dict, ledger_to_dict
+from .drift import ledger_from_dict, ledger_to_dict
 from .encoder import encode, grad_check, load_snapshot, save_snapshot, tokenize
 from .errors import ConfigError, CorruptLedgerError, QdcError
-from .index import build_index, load_index, save_index, search_topk
+from .index import load_index, save_index
 from .metrics import drift_report, drift_report_csv
 from .pipeline import (
     ContinualState,
@@ -36,6 +36,7 @@ from .pipeline import (
     render_comparison_table,
     render_report,
     results_to_csv,
+    retrieve,
     train_trajectory,
 )
 
@@ -218,9 +219,7 @@ def _reconstruct_states(
             ContinualState(
                 config=config,
                 kd=kd,
-                multi_k=config.multi_k,
                 params=snaps[t],
-                prev_params=snaps.get(t - 1),
                 indexes={tp: indexes[tp] for tp in range(1, t + 1)},
                 ledger=ledger,
                 datasets=by_id,
@@ -272,19 +271,22 @@ def _cmd_retrieve(args) -> int:
         raise ConfigError(
             f"checkpoint must be in {task}..{num_tasks} for task {task}"
         )
-    k = args.k or config.k
+    k = config.k if args.k is None else args.k
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
+    stored = _load_run_ledgers(run_dir)
+    if slug not in stored:
+        raise ConfigError(f"run has no {slug} trajectory for {method}")
 
     params = load_snapshot(run_dir / "snapshots" / slug / f"task{checkpoint}.enc")
+    index = load_index(run_dir / "indexes" / slug / f"task{task}.idx")
+    ledger = ledger_from_dict(stored[slug])
+    corpus = []
+    if strategy == "reindex" and task != checkpoint:
+        corpus = _dataset_for(_load_datasets(config), task).corpus
     emb = encode(params, tokenize(args.query, params.vocab_size))
-    if strategy == "reindex":
-        data = _dataset_for(_load_datasets(config), task)
-        index = build_index(params, list(data.corpus), task)
-    else:
-        index = load_index(run_dir / "indexes" / slug / f"task{task}.idx")
-    if strategy == "qdc" and task < checkpoint:
-        ledger = ledger_from_dict(_load_run_ledgers(run_dir)[slug])
-        emb = compensate_query_path(ledger, emb, task, checkpoint)
-    for rank, (doc_id, score) in enumerate(search_topk(index, emb, k), start=1):
+    (ranking,) = retrieve(params, index, corpus, ledger, [emb], task, strategy, k)
+    for rank, (doc_id, score) in enumerate(ranking, start=1):
         print(f"{rank}\t{doc_id}\t{score:.6f}")
     return 0
 

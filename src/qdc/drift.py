@@ -385,7 +385,11 @@ def ledger_from_dict(payload: dict) -> DriftLedger:
             elif raw["kind"] == "multi":
                 cents = np.asarray(raw["centroids"], dtype=np.float64)
                 vecs = np.asarray(raw["vectors"], dtype=np.float64)
-                if cents.shape != vecs.shape or cents.shape[1] != dim:
+                if (
+                    cents.ndim != 2
+                    or cents.shape != vecs.shape
+                    or cents.shape[1] != dim
+                ):
                     raise CorruptLedgerError("record dim mismatch")
                 records.append(
                     MultiDriftRecord(
@@ -397,8 +401,11 @@ def ledger_from_dict(payload: dict) -> DriftLedger:
                 )
             else:
                 raise CorruptLedgerError(f"unknown record kind {raw['kind']!r}")
+        raw_centroids = payload.get("task_centroids", {})
+        if not isinstance(raw_centroids, dict):
+            raise CorruptLedgerError("task_centroids is not an object")
         centroids = {}
-        for key, values in payload.get("task_centroids", {}).items():
+        for key, values in raw_centroids.items():
             c = np.asarray(values, dtype=np.float64)
             if c.shape != (dim,):
                 raise CorruptLedgerError("centroid dim mismatch")

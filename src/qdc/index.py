@@ -7,7 +7,8 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -47,21 +48,12 @@ class CorpusIndex:
     dim: int
     rows: np.ndarray
     doc_ids: list[str]
-    # Derived arrays land in one attribute assignment so concurrent readers
-    # see either nothing or the complete triple.
-    _derived: tuple | None = field(default=None, init=False, repr=False)
 
-    def _cache(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        derived = self._derived
-        if derived is None:
-            rows64 = self.rows.astype(np.float64)
-            derived = (
-                rows64,
-                np.linalg.norm(rows64, axis=1),
-                np.asarray(self.doc_ids),
-            )
-            self._derived = derived
-        return derived
+    @cached_property
+    def _scoring(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # float64 rows, their norms and the ids, built on the first search
+        rows64 = self.rows.astype(np.float64)
+        return rows64, np.linalg.norm(rows64, axis=1), np.asarray(self.doc_ids)
 
 
 def build_index(
@@ -88,7 +80,7 @@ def build_index(
 
 
 def _query_scores(index: CorpusIndex, q: np.ndarray) -> np.ndarray:
-    rows64, norms, _ = index._cache()
+    rows64, norms, _ = index._scoring
     arr = np.asarray(q, dtype=np.float64)
     if arr.shape != (index.dim,):
         raise DimMismatchError(f"query shape {arr.shape} vs dim {index.dim}")
@@ -105,16 +97,9 @@ def search_topk(
     if k < 1:
         raise ValueError("k must be >= 1")
     scores = _query_scores(index, q)
-    _, _, ids_arr = index._cache()
+    _, _, ids_arr = index._scoring
     order = np.lexsort((ids_arr, -scores))[: min(k, len(scores))]
     return [(str(ids_arr[i]), float(scores[i])) for i in order]
-
-
-def search_topk_batch(
-    index: CorpusIndex, queries: np.ndarray, k: int
-) -> list[list[tuple[str, float]]]:
-    """Per-query search_topk over a stack of query embeddings."""
-    return [search_topk(index, q, k) for q in np.asarray(queries, np.float64)]
 
 
 def save_index(index: CorpusIndex, path) -> None:

@@ -8,9 +8,7 @@ so FT and FT+QDC share bit-identical snapshots.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -53,22 +51,6 @@ def _tok(text: str, vocab_size: int) -> TokenFeatures:
     return tokenize(text, vocab_size)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("QDC_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn, items):
-    workers = _thread_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 @dataclass(frozen=True)
 class RetrievalRun:
     """Ranked lists for one (checkpoint, evaluated task) cell."""
@@ -107,9 +89,7 @@ class ContinualState:
 
     config: RunConfig
     kd: bool
-    multi_k: int
     params: EncoderParams
-    prev_params: EncoderParams | None
     indexes: dict[int, CorpusIndex]
     ledger: DriftLedger
     datasets: dict[int, TaskDataset]
@@ -131,9 +111,7 @@ def init_state(config: RunConfig, kd: bool, datasets=()) -> ContinualState:
     return ContinualState(
         config=config,
         kd=kd,
-        multi_k=config.multi_k,
         params=params,
-        prev_params=None,
         indexes={},
         ledger=DriftLedger(dim=config.dim),
         datasets=registered,
@@ -260,14 +238,14 @@ def train_task(
     ledger = state.ledger
     if t > 1:
         single = estimate_drift(params, prev, drift_queries)
-        if state.multi_k == 1:
+        if config.multi_k == 1:
             record = single
         else:
             record = estimate_multi_drift(
                 params,
                 prev,
                 drift_queries,
-                state.multi_k,
+                config.multi_k,
                 derive_seed(config.seed, "kmeans", t),
             )
         ledger = append_record(ledger, record)
@@ -282,7 +260,6 @@ def train_task(
     return replace(
         state,
         params=params,
-        prev_params=prev,
         indexes=indexes,
         ledger=ledger,
         datasets=datasets,
@@ -290,50 +267,64 @@ def train_task(
     )
 
 
-def _test_embeddings(state: ContinualState, data: TaskDataset) -> np.ndarray:
-    feats = [_tok(text, state.params.vocab_size) for _, text in data.queries_test]
-    return encode_batch(state.params, feats)
+def retrieve(
+    params: EncoderParams,
+    index: CorpusIndex | None,
+    corpus,
+    ledger: DriftLedger,
+    query_embs,
+    t_prime: int,
+    strategy: str,
+    k: int,
+) -> list[list[tuple[str, float]]]:
+    """One ranking per query against task t_prime at checkpoint params.version.
+
+    query_embs come from params. Only old tasks (t_prime != t) differ
+    between strategies: reindex rebuilds the index from corpus with params,
+    qdc maps each query back along the ledger's drift path, and plain
+    searches the stored index as it is.
+    """
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    t = params.version
+    if strategy == "reindex" and t_prime != t:
+        index = build_index(params, corpus, t_prime)
+    elif strategy == "qdc" and t_prime < t:
+        query_embs = [
+            compensate_query_path(ledger, emb, t_prime, t) for emb in query_embs
+        ]
+    return [search_topk(index, emb, k) for emb in query_embs]
+
+
+def _run(
+    state: ContinualState, data: TaskDataset, index, strategy: str, k: int
+) -> RetrievalRun:
+    """Rank data's test queries, encoded by the current model."""
+    params = state.params
+    feats = [_tok(text, params.vocab_size) for _, text in data.queries_test]
+    embs = encode_batch(params, feats)
+    rankings = retrieve(
+        params, index, data.corpus, state.ledger, embs, data.task_id, strategy, k
+    )
+    results = dict(zip([query_id for query_id, _ in data.queries_test], rankings))
+    return RetrievalRun(
+        task=data.task_id, checkpoint=state.trained_through, k=k, results=results
+    )
 
 
 def retrieve_eval(
     state: ContinualState, t_prime: int, strategy: str, k: int
 ) -> RetrievalRun:
     """Evaluate task t_prime at the current checkpoint with one strategy."""
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    t = state.trained_through
     if t_prime not in state.indexes:
         raise MissingIndexError(f"no index for task {t_prime}")
     data = state.datasets[t_prime]
-    embeddings = _test_embeddings(state, data)
-    index = state.indexes[t_prime]
-    if strategy == "reindex":
-        index = build_index(state.params, data.corpus, t_prime)
-    elif strategy == "qdc" and t_prime < t:
-        embeddings = np.stack(
-            [
-                compensate_query_path(state.ledger, emb, t_prime, t)
-                for emb in embeddings
-            ]
-        )
-    results = {
-        query_id: search_topk(index, emb, k)
-        for (query_id, _), emb in zip(data.queries_test, embeddings)
-    }
-    return RetrievalRun(task=t_prime, checkpoint=t, k=k, results=results)
+    return _run(state, data, state.indexes[t_prime], strategy, k)
 
 
 def zero_shot_run(state: ContinualState, data: TaskDataset, k: int) -> RetrievalRun:
     """Future-task evaluation: current model on both queries and index."""
-    index = build_index(state.params, data.corpus, data.task_id)
-    embeddings = _test_embeddings(state, data)
-    results = {
-        query_id: search_topk(index, emb, k)
-        for (query_id, _), emb in zip(data.queries_test, embeddings)
-    }
-    return RetrievalRun(
-        task=data.task_id, checkpoint=state.trained_through, k=k, results=results
-    )
+    return _run(state, data, state.indexes.get(data.task_id), "reindex", k)
 
 
 def train_trajectory(
@@ -360,29 +351,16 @@ def evaluate_matrix(
     """Metric matrix over every (checkpoint, task) cell, future cells
     zero-shot."""
     num_tasks = len(checkpoints)
-    jobs = [
-        (t, t_prime)
-        for t in range(1, num_tasks + 1)
-        for t_prime in range(1, num_tasks + 1)
-    ]
-
-    def eval_cell(job: tuple[int, int]) -> MetricReport:
-        t, t_prime = job
-        state = checkpoints[t - 1]
-        data = state.datasets[t_prime]
-        if t_prime <= t:
-            run = retrieve_eval(state, t_prime, strategy, k)
-        else:
-            run = zero_shot_run(state, data, k)
-        return compute_metrics(run, data.qrels, k)
-
-    reports = _map_ordered(eval_cell, jobs)
-    return RunResult(
-        method=method,
-        k=k,
-        num_tasks=num_tasks,
-        cells=dict(zip(jobs, reports)),
-    )
+    cells = {}
+    for t, state in enumerate(checkpoints, start=1):
+        for t_prime in range(1, num_tasks + 1):
+            data = state.datasets[t_prime]
+            if t_prime <= t:
+                run = retrieve_eval(state, t_prime, strategy, k)
+            else:
+                run = zero_shot_run(state, data, k)
+            cells[(t, t_prime)] = compute_metrics(run, data.qrels, k)
+    return RunResult(method=method, k=k, num_tasks=num_tasks, cells=cells)
 
 
 def run_continual(
@@ -409,38 +387,6 @@ def bench(
             evaluate_matrix(trajectories[kd], strategy, config.k, method)
         )
     return results, trajectories
-
-
-def joint_train(datasets: list[TaskDataset], config: RunConfig) -> EncoderParams:
-    """One model over the union of all train pairs, canonical task order.
-
-    The union is sorted by task id and shuffled with the first task's
-    schedule, so a single dataset degenerates to train_task exactly and
-    permuting the input order changes nothing.
-    """
-    ordered = sorted(datasets, key=lambda ds: ds.task_id)
-    if not ordered:
-        raise DataMismatchError("joint training needs at least one dataset")
-    state = init_state(config, kd=False, datasets=ordered)
-    qfeats: list[TokenFeatures] = []
-    dfeats: list[TokenFeatures] = []
-    neg_feats: list[list[TokenFeatures]] = []
-    for ds in ordered:
-        q, d, negs = _prepare_features(ds, state.params, config.hard_negatives)
-        qfeats.extend(q)
-        dfeats.extend(d)
-        neg_feats.extend(negs)
-    return _train_params(
-        start=state.params,
-        prev=state.params,
-        version=len(ordered),
-        qfeats=qfeats,
-        dfeats=dfeats,
-        neg_feats=neg_feats,
-        kd=False,
-        shuffle_rng=derive_rng(config.seed, "shuffle", ordered[0].task_id),
-        config=config,
-    )
 
 
 def results_to_csv(results: list[RunResult]) -> str:

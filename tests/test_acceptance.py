@@ -221,8 +221,8 @@ def _translation_setup():
 
     def make_state(params, trained_through, ldg):
         return ContinualState(
-            config=config, kd=False, multi_k=1, params=params,
-            prev_params=None, indexes={1: index}, ledger=ldg,
+            config=config, kd=False, params=params,
+            indexes={1: index}, ledger=ldg,
             datasets={1: data}, trained_through=trained_through,
         )
 

@@ -4,10 +4,11 @@ from dataclasses import asdict
 import pytest
 
 from qdc.cli import dispatch
-from qdc.config import METHODS
+from qdc.config import METHODS, load_config
 from qdc.drift import compensate_query_path, ledger_from_dict
 from qdc.encoder import encode, load_snapshot, tokenize
 from qdc.index import load_index, search_topk
+from qdc.pipeline import retrieve_eval, train_trajectory
 
 
 @pytest.fixture(scope="module")
@@ -227,6 +228,53 @@ class TestRetrieve:
             )
         ]
         assert out_lines == want
+
+    def test_reindex_on_old_task_matches_library(
+        self, bench_run, tiny_stream, capsys
+    ):
+        qid, query = tiny_stream[0].queries_test[0]
+        code = dispatch(
+            [
+                "retrieve",
+                "--run",
+                str(bench_run),
+                "--task",
+                "1",
+                "--query",
+                query,
+                "--method",
+                "FT+REINDEX",
+            ]
+        )
+        assert code == 0
+        out_lines = capsys.readouterr().out.splitlines()
+
+        config = load_config(bench_run / "config.json")
+        state = train_trajectory(tiny_stream, False, config)[-1]
+        run = retrieve_eval(state, 1, "reindex", config.k)
+        want = [
+            f"{rank}\t{doc_id}\t{score:.6f}"
+            for rank, (doc_id, score) in enumerate(run.results[qid], start=1)
+        ]
+        assert out_lines == want
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_k_below_one_exits_one(self, bench_run, k, capsys):
+        code = dispatch(
+            [
+                "retrieve",
+                "--run",
+                str(bench_run),
+                "--task",
+                "1",
+                "--query",
+                "x",
+                "--k",
+                k,
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_task_out_of_range_exits_one(self, bench_run, capsys):
         code = dispatch(

@@ -569,3 +569,28 @@ class TestLedgerPersistence:
         }
         with pytest.raises(CorruptLedgerError):
             ledger_from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "centroids, vectors", [([1.0, 2.0], [1.0, 2.0]), ([], [])]
+    )
+    def test_flat_multi_record_rejected(self, centroids, vectors):
+        payload = {
+            "dim": 2,
+            "records": [
+                {
+                    "from": 1,
+                    "to": 2,
+                    "kind": "multi",
+                    "centroids": centroids,
+                    "vectors": vectors,
+                }
+            ],
+            "task_centroids": {},
+        }
+        with pytest.raises(CorruptLedgerError):
+            ledger_from_dict(payload)
+
+    def test_task_centroids_list_rejected(self):
+        payload = {"dim": 2, "records": [], "task_centroids": [[0.1, 0.2]]}
+        with pytest.raises(CorruptLedgerError):
+            ledger_from_dict(payload)

@@ -19,7 +19,6 @@ from qdc.index import (
     load_index,
     save_index,
     search_topk,
-    search_topk_batch,
 )
 
 VOCAB, DIM = 64, 8
@@ -158,13 +157,6 @@ class TestSearch:
             np.testing.assert_allclose(
                 [g[1] for g in got], [w[1] for w in want], rtol=0, atol=1e-12
             )
-
-    def test_batch_variant_matches_single(self):
-        rng = np.random.default_rng(4)
-        index = build_index(_params(4), _random_corpus(rng, 25), task_id=1)
-        queries = rng.normal(size=(5, DIM))
-        batched = search_topk_batch(index, queries, k=4)
-        assert batched == [search_topk(index, q, k=4) for q in queries]
 
 
 class TestPersistence:

@@ -22,7 +22,6 @@ from qdc.pipeline import (
     comparison_to_csv,
     evaluate_matrix,
     init_state,
-    joint_train,
     mine_hard_negatives,
     old_task_average,
     render_comparison_table,
@@ -269,9 +268,7 @@ class TestTranslationDrift:
             return ContinualState(
                 config=config,
                 kd=False,
-                multi_k=1,
                 params=params,
-                prev_params=None,
                 indexes={1: index},
                 ledger=ledger,
                 datasets={1: data},
@@ -322,17 +319,6 @@ class TestEvaluateMatrix:
         assert np.array_equal(got.recall, want.recall)
         assert np.array_equal(got.ap, want.ap)
 
-    def test_threaded_evaluation_matches_sequential(
-        self, tiny_traj, tiny_config, monkeypatch
-    ):
-        sequential = evaluate_matrix(tiny_traj, "qdc", tiny_config.k, "FT+QDC")
-        monkeypatch.setenv("QDC_THREADS", "4")
-        threaded = evaluate_matrix(tiny_traj, "qdc", tiny_config.k, "FT+QDC")
-        for key, want in sequential.cells.items():
-            got = threaded.cells[key]
-            assert np.array_equal(got.ndcg, want.ndcg)
-            assert np.array_equal(got.ap, want.ap)
-
     def test_training_is_strategy_independent(self, tiny_stream, tiny_config):
         ft = run_continual(tiny_stream, "FT", tiny_config)
         qdc = run_continual(tiny_stream, "FT+QDC", tiny_config)
@@ -359,53 +345,6 @@ class TestSingleTaskStream:
         assert [r.method for r in results] == list(METHODS)
         scores = {r.method: r.score(1, 1) for r in results}
         assert len(set(scores.values())) == 1
-
-
-class TestJointTrain:
-    def test_single_dataset_degenerates_to_train_task(
-        self, tiny_stream, tiny_config
-    ):
-        ds = tiny_stream[0]
-        joint = joint_train([ds], tiny_config)
-        state = train_task(
-            init_state(tiny_config, False, [ds]), ds, tiny_config
-        )
-        assert np.array_equal(joint.W, state.params.W)
-        assert joint.version == 1
-
-    def test_input_order_is_irrelevant(self, tiny_stream, tiny_config):
-        forward = joint_train(list(tiny_stream), tiny_config)
-        backward = joint_train(list(reversed(tiny_stream)), tiny_config)
-        assert np.array_equal(forward.W, backward.W)
-        assert forward.version == len(tiny_stream)
-
-    def test_empty_input_rejected(self, tiny_config):
-        with pytest.raises(DataMismatchError):
-            joint_train([], tiny_config)
-
-    def test_joint_model_beats_the_pretrained_stand_in(
-        self, tiny_stream, tiny_config
-    ):
-        joint = joint_train(list(tiny_stream), tiny_config)
-        base = init_state(tiny_config, False).params
-        scores = {"joint": [], "base": []}
-        for ds in tiny_stream:
-            for name, params in (("joint", joint), ("base", base)):
-                index = build_index(params, ds.corpus, ds.task_id)
-                feats = [
-                    tokenize(text, params.vocab_size)
-                    for _, text in ds.queries_test
-                ]
-                run = {
-                    qid: search_topk(index, emb, tiny_config.k)
-                    for (qid, _), emb in zip(
-                        ds.queries_test, encode_batch(params, feats)
-                    )
-                }
-                scores[name].append(
-                    compute_metrics(run, ds.qrels, tiny_config.k).mean("ndcg")
-                )
-        assert np.mean(scores["joint"]) > np.mean(scores["base"])
 
 
 class TestReports:
