@@ -325,6 +325,8 @@ def _cmd_drift_report(args) -> int:
 
 
 def _cmd_grad_check(args) -> int:
+    if args.seeds < 1:
+        raise ConfigError(f"seeds must be >= 1, got {args.seeds}")
     failures = 0
     for seed in range(args.seeds):
         for kind in ("contrastive", "distill"):

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import re
 import struct
+from collections import Counter
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +70,12 @@ class TokenFeatures:
             raise ValueError("total must equal sum of counts")
 
 
+@lru_cache(maxsize=1 << 16)
+def _token_id(token: str, vocab_size: int) -> int:
+    # a text stream reuses a few thousand distinct tokens millions of times
+    return fnv1a64(token.encode("utf-8")) % vocab_size
+
+
 def tokenize(text: str, vocab_size: int = DEFAULT_VOCAB) -> TokenFeatures:
     """Lowercase, split on non-alphanumeric runs, hash FNV-1a mod vocab.
 
@@ -78,9 +86,9 @@ def tokenize(text: str, vocab_size: int = DEFAULT_VOCAB) -> TokenFeatures:
     if not tokens:
         return TokenFeatures(indices=(0,), counts=(1,), total=1)
     counts: dict[int, int] = {}
-    for tok in tokens:
-        idx = fnv1a64(tok.encode("utf-8")) % vocab_size
-        counts[idx] = counts.get(idx, 0) + 1
+    for tok, n in Counter(tokens).items():
+        idx = _token_id(tok, vocab_size)
+        counts[idx] = counts.get(idx, 0) + n
     indices = tuple(sorted(counts))
     return TokenFeatures(
         indices=indices,

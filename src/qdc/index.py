@@ -7,13 +7,13 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .encoder import EncoderParams, encode_batch, tokenize
+from .encoder import EncoderParams, TokenFeatures, encode_batch, tokenize
 from .errors import (
     CorruptIndexError,
     DimMismatchError,
@@ -21,7 +21,7 @@ from .errors import (
     EmptyCorpusError,
     ZeroVectorError,
 )
-from .vecops import ZERO_NORM_EPS
+from .vecops import ZERO_NORM_EPS, top_order
 
 INDEX_MAGIC = b"QDCIDX01"
 _INDEX_HEADER = struct.Struct("<IIII")  # task_id, encoder_version, N, d
@@ -32,11 +32,24 @@ class DocRecord:
     doc_id: str
     title: str
     text: str
+    # by vocab_size, filled by doc_features; a cache that dies with the record
+    _features: dict[int, TokenFeatures] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
 
 def doc_encoding_text(doc: DocRecord) -> str:
     """Text fed to the encoder: title, a space, then the body."""
     return doc.title + " " + doc.text
+
+
+def doc_features(doc: DocRecord, vocab_size: int) -> TokenFeatures:
+    """The document's hashed features, tokenized once per record and vocab."""
+    feats = doc._features.get(vocab_size)
+    if feats is None:
+        feats = tokenize(doc_encoding_text(doc), vocab_size)
+        doc._features[vocab_size] = feats
+    return feats
 
 
 @dataclass(eq=False)
@@ -68,7 +81,7 @@ def build_index(
         if doc_id in seen:
             raise DuplicateDocIdError(f"duplicate doc_id {doc_id!r}")
         seen.add(doc_id)
-    feats = [tokenize(doc_encoding_text(d), params.vocab_size) for d in corpus]
+    feats = [doc_features(d, params.vocab_size) for d in corpus]
     rows = encode_batch(params, feats).astype(np.float32)
     return CorpusIndex(
         task_id=task_id,
@@ -98,7 +111,7 @@ def search_topk(
         raise ValueError("k must be >= 1")
     scores = _query_scores(index, q)
     _, _, ids_arr = index._scoring
-    order = np.lexsort((ids_arr, -scores))[: min(k, len(scores))]
+    order = top_order(scores, ids_arr, k)
     return [(str(ids_arr[i]), float(scores[i])) for i in order]
 
 

@@ -9,7 +9,6 @@ so FT and FT+QDC share bit-identical snapshots.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -38,17 +37,13 @@ from .errors import DataMismatchError, MissingIndexError
 from .index import (
     CorpusIndex,
     build_index,
-    doc_encoding_text,
+    doc_features,
     search_topk,
 )
 from .metrics import METRIC_NAMES, MetricReport, compute_metrics, performance_drop
+from .vecops import top_order
 
 STRATEGIES = ("plain", "qdc", "reindex")
-
-
-@lru_cache(maxsize=1 << 18)
-def _tok(text: str, vocab_size: int) -> TokenFeatures:
-    return tokenize(text, vocab_size)
 
 
 @dataclass(frozen=True)
@@ -129,19 +124,18 @@ def mine_hard_negatives(
     if h == 0 or not pairs:
         return [[] for _ in pairs]
     vocab = params.vocab_size
-    doc_units = encode_batch(
-        params, [_tok(doc_encoding_text(d), vocab) for d in corpus]
-    )
+    doc_units = encode_batch(params, [doc_features(d, vocab) for d in corpus])
     ids_arr = np.asarray([d.doc_id for d in corpus])
     positives: dict[str, set[str]] = {}
     for query, doc_id in pairs:
         positives.setdefault(query, set()).add(doc_id)
-    q_units = encode_batch(params, [_tok(q, vocab) for q, _ in pairs])
+    q_units = encode_batch(params, [tokenize(q, vocab) for q, _ in pairs])
     scores = q_units @ doc_units.T
     out: list[list[str]] = []
     for i, (query, _) in enumerate(pairs):
-        order = np.lexsort((ids_arr, -scores[i]))
         exclude = positives[query]
+        # the h best non-positives lie within the h + |positives| best docs
+        order = top_order(scores[i], ids_arr, h + len(exclude))
         negs: list[str] = []
         for j in order:
             doc_id = str(ids_arr[j])
@@ -195,14 +189,13 @@ def _train_params(
 def _prepare_features(data: TaskDataset, params: EncoderParams, h: int):
     vocab = params.vocab_size
     doc_by_id = {d.doc_id: d for d in data.corpus}
-    qfeats = [_tok(q, vocab) for q, _ in data.train_pairs]
+    qfeats = [tokenize(q, vocab) for q, _ in data.train_pairs]
     dfeats = [
-        _tok(doc_encoding_text(doc_by_id[doc_id]), vocab)
-        for _, doc_id in data.train_pairs
+        doc_features(doc_by_id[doc_id], vocab) for _, doc_id in data.train_pairs
     ]
     neg_ids = mine_hard_negatives(params, data.train_pairs, data.corpus, h)
     neg_feats = [
-        [_tok(doc_encoding_text(doc_by_id[i]), vocab) for i in ids]
+        [doc_features(doc_by_id[i], vocab) for i in ids]
         for ids in neg_ids
     ]
     return qfeats, dfeats, neg_feats
@@ -301,7 +294,7 @@ def _run(
 ) -> RetrievalRun:
     """Rank data's test queries, encoded by the current model."""
     params = state.params
-    feats = [_tok(text, params.vocab_size) for _, text in data.queries_test]
+    feats = [tokenize(text, params.vocab_size) for _, text in data.queries_test]
     embs = encode_batch(params, feats)
     rankings = retrieve(
         params, index, data.corpus, state.ledger, embs, data.task_id, strategy, k

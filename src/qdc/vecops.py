@@ -62,3 +62,19 @@ def mean_embedding(vs: Sequence) -> np.ndarray:
             )
         acc += arr
     return acc / len(vs)
+
+
+def top_order(scores: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the min(k, N) best scores, descending, ties by ascending id.
+
+    Equal to the first k of a full lexsort by (-score, id): a partition finds
+    the k-th best score, every candidate at or above it (all ties at the cut
+    included) is kept, and only those are sorted.
+    """
+    n = len(scores)
+    if k < n:
+        kth = np.partition(scores, n - k)[n - k]
+        cand = np.flatnonzero(scores >= kth)
+    else:
+        cand = np.arange(n)
+    return cand[np.lexsort((ids[cand], -scores[cand]))][:k]

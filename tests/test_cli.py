@@ -339,6 +339,13 @@ class TestDriftReport:
 
 
 class TestGradCheck:
+    @pytest.mark.parametrize("seeds", ["0", "-3"])
+    def test_no_seeds_exits_one(self, seeds, capsys):
+        assert dispatch(["grad-check", "--seeds", seeds]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
     def test_two_seeds_pass(self, capsys):
         assert dispatch(["grad-check", "--seeds", "2"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()

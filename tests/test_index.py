@@ -1,4 +1,5 @@
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,8 +15,10 @@ from qdc.errors import (
 from qdc.index import (
     CorpusIndex,
     DocRecord,
+    _query_scores,
     build_index,
     doc_encoding_text,
+    doc_features,
     load_index,
     save_index,
     search_topk,
@@ -46,6 +49,29 @@ def _brute_force(index, q, k):
         zip(index.doc_ids, scores), key=lambda pair: (-pair[1], pair[0])
     )
     return [(doc_id, float(score)) for doc_id, score in ranked[:k]]
+
+
+def _full_sort(index, q, k):
+    """The search as one full lexsort of every row by (-score, doc_id)."""
+    scores = _query_scores(index, q)
+    ids = np.asarray(index.doc_ids)
+    order = np.lexsort((ids, -scores))[:k]
+    return [(str(ids[i]), float(scores[i])) for i in order]
+
+
+def _tied_index(rng, better, tied, worse):
+    """Rows scoring above, exactly at and below one tied block for e_0."""
+    above = np.column_stack(
+        [rng.uniform(0.95, 0.99, better), rng.uniform(0.01, 0.2, better)]
+    )
+    at = np.tile([0.9, 0.3], (tied, 1))
+    below = np.column_stack([rng.uniform(0.1, 0.6, worse), np.ones(worse)])
+    rows = np.concatenate([above, at, below]).astype(np.float32)
+    n = len(rows)
+    return CorpusIndex(
+        task_id=1, encoder_version=1, dim=2, rows=rows,
+        doc_ids=[f"doc{i:04d}" for i in rng.permutation(n)],
+    )
 
 
 def test_doc_encoding_text_joins_title_and_body():
@@ -83,6 +109,49 @@ def test_rows_match_per_document_encode():
     for row, doc in zip(index.rows, docs):
         fresh = encode(params, tokenize(doc_encoding_text(doc), VOCAB))
         assert np.max(np.abs(row.astype(np.float64) - fresh)) <= 1e-6
+
+
+class TestDocFeatures:
+    def test_equals_tokenizing_the_encoding_text(self):
+        doc = DocRecord("d1", "Title", "alpha beta beta")
+        assert doc_features(doc, VOCAB) == tokenize("Title alpha beta beta", VOCAB)
+
+    def test_each_record_is_tokenized_once_per_vocab(self, monkeypatch):
+        import qdc.index
+
+        seen = []
+
+        def counting(text, vocab_size):
+            seen.append((text, vocab_size))
+            return tokenize(text, vocab_size)
+
+        monkeypatch.setattr(qdc.index, "tokenize", counting)
+        doc = DocRecord("d1", "", "alpha beta")
+        first = doc_features(doc, VOCAB)
+        assert doc_features(doc, VOCAB) is first
+        doc_features(doc, 2 * VOCAB)
+        # an equal record keeps its own cache
+        doc_features(DocRecord("d1", "", "alpha beta"), VOCAB)
+        text = " alpha beta"
+        assert seen == [(text, VOCAB), (text, 2 * VOCAB), (text, VOCAB)]
+
+    def test_cache_changes_neither_equality_nor_repr(self):
+        a = DocRecord("d1", "t", "alpha beta")
+        b = DocRecord("d1", "t", "alpha beta")
+        before = repr(a)
+        doc_features(a, VOCAB)
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == before == repr(b)
+        assert "_features" not in repr(a)
+
+    def test_replace_starts_a_fresh_cache(self):
+        doc = DocRecord("d1", "t", "alpha beta")
+        doc_features(doc, VOCAB)
+        copy = replace(doc)
+        assert copy._features == {} and copy._features is not doc._features
+        changed = replace(doc, text="gamma")
+        assert doc_features(changed, VOCAB) == tokenize("t gamma", VOCAB)
+        assert doc_features(doc, VOCAB) == tokenize("t alpha beta", VOCAB)
 
 
 def test_rebuild_is_bit_deterministic():
@@ -157,6 +226,40 @@ class TestSearch:
             np.testing.assert_allclose(
                 [g[1] for g in got], [w[1] for w in want], rtol=0, atol=1e-12
             )
+
+
+    @pytest.mark.parametrize("k", [3, 10, 11, 27, 59, 60, 61, 100])
+    def test_k_cutting_a_tied_block_matches_full_sort(self, k):
+        # 10 rows above a block of 50 identical rows, 40 below; ids shuffled
+        index = _tied_index(np.random.default_rng(k), 10, 50, 40)
+        q = np.array([1.0, 0.0])
+        scores = _query_scores(index, q)
+        assert len(set(scores[10:60].tolist())) == 1
+        assert search_topk(index, q, k) == _full_sort(index, q, k)
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_k_at_or_beyond_corpus_size_matches_full_sort(self, n):
+        rng = np.random.default_rng(n)
+        index = _tied_index(rng, n // 2, n - n // 2, 0)
+        q = rng.normal(size=2)
+        for k in (n, n + 1, 5 * n):
+            assert search_topk(index, q, k) == _full_sort(index, q, k)
+        assert search_topk(index, q, 1) == _full_sort(index, q, 1)
+
+    def test_tie_heavy_property_matches_full_sort(self):
+        # few distinct rows, so nearly every cut falls inside a tie
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            n = int(rng.integers(1, 80))
+            pool = rng.normal(size=(int(rng.integers(1, 5)), DIM))
+            rows = pool[rng.integers(0, len(pool), n)].astype(np.float32)
+            index = CorpusIndex(
+                task_id=1, encoder_version=1, dim=DIM, rows=rows,
+                doc_ids=[f"doc{i:04d}" for i in rng.permutation(n)],
+            )
+            q = rng.normal(size=DIM)
+            k = int(rng.integers(1, n + 3))
+            assert search_topk(index, q, k) == _full_sort(index, q, k)
 
 
 class TestPersistence:

@@ -1,3 +1,5 @@
+import sys
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from qdc.config import METHODS, RunConfig, derive_rng, parse_method
 from qdc.datagen import TaskDataset, generate_task_stream
 from qdc.drift import DriftLedger, append_record, estimate_drift
+import qdc.encoder
 from qdc.encoder import (
     EncoderParams,
     contrastive_loss,
@@ -50,6 +53,26 @@ def _doc(doc_id, text):
     return DocRecord(doc_id=doc_id, title="", text=text)
 
 
+def _mined_by_full_sort(params, pairs, corpus, h):
+    """Hard negatives from one full lexsort of the corpus per query."""
+    vocab = params.vocab_size
+    doc_units = encode_batch(
+        params, [tokenize(doc_encoding_text(d), vocab) for d in corpus]
+    )
+    ids = np.asarray([d.doc_id for d in corpus])
+    positives = {}
+    for query, doc_id in pairs:
+        positives.setdefault(query, set()).add(doc_id)
+    out = []
+    for query, _ in pairs:
+        q_unit = encode_batch(params, [tokenize(query, vocab)])[0]
+        order = np.lexsort((ids, -(doc_units @ q_unit)))
+        out.append(
+            [str(ids[j]) for j in order if str(ids[j]) not in positives[query]][:h]
+        )
+    return out
+
+
 class TestMineHardNegatives:
     def test_h_zero_yields_empty_lists(self, tiny_stream, tiny_config):
         ds = tiny_stream[0]
@@ -78,26 +101,37 @@ class TestMineHardNegatives:
         ds = tiny_stream[0]
         pairs = ds.train_pairs[:6]
         state = init_state(tiny_config, False)
-        h = 3
-        got = mine_hard_negatives(state.params, pairs, ds.corpus, h)
+        got = mine_hard_negatives(state.params, pairs, ds.corpus, 3)
+        assert got == _mined_by_full_sort(state.params, pairs, ds.corpus, 3)
 
-        vocab = state.params.vocab_size
-        doc_units = encode_batch(
-            state.params,
-            [tokenize(doc_encoding_text(d), vocab) for d in ds.corpus],
-        )
-        ids = np.asarray([d.doc_id for d in ds.corpus])
-        positives = {}
-        for query, doc_id in pairs:
-            positives.setdefault(query, set()).add(doc_id)
-        for (query, _), neg in zip(pairs, got):
-            q_unit = encode_batch(state.params, [tokenize(query, vocab)])[0]
-            scores = doc_units @ q_unit
-            order = np.lexsort((ids, -scores))
-            expected = [
-                str(ids[j]) for j in order if str(ids[j]) not in positives[query]
-            ][:h]
-            assert neg == expected
+    @pytest.mark.parametrize("h", [1, 4, 29, 30, 31])
+    def test_positives_inside_a_tied_top_block(self, tiny_config, h):
+        # 30 identical docs top every query below; ids shuffled so the
+        # doc_id tie-break, not the corpus order, decides the cut
+        rng = np.random.default_rng(h)
+        ids = [f"d{i:03d}" for i in rng.permutation(50)]
+        corpus = [_doc(ids[i], "alpha beta") for i in range(30)] + [
+            _doc(ids[i], f"gamma{i} delta") for i in range(30, 50)
+        ]
+        tied = sorted(ids[:30])
+        pairs = [
+            ("alpha beta", tied[0]),
+            ("alpha beta", tied[h % 30]),
+            ("beta alpha", tied[29]),
+            ("alpha", ids[40]),
+        ]
+        params = init_state(tiny_config, False).params
+        got = mine_hard_negatives(params, pairs, corpus, h)
+        assert got == _mined_by_full_sort(params, pairs, corpus, h)
+        assert tied[0] not in got[0] and tied[h % 30] not in got[1]
+
+    def test_h_plus_positives_beyond_corpus_size(self, tiny_config):
+        corpus = [_doc(f"d{i}", "shared" if i < 2 else f"tok{i}") for i in range(4)]
+        pairs = [("shared", "d0"), ("shared", "d1"), ("tok3", "d3")]
+        params = init_state(tiny_config, False).params
+        got = mine_hard_negatives(params, pairs, corpus, 3)
+        assert got == _mined_by_full_sort(params, pairs, corpus, 3)
+        assert [len(neg) for neg in got] == [2, 2, 3]
 
 
 class TestTrainTask:
@@ -335,6 +369,29 @@ class TestEvaluateMatrix:
         )
         with pytest.raises(ValueError):
             old_task_average(single)
+
+
+class TestTokenizeOnce:
+    def test_bench_tokenizes_each_document_once(self, tiny_spec, monkeypatch):
+        # a fresh stream: the session fixture's records already hold features
+        stream = generate_task_stream(tiny_spec)
+        calls = Counter()
+        real = qdc.encoder.tokenize
+
+        def counting(text, vocab_size):
+            calls[text] += 1
+            return real(text, vocab_size)
+
+        for name, module in list(sys.modules.items()):
+            if name == "qdc" or name.startswith("qdc."):
+                for attr, value in list(vars(module).items()):
+                    if value is real:
+                        monkeypatch.setattr(module, attr, counting)
+        bench(stream, RunConfig(stream=tiny_spec))
+        docs = Counter(
+            doc_encoding_text(doc) for ds in stream for doc in ds.corpus
+        )
+        assert {text: calls[text] for text in docs} == dict(docs)
 
 
 class TestSingleTaskStream:
