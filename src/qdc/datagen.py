@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .encoder import TokenFeatures, tokenize
 from .errors import (
     DanglingReferenceError,
     DuplicateDocIdError,
@@ -61,6 +62,19 @@ class TaskDataset:
     train_pairs: list[tuple[str, str]]
     queries_test: list[tuple[str, str]]
     qrels: dict[tuple[str, str], int] = field(default_factory=dict)
+    # by vocab_size, filled by query_features; a cache that dies with the task
+    _query_features: dict[int, list[TokenFeatures]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+
+def query_features(data: TaskDataset, vocab_size: int) -> list[TokenFeatures]:
+    """The test queries' hashed features, tokenized once per task and vocab."""
+    feats = data._query_features.get(vocab_size)
+    if feats is None:
+        feats = [tokenize(text, vocab_size) for _, text in data.queries_test]
+        data._query_features[vocab_size] = feats
+    return feats
 
 
 def validate_dataset(dataset: TaskDataset) -> None:

@@ -12,6 +12,7 @@ import struct
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -154,43 +155,75 @@ def encode(params: EncoderParams, feats: TokenFeatures) -> np.ndarray:
     return raw / norm
 
 
+# rows per block in encode_batch (its dense weight matrix) and sgd_step
+# (its temporaries): keeps every per-block array a few MB at most
+_CHUNK_ROWS = 1024
+
+
+def _weight_matrix(
+    feats_list, vocab_size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct token ids a batch touches and its dense n x |ids| weights.
+
+    Entry (i, j) is count/total of token rows[j] in input i, so the batch's
+    raw embeddings are x @ W[rows].
+    """
+    n = len(feats_list)
+    lengths = np.fromiter((len(f.indices) for f in feats_list), np.intp, n)
+    m = int(lengths.sum())
+    ids = np.fromiter(
+        chain.from_iterable(f.indices for f in feats_list), np.intp, m
+    )
+    counts = np.fromiter(
+        chain.from_iterable(f.counts for f in feats_list), np.float64, m
+    )
+    totals = np.fromiter((f.total for f in feats_list), np.float64, n)
+    if m and int(ids.max()) >= vocab_size:
+        raise ValueError(f"token id {int(ids.max())} >= vocab {vocab_size}")
+    rows, cols = np.unique(ids, return_inverse=True)
+    owner = np.repeat(np.arange(n), lengths)
+    x = np.zeros((n, len(rows)), dtype=np.float64)
+    x[owner, cols] = counts / totals[owner]
+    return rows, x
+
+
 class _EncodedBatch:
     """Forward pass results kept for the manual backward pass."""
 
-    __slots__ = ("feats", "raw", "norms", "units")
+    __slots__ = ("rows", "x", "norms", "units")
 
-    def __init__(self, params: EncoderParams, feats_list) -> None:
-        n = len(feats_list)
-        self.feats = list(feats_list)
-        self.raw = np.empty((n, params.dim), dtype=np.float64)
-        for i, feats in enumerate(self.feats):
-            self.raw[i] = _raw(params, feats)
-        self.norms = np.linalg.norm(self.raw, axis=1)
-        if n and float(self.norms.min(initial=np.inf)) < ZERO_NORM_EPS:
+    def __init__(self, params: EncoderParams, feats_list, weights=None) -> None:
+        # weights: the _weight_matrix of feats_list, when already built
+        if weights is None:
+            weights = _weight_matrix(feats_list, params.vocab_size)
+        self.rows, self.x = weights
+        raw = self.x @ params.W[self.rows]
+        self.norms = np.linalg.norm(raw, axis=1)
+        if len(raw) and float(self.norms.min()) < ZERO_NORM_EPS:
             raise ZeroVectorError("encoder produced a numerically zero embedding")
-        self.units = self.raw / self.norms[:, None]
+        self.units = raw / self.norms[:, None]
 
 
 def encode_batch(params: EncoderParams, feats_list) -> np.ndarray:
     """Encode many inputs at once; rows follow the input order."""
-    if params.linear_output:
-        out = np.empty((len(feats_list), params.dim), dtype=np.float64)
-        for i, feats in enumerate(feats_list):
-            out[i] = _raw(params, feats)
-        return out
-    return _EncodedBatch(params, feats_list).units.copy()
+    out = np.empty((len(feats_list), params.dim), dtype=np.float64)
+    for lo in range(0, len(feats_list), _CHUNK_ROWS):
+        chunk = feats_list[lo : lo + _CHUNK_ROWS]
+        if params.linear_output:
+            rows, x = _weight_matrix(chunk, params.vocab_size)
+            out[lo : lo + len(chunk)] = x @ params.W[rows]
+        else:
+            out[lo : lo + len(chunk)] = _EncodedBatch(params, chunk).units
+    return out
 
 
 def _backprop(batch: _EncodedBatch, g_units: np.ndarray, dW: np.ndarray) -> None:
     # through normalization: g_raw = (g - (g.u) u) / |raw|, then into the
-    # touched rows scaled by counts/total
-    for i, feats in enumerate(batch.feats):
-        u = batch.units[i]
-        g = g_units[i]
-        g_raw = (g - np.dot(g, u) * u) / batch.norms[i]
-        idx = np.asarray(feats.indices, dtype=np.intp)
-        cnt = np.asarray(feats.counts, dtype=np.float64)
-        dW[idx] += np.outer(cnt / feats.total, g_raw)
+    # touched rows through the count/total weights
+    u = batch.units
+    g_dot_u = np.einsum("ij,ij->i", g_units, u)
+    g_raw = (g_units - g_dot_u[:, None] * u) / batch.norms[:, None]
+    dW[batch.rows] += batch.x.T @ g_raw
 
 
 def contrastive_loss(
@@ -212,11 +245,16 @@ def contrastive_loss(
     if len(hard_negs) != n:
         raise ValueError("hard_negs must align with the batch")
 
+    # allocated before the batch's smaller temporaries, so it reuses the
+    # memory of the V x d array the training loop just freed instead of
+    # growing the heap (the temporaries would split that free block)
+    dW = np.zeros_like(params.W)
     q_enc = _EncodedBatch(params, [q for q, _ in batch])
     d_enc = _EncodedBatch(params, [d for _, d in batch])
-    neg_enc = [
-        _EncodedBatch(params, negs) if negs else None for negs in hard_negs
-    ]
+    # every query's hard negatives in one batch; query i owns rows
+    # offsets[i]:offsets[i + 1]
+    offsets = np.cumsum([0] + [len(negs) for negs in hard_negs])
+    neg_enc = _EncodedBatch(params, [f for negs in hard_negs for f in negs])
 
     tau = params.temperature
     s_in = q_enc.units @ d_enc.units.T
@@ -225,14 +263,13 @@ def contrastive_loss(
     loss_sum = 0.0
     gq = np.zeros_like(q_enc.units)
     gd = np.zeros_like(d_enc.units)
-    dW = np.zeros_like(params.W)
+    gneg = np.zeros_like(neg_enc.units)
     for i in range(n):
-        enc = neg_enc[i]
-        if enc is None:
-            row = s_in[i] / tau
+        negs = neg_enc.units[offsets[i] : offsets[i + 1]]
+        if len(negs):
+            row = np.concatenate([s_in[i], q_enc.units[i] @ negs.T]) / tau
         else:
-            s_hn = q_enc.units[i] @ enc.units.T
-            row = np.concatenate([s_in[i], s_hn]) / tau
+            row = s_in[i] / tau
         m = float(row.max())
         p = np.exp(row - m)
         z = float(p.sum())
@@ -243,9 +280,10 @@ def contrastive_loss(
         coef *= inv
         gq[i] = coef[:n] @ d_enc.units
         gd += coef[:n, None] * q_enc.units[i]
-        if enc is not None:
-            gq[i] += coef[n:] @ enc.units
-            _backprop(enc, coef[n:, None] * q_enc.units[i], dW)
+        if len(negs):
+            gq[i] += coef[n:] @ negs
+            gneg[offsets[i] : offsets[i + 1]] = coef[n:, None] * q_enc.units[i]
+    _backprop(neg_enc, gneg, dW)
     _backprop(q_enc, gq, dW)
     _backprop(d_enc, gd, dW)
     return float(loss_sum / n), dW
@@ -269,12 +307,13 @@ def distill_loss(
     ):
         raise ShapeMismatchError("old and new encoder shapes differ")
 
+    dW = np.zeros_like(params_new.W)  # first, as in contrastive_loss
     texts = [q for q, _ in batch] + [d for _, d in batch]
-    enc_new = _EncodedBatch(params_new, texts)
-    enc_old = _EncodedBatch(params_old, texts)
+    weights = _weight_matrix(texts, params_new.vocab_size)
+    enc_new = _EncodedBatch(params_new, texts, weights)
+    enc_old = _EncodedBatch(params_old, texts, weights)
     dots = np.einsum("ij,ij->i", enc_new.units, enc_old.units)
     loss = float(np.sum(1.0 - dots) / n)
-    dW = np.zeros_like(params_new.W)
     _backprop(enc_new, -enc_old.units / n, dW)
     return loss, dW
 
@@ -290,9 +329,15 @@ def sgd_step(
         raise ShapeMismatchError(
             f"gradient shape {grads.shape} vs W {params.W.shape}"
         )
-    w = params.W - lr * grads - (lr * wd) * params.W
-    if not np.all(np.isfinite(w)):
-        raise NonFiniteError("sgd step produced non-finite weights")
+    # row block by row block, so the only V x d array made is the result
+    w = np.empty_like(params.W)
+    for lo in range(0, len(w), _CHUNK_ROWS):
+        block = slice(lo, lo + _CHUNK_ROWS)
+        w[block] = (
+            params.W[block] - lr * grads[block] - (lr * wd) * params.W[block]
+        )
+        if not np.isfinite(w[block]).all():
+            raise NonFiniteError("sgd step produced non-finite weights")
     return replace(params, W=w)
 
 

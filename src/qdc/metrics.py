@@ -11,13 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import EncoderParams, encode_batch, tokenize
+from .encoder import EncoderParams, TokenFeatures, encode_batch, tokenize
 from .errors import (
     EmptyPopulationError,
     IncompleteMatrixError,
     MissingQrelsError,
 )
-from .index import DocRecord, doc_encoding_text
+from .index import DocRecord, doc_encoding_text, doc_features
 
 METRIC_NAMES = ("ndcg", "recall", "map")
 BUCKET_NAMES = ("short", "medium", "long")
@@ -148,11 +148,13 @@ def _bucket_of(length: int, bounds: tuple[int, int]) -> str:
 
 
 def _population_drift(
-    params_new: EncoderParams, params_old: EncoderParams, texts: list[str]
+    params_new: EncoderParams,
+    params_old: EncoderParams,
+    texts: list[str],
+    feats: list[TokenFeatures],
 ) -> tuple[tuple[int, int], dict[str, float | None], dict[str, int]]:
     lengths = [len(text.split()) for text in texts]
     bounds = _tercile_bounds(lengths)
-    feats = [tokenize(text, params_new.vocab_size) for text in texts]
     units_new = encode_batch(params_new, feats)
     units_old = encode_batch(params_old, feats)
     drifts = 1.0 - np.einsum("ij,ij->i", units_new, units_old)
@@ -176,12 +178,16 @@ def drift_report(
     """Length-tercile drift for query texts and corpus documents."""
     if not queries or not corpus:
         raise EmptyPopulationError("drift report needs both populations")
+    vocab = params_new.vocab_size
+    q_texts = list(queries)
     q_bounds, q_drift, q_counts = _population_drift(
-        params_new, params_old, list(queries)
+        params_new, params_old, q_texts, [tokenize(t, vocab) for t in q_texts]
     )
-    doc_texts = [doc_encoding_text(doc) for doc in corpus]
     c_bounds, c_drift, c_counts = _population_drift(
-        params_new, params_old, doc_texts
+        params_new,
+        params_old,
+        [doc_encoding_text(doc) for doc in corpus],
+        [doc_features(doc, vocab) for doc in corpus],
     )
     return DriftLengthReport(
         query_bounds=q_bounds,

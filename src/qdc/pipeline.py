@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import METHODS, RunConfig, derive_rng, derive_seed, parse_method
-from .datagen import TaskDataset, validate_dataset
+from .datagen import TaskDataset, query_features, validate_dataset
 from .drift import (
     DriftLedger,
     append_record,
@@ -180,8 +180,7 @@ def _train_params(
             negs = [neg_feats[int(i)] for i in sel]
             _, grads = contrastive_loss(params, batch, negs)
             if kd:
-                _, grads_d = distill_loss(params, prev, batch)
-                grads = grads + grads_d
+                grads += distill_loss(params, prev, batch)[1]
             params = sgd_step(params, grads, config.lr, config.wd)
     return params
 
@@ -294,8 +293,7 @@ def _run(
 ) -> RetrievalRun:
     """Rank data's test queries, encoded by the current model."""
     params = state.params
-    feats = [tokenize(text, params.vocab_size) for _, text in data.queries_test]
-    embs = encode_batch(params, feats)
+    embs = encode_batch(params, query_features(data, params.vocab_size))
     rankings = retrieve(
         params, index, data.corpus, state.ledger, embs, data.task_id, strategy, k
     )

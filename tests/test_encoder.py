@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qdc.encoder import (
+    _CHUNK_ROWS,
     DEFAULT_VOCAB,
     EncoderParams,
     TokenFeatures,
@@ -160,6 +161,34 @@ class TestEncode:
                 batch[i], encode(params, f), rtol=0, atol=1e-12
             )
 
+    def test_batch_across_chunks_matches_per_item(self):
+        # 2,500 rows cross two chunk boundaries; each chunk has its own
+        # set of touched rows, so the oracle is checked across them
+        assert 2 * _CHUNK_ROWS < 2500 < 3 * _CHUNK_ROWS
+        rng = np.random.default_rng(14)
+        params = init_params(4096, 8, 0.5, rng)
+        feats = [_rand_feats(rng, 4096) for _ in range(2500)]
+        batch = encode_batch(params, feats)
+        expected = np.array([encode(params, f) for f in feats])
+        np.testing.assert_allclose(batch, expected, rtol=0, atol=1e-12)
+
+        linear = replace(params, linear_output=True)
+        raw = np.array(
+            [
+                np.asarray(f.counts, dtype=np.float64) @ params.W[list(f.indices)]
+                / f.total
+                for f in feats
+            ]
+        )
+        np.testing.assert_allclose(
+            encode_batch(linear, feats), raw, rtol=0, atol=1e-12
+        )
+
+    def test_empty_batch_encodes_to_no_rows(self):
+        rng = np.random.default_rng(15)
+        params = init_params(16, 4, 0.5, rng)
+        assert encode_batch(params, []).shape == (0, 4)
+
     def test_linear_output_skips_normalization(self):
         rng = np.random.default_rng(13)
         base = init_params(16, 4, 0.5, rng)
@@ -176,6 +205,15 @@ class TestEncode:
         )
         with pytest.raises(ValueError):
             encode(params, _feats((7, 1)))
+
+    def test_batch_token_id_out_of_vocab_rejected(self):
+        params = EncoderParams(
+            W=np.eye(4), vocab_size=4, dim=4, temperature=0.5
+        )
+        with pytest.raises(ValueError):
+            encode_batch(params, [_feats((1, 1)), _feats((2, 1), (7, 1))])
+        with pytest.raises(ValueError):
+            encode_batch(replace(params, linear_output=True), [_feats((4, 1))])
 
     def test_shape_mismatch_rejected_at_construction(self):
         with pytest.raises(ShapeMismatchError):
@@ -253,6 +291,43 @@ class TestContrastiveLoss:
         _, analytic = evaluate(params)
         numeric = _fd_gradient(evaluate, params, touched, 4)
         assert _max_rel_error(analytic, numeric) <= 1e-4
+
+    def test_ragged_hard_negatives_match_finite_differences(self):
+        # 0, 1 and 3 negatives: every query owns its own slice of the one
+        # negative batch, and an empty slice adds nothing
+        rng = np.random.default_rng(12)
+        params = replace(init_params(16, 4, 0.7, rng), version=1)
+        batch = [(_rand_feats(rng, 16), _rand_feats(rng, 16)) for _ in range(3)]
+        negs = [[_rand_feats(rng, 16) for _ in range(h)] for h in (0, 1, 3)]
+
+        def evaluate(p):
+            return contrastive_loss(p, batch, negs)
+
+        touched = set()
+        for q, d in batch:
+            touched.update(q.indices)
+            touched.update(d.indices)
+        for per in negs:
+            for f in per:
+                touched.update(f.indices)
+        _, analytic = evaluate(params)
+        numeric = _fd_gradient(evaluate, params, touched, 4)
+        assert _max_rel_error(analytic, numeric) <= 1e-4
+
+    def test_ragged_loss_matches_per_query_softmax(self):
+        rng = np.random.default_rng(13)
+        params = init_params(32, 8, 0.5, rng)
+        batch = [(_rand_feats(rng, 32), _rand_feats(rng, 32)) for _ in range(3)]
+        negs = [[_rand_feats(rng, 32) for _ in range(h)] for h in (3, 0, 1)]
+        loss, _ = contrastive_loss(params, batch, negs)
+        docs = [encode(params, d) for _, d in batch]
+        expected = 0.0
+        for i, (q, _) in enumerate(batch):
+            u = encode(params, q)
+            cands = docs + [encode(params, f) for f in negs[i]]
+            logits = np.array([u @ c for c in cands]) / params.temperature
+            expected += np.log(np.sum(np.exp(logits))) - logits[i]
+        assert loss == pytest.approx(expected / 3, abs=1e-12)
 
     def test_permutation_covariance(self):
         rng = np.random.default_rng(6)
@@ -395,6 +470,30 @@ class TestSgdStep:
         grads = np.full((8, 4), np.inf)
         with pytest.raises(NonFiniteError):
             sgd_step(params, grads, lr=0.1, wd=0.0)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_step_rejected(self):
+        params = EncoderParams(
+            W=np.full((3, 2), 1e308), vocab_size=3, dim=2, temperature=0.5
+        )
+        with pytest.raises(NonFiniteError):
+            sgd_step(params, np.full((3, 2), -1e308), lr=1.0, wd=0.0)
+
+    def test_bit_identical_to_formula_and_inputs_untouched(self):
+        # row blocks must not change a bit of W - lr*g - (lr*wd)*W, also
+        # across block boundaries, and write only into the result
+        rng = np.random.default_rng(3)
+        params = init_params(2 * _CHUNK_ROWS + 37, 8, 0.5, rng)
+        grads = rng.normal(size=params.W.shape)
+        w_before, g_before = params.W.copy(), grads.copy()
+        lr, wd = 0.5, 0.01
+        out = sgd_step(params, grads, lr=lr, wd=wd)
+        assert np.array_equal(
+            out.W, params.W - lr * grads - (lr * wd) * params.W
+        )
+        assert np.array_equal(params.W, w_before)
+        assert np.array_equal(grads, g_before)
+        assert out.W is not params.W and out.W is not grads
 
 
 class TestGradCheck:

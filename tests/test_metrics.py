@@ -11,7 +11,7 @@ from qdc.errors import (
     IncompleteMatrixError,
     MissingQrelsError,
 )
-from qdc.index import DocRecord, doc_encoding_text
+from qdc.index import DocRecord, doc_encoding_text, doc_features
 from qdc.metrics import (
     MetricReport,
     compute_metrics,
@@ -289,6 +289,27 @@ class TestDriftReport:
                     )
                 else:
                     assert means[bucket] is None
+
+    def test_corpus_features_read_from_the_records(self, monkeypatch):
+        import qdc.index
+        import qdc.metrics
+
+        rng = np.random.default_rng(7)
+        params = init_params(64, 8, 0.5, rng)
+        queries, corpus = self._populations()
+        for doc in corpus:
+            doc_features(doc, 64)
+        texts = []
+        real = qdc.metrics.tokenize
+
+        def counting(text, vocab_size):
+            texts.append(text)
+            return real(text, vocab_size)
+
+        monkeypatch.setattr(qdc.metrics, "tokenize", counting)
+        monkeypatch.setattr(qdc.index, "tokenize", counting)
+        drift_report(params, params, queries, corpus)
+        assert texts == list(queries)
 
     def test_empty_population_rejected(self):
         rng = np.random.default_rng(5)

@@ -372,9 +372,10 @@ class TestEvaluateMatrix:
 
 
 class TestTokenizeOnce:
-    def test_bench_tokenizes_each_document_once(self, tiny_spec, monkeypatch):
+    @staticmethod
+    def _bench_tokenize_calls(spec, monkeypatch):
         # a fresh stream: the session fixture's records already hold features
-        stream = generate_task_stream(tiny_spec)
+        stream = generate_task_stream(spec)
         calls = Counter()
         real = qdc.encoder.tokenize
 
@@ -387,11 +388,21 @@ class TestTokenizeOnce:
                 for attr, value in list(vars(module).items()):
                     if value is real:
                         monkeypatch.setattr(module, attr, counting)
-        bench(stream, RunConfig(stream=tiny_spec))
+        bench(stream, RunConfig(stream=spec))
+        return stream, calls
+
+    def test_bench_tokenizes_each_document_once(self, tiny_spec, monkeypatch):
+        stream, calls = self._bench_tokenize_calls(tiny_spec, monkeypatch)
         docs = Counter(
             doc_encoding_text(doc) for ds in stream for doc in ds.corpus
         )
         assert {text: calls[text] for text in docs} == dict(docs)
+
+    def test_bench_tokenizes_each_test_query_once(self, tiny_spec, monkeypatch):
+        # every evaluated cell of both trajectories reads the test queries
+        stream, calls = self._bench_tokenize_calls(tiny_spec, monkeypatch)
+        queries = Counter(text for ds in stream for _, text in ds.queries_test)
+        assert {text: calls[text] for text in queries} == dict(queries)
 
 
 class TestSingleTaskStream:
