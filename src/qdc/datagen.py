@@ -16,10 +16,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .encoder import TokenFeatures, tokenize
 from .errors import (
     DanglingReferenceError,
     DuplicateDocIdError,
@@ -27,6 +27,9 @@ from .errors import (
     ParseError,
 )
 from .index import DocRecord
+
+if TYPE_CHECKING:
+    from .encoder import TokenFeatures
 
 ZIPF_EXPONENT = 1.0
 # per-document share of stopword-pool tokens; the spread creates hub
@@ -62,19 +65,10 @@ class TaskDataset:
     train_pairs: list[tuple[str, str]]
     queries_test: list[tuple[str, str]]
     qrels: dict[tuple[str, str], int] = field(default_factory=dict)
-    # by vocab_size, filled by query_features; a cache that dies with the task
+    # by vocab_size, filled by index.query_features; dies with the task
     _query_features: dict[int, list[TokenFeatures]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-
-
-def query_features(data: TaskDataset, vocab_size: int) -> list[TokenFeatures]:
-    """The test queries' hashed features, tokenized once per task and vocab."""
-    feats = data._query_features.get(vocab_size)
-    if feats is None:
-        feats = [tokenize(text, vocab_size) for _, text in data.queries_test]
-        data._query_features[vocab_size] = feats
-    return feats
 
 
 def validate_dataset(dataset: TaskDataset) -> None:

@@ -155,65 +155,80 @@ def encode(params: EncoderParams, feats: TokenFeatures) -> np.ndarray:
     return raw / norm
 
 
-# rows per block in encode_batch (its dense weight matrix) and sgd_step
-# (its temporaries): keeps every per-block array a few MB at most
-_CHUNK_ROWS = 1024
+# inputs per dense weight block. A block has one column per distinct token
+# id its inputs touch, so it holds at most _BLOCK_ROWS entries per nonzero:
+# its GEMM does at most _BLOCK_ROWS times the work of a sparse product,
+# whether the inputs share a few hundred ids or none. Fewer rows when the
+# vocabulary is large keep a block under _MAX_WEIGHTS entries (8 MB).
+_BLOCK_ROWS = 32
+_MAX_WEIGHTS = 1 << 20
+# rows per block in sgd_step, which keeps its temporaries under 0.5 MB at d=64
+_SGD_ROWS = 1024
 
 
-def _weight_matrix(
-    feats_list, vocab_size: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct token ids a batch touches and its dense n x |ids| weights.
+def _weight_blocks(feats_list, vocab_size: int):
+    """Yield (lo, rows, x): the batch in row ranges with dense weights.
 
-    Entry (i, j) is count/total of token rows[j] in input i, so the batch's
-    raw embeddings are x @ W[rows].
+    Entry (i, j) of x is count/total of token rows[j] in input lo + i, so
+    those inputs' raw embeddings are x @ W[rows].
     """
-    n = len(feats_list)
-    lengths = np.fromiter((len(f.indices) for f in feats_list), np.intp, n)
-    m = int(lengths.sum())
-    ids = np.fromiter(
-        chain.from_iterable(f.indices for f in feats_list), np.intp, m
-    )
-    counts = np.fromiter(
-        chain.from_iterable(f.counts for f in feats_list), np.float64, m
-    )
-    totals = np.fromiter((f.total for f in feats_list), np.float64, n)
-    if m and int(ids.max()) >= vocab_size:
-        raise ValueError(f"token id {int(ids.max())} >= vocab {vocab_size}")
-    rows, cols = np.unique(ids, return_inverse=True)
-    owner = np.repeat(np.arange(n), lengths)
-    x = np.zeros((n, len(rows)), dtype=np.float64)
-    x[owner, cols] = counts / totals[owner]
-    return rows, x
+    step = max(1, min(_BLOCK_ROWS, _MAX_WEIGHTS // vocab_size))
+    for lo in range(0, len(feats_list), step):
+        chunk = feats_list[lo : lo + step]
+        n = len(chunk)
+        lengths = np.fromiter((len(f.indices) for f in chunk), np.intp, n)
+        m = int(lengths.sum())
+        ids = np.fromiter(
+            chain.from_iterable(f.indices for f in chunk), np.intp, m
+        )
+        counts = np.fromiter(
+            chain.from_iterable(f.counts for f in chunk), np.float64, m
+        )
+        totals = np.fromiter((f.total for f in chunk), np.float64, n)
+        if int(ids.max()) >= vocab_size:
+            raise ValueError(f"token id {int(ids.max())} >= vocab {vocab_size}")
+        owner = np.repeat(np.arange(n), lengths)
+        rows, cols = np.unique(ids, return_inverse=True)
+        x = np.zeros((n, len(rows)), dtype=np.float64)
+        x[owner, cols] = counts / totals[owner]
+        yield lo, rows, x
+
+
+def _project(W: np.ndarray, blocks, n: int) -> np.ndarray:
+    """Raw (unnormalized) embeddings of the n inputs the blocks cover."""
+    raw = np.empty((n, W.shape[1]), dtype=np.float64)
+    for lo, rows, x in blocks:
+        raw[lo : lo + len(x)] = x @ W[rows]
+    return raw
+
+
+def _normalize(raw: np.ndarray) -> np.ndarray:
+    """Scale rows to unit length in place; returns the norms."""
+    norms = np.linalg.norm(raw, axis=1)
+    if len(raw) and float(norms.min()) < ZERO_NORM_EPS:
+        raise ZeroVectorError("encoder produced a numerically zero embedding")
+    raw /= norms[:, None]
+    return norms
 
 
 class _EncodedBatch:
     """Forward pass results kept for the manual backward pass."""
 
-    __slots__ = ("rows", "x", "norms", "units")
+    __slots__ = ("blocks", "norms", "units")
 
-    def __init__(self, params: EncoderParams, feats_list, weights=None) -> None:
-        # weights: the _weight_matrix of feats_list, when already built
-        if weights is None:
-            weights = _weight_matrix(feats_list, params.vocab_size)
-        self.rows, self.x = weights
-        raw = self.x @ params.W[self.rows]
-        self.norms = np.linalg.norm(raw, axis=1)
-        if len(raw) and float(self.norms.min()) < ZERO_NORM_EPS:
-            raise ZeroVectorError("encoder produced a numerically zero embedding")
-        self.units = raw / self.norms[:, None]
+    def __init__(self, params: EncoderParams, feats_list) -> None:
+        self.blocks = list(_weight_blocks(feats_list, params.vocab_size))
+        self.units = _project(params.W, self.blocks, len(feats_list))
+        self.norms = _normalize(self.units)
 
 
 def encode_batch(params: EncoderParams, feats_list) -> np.ndarray:
     """Encode many inputs at once; rows follow the input order."""
-    out = np.empty((len(feats_list), params.dim), dtype=np.float64)
-    for lo in range(0, len(feats_list), _CHUNK_ROWS):
-        chunk = feats_list[lo : lo + _CHUNK_ROWS]
-        if params.linear_output:
-            rows, x = _weight_matrix(chunk, params.vocab_size)
-            out[lo : lo + len(chunk)] = x @ params.W[rows]
-        else:
-            out[lo : lo + len(chunk)] = _EncodedBatch(params, chunk).units
+    # one block at a time, so only one dense weight block is ever alive
+    blocks = _weight_blocks(feats_list, params.vocab_size)
+    out = _project(params.W, blocks, len(feats_list))
+    if not params.linear_output:
+        _normalize(out)
     return out
 
 
@@ -223,7 +238,8 @@ def _backprop(batch: _EncodedBatch, g_units: np.ndarray, dW: np.ndarray) -> None
     u = batch.units
     g_dot_u = np.einsum("ij,ij->i", g_units, u)
     g_raw = (g_units - g_dot_u[:, None] * u) / batch.norms[:, None]
-    dW[batch.rows] += batch.x.T @ g_raw
+    for lo, rows, x in batch.blocks:
+        dW[rows] += x.T @ g_raw[lo : lo + len(x)]
 
 
 def contrastive_loss(
@@ -309,9 +325,8 @@ def distill_loss(
 
     dW = np.zeros_like(params_new.W)  # first, as in contrastive_loss
     texts = [q for q, _ in batch] + [d for _, d in batch]
-    weights = _weight_matrix(texts, params_new.vocab_size)
-    enc_new = _EncodedBatch(params_new, texts, weights)
-    enc_old = _EncodedBatch(params_old, texts, weights)
+    enc_new = _EncodedBatch(params_new, texts)
+    enc_old = _EncodedBatch(params_old, texts)
     dots = np.einsum("ij,ij->i", enc_new.units, enc_old.units)
     loss = float(np.sum(1.0 - dots) / n)
     _backprop(enc_new, -enc_old.units / n, dW)
@@ -331,8 +346,8 @@ def sgd_step(
         )
     # row block by row block, so the only V x d array made is the result
     w = np.empty_like(params.W)
-    for lo in range(0, len(w), _CHUNK_ROWS):
-        block = slice(lo, lo + _CHUNK_ROWS)
+    for lo in range(0, len(w), _SGD_ROWS):
+        block = slice(lo, lo + _SGD_ROWS)
         w[block] = (
             params.W[block] - lr * grads[block] - (lr * wd) * params.W[block]
         )

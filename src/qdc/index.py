@@ -10,6 +10,7 @@ import zlib
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -22,6 +23,9 @@ from .errors import (
     ZeroVectorError,
 )
 from .vecops import ZERO_NORM_EPS, top_order
+
+if TYPE_CHECKING:
+    from .datagen import TaskDataset
 
 INDEX_MAGIC = b"QDCIDX01"
 _INDEX_HEADER = struct.Struct("<IIII")  # task_id, encoder_version, N, d
@@ -43,13 +47,30 @@ def doc_encoding_text(doc: DocRecord) -> str:
     return doc.title + " " + doc.text
 
 
+def _once_per_vocab(cache: dict, vocab_size: int, make):
+    # features kept on the record they come from, one entry per vocab size
+    feats = cache.get(vocab_size)
+    if feats is None:
+        feats = cache[vocab_size] = make()
+    return feats
+
+
 def doc_features(doc: DocRecord, vocab_size: int) -> TokenFeatures:
     """The document's hashed features, tokenized once per record and vocab."""
-    feats = doc._features.get(vocab_size)
-    if feats is None:
-        feats = tokenize(doc_encoding_text(doc), vocab_size)
-        doc._features[vocab_size] = feats
-    return feats
+    return _once_per_vocab(
+        doc._features,
+        vocab_size,
+        lambda: tokenize(doc_encoding_text(doc), vocab_size),
+    )
+
+
+def query_features(data: TaskDataset, vocab_size: int) -> list[TokenFeatures]:
+    """The test queries' hashed features, tokenized once per task and vocab."""
+    return _once_per_vocab(
+        data._query_features,
+        vocab_size,
+        lambda: [tokenize(text, vocab_size) for _, text in data.queries_test],
+    )
 
 
 @dataclass(eq=False)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import METHODS, RunConfig, derive_rng, derive_seed, parse_method
-from .datagen import TaskDataset, query_features, validate_dataset
+from .datagen import TaskDataset, validate_dataset
 from .drift import (
     DriftLedger,
     append_record,
@@ -38,6 +38,7 @@ from .index import (
     CorpusIndex,
     build_index,
     doc_features,
+    query_features,
     search_topk,
 )
 from .metrics import METRIC_NAMES, MetricReport, compute_metrics, performance_drop

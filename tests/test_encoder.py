@@ -4,8 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from qdc import encoder
 from qdc.encoder import (
-    _CHUNK_ROWS,
+    _BLOCK_ROWS,
+    _MAX_WEIGHTS,
+    _SGD_ROWS,
     DEFAULT_VOCAB,
     EncoderParams,
     TokenFeatures,
@@ -161,10 +164,10 @@ class TestEncode:
                 batch[i], encode(params, f), rtol=0, atol=1e-12
             )
 
-    def test_batch_across_chunks_matches_per_item(self):
-        # 2,500 rows cross two chunk boundaries; each chunk has its own
-        # set of touched rows, so the oracle is checked across them
-        assert 2 * _CHUNK_ROWS < 2500 < 3 * _CHUNK_ROWS
+    def test_batch_across_blocks_matches_per_item(self):
+        # 2,500 rows make many dense blocks, the last one short; each block
+        # has its own set of touched rows
+        assert 2500 % _BLOCK_ROWS
         rng = np.random.default_rng(14)
         params = init_params(4096, 8, 0.5, rng)
         feats = [_rand_feats(rng, 4096) for _ in range(2500)]
@@ -183,6 +186,31 @@ class TestEncode:
         np.testing.assert_allclose(
             encode_batch(linear, feats), raw, rtol=0, atol=1e-12
         )
+
+    def test_weight_blocks_bounded_and_tile_the_batch(self):
+        # a large vocabulary: 1,000 inputs of 40-80 mostly distinct ids;
+        # one block over all of them would be 1,000 x ~30,000 entries
+        rng = np.random.default_rng(16)
+        feats = []
+        for _ in range(1000):
+            idx = np.sort(rng.choice(DEFAULT_VOCAB, int(rng.integers(40, 81)), False))
+            feats.append(
+                TokenFeatures(tuple(int(i) for i in idx), (1,) * len(idx), len(idx))
+            )
+        lo = 0
+        for start, rows, x in encoder._weight_blocks(feats, DEFAULT_VOCAB):
+            nonzeros = sum(len(f.indices) for f in feats[start : start + len(x)])
+            assert start == lo and x.shape[1] == len(rows)
+            assert x.size <= min(_MAX_WEIGHTS, _BLOCK_ROWS * nonzeros)
+            lo += len(x)
+        assert lo == len(feats)
+
+    def test_large_vocab_shrinks_blocks(self, monkeypatch):
+        # at most _MAX_WEIGHTS // vocab inputs per block, and never zero
+        monkeypatch.setattr(encoder, "_MAX_WEIGHTS", 16)
+        feats = [_feats((1, 1), (2, 1), (3, 1)), _feats((4, 2)), _feats((5, 1))]
+        assert [len(x) for _, _, x in encoder._weight_blocks(feats, 8)] == [2, 1]
+        assert [len(x) for _, _, x in encoder._weight_blocks(feats, 32)] == [1, 1, 1]
 
     def test_empty_batch_encodes_to_no_rows(self):
         rng = np.random.default_rng(15)
@@ -311,6 +339,29 @@ class TestContrastiveLoss:
             for f in per:
                 touched.update(f.indices)
         _, analytic = evaluate(params)
+        numeric = _fd_gradient(evaluate, params, touched, 4)
+        assert _max_rel_error(analytic, numeric) <= 1e-4
+
+    def test_loss_over_many_small_blocks(self, monkeypatch):
+        # two inputs per block: every batch spans blocks that share rows, so
+        # their gradients must accumulate into the same rows of dW
+        rng = np.random.default_rng(17)
+        params = replace(init_params(16, 4, 0.7, rng), version=1)
+        batch = [(_rand_feats(rng, 16), _rand_feats(rng, 16)) for _ in range(4)]
+        negs = [[_rand_feats(rng, 16) for _ in range(h)] for h in (2, 0, 3, 1)]
+        whole = contrastive_loss(params, batch, negs)
+        monkeypatch.setattr(encoder, "_BLOCK_ROWS", 2)
+        queries = [q for q, _ in batch]
+        assert len(list(encoder._weight_blocks(queries, 16))) == 2
+
+        def evaluate(p):
+            return contrastive_loss(p, batch, negs)
+
+        loss, analytic = evaluate(params)
+        assert loss == pytest.approx(whole[0], abs=1e-12)
+        np.testing.assert_allclose(analytic, whole[1], rtol=0, atol=1e-12)
+        touched = {i for pair in batch for f in pair for i in f.indices}
+        touched.update(i for per in negs for f in per for i in f.indices)
         numeric = _fd_gradient(evaluate, params, touched, 4)
         assert _max_rel_error(analytic, numeric) <= 1e-4
 
@@ -483,7 +534,7 @@ class TestSgdStep:
         # row blocks must not change a bit of W - lr*g - (lr*wd)*W, also
         # across block boundaries, and write only into the result
         rng = np.random.default_rng(3)
-        params = init_params(2 * _CHUNK_ROWS + 37, 8, 0.5, rng)
+        params = init_params(2 * _SGD_ROWS + 37, 8, 0.5, rng)
         grads = rng.normal(size=params.W.shape)
         w_before, g_before = params.W.copy(), grads.copy()
         lr, wd = 0.5, 0.01
