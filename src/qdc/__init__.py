@@ -80,6 +80,7 @@ from .pipeline import (
     RunResult,
     bench,
     evaluate_matrix,
+    evaluate_methods,
     init_state,
     mine_hard_negatives,
     old_task_average,

@@ -32,6 +32,7 @@ from .pipeline import (
     bench,
     comparison_to_csv,
     evaluate_matrix,
+    evaluate_methods,
     init_state,
     render_comparison_table,
     render_report,
@@ -88,12 +89,12 @@ def _resolve_config(args, reseed_stream: bool) -> RunConfig:
     return config
 
 
-def _write_trajectory(run_dir: Path, slug: str, config, checkpoints) -> None:
+def _write_trajectory(run_dir: Path, slug: str, f0, checkpoints) -> None:
     snap_dir = run_dir / "snapshots" / slug
     idx_dir = run_dir / "indexes" / slug
     snap_dir.mkdir(parents=True, exist_ok=True)
     idx_dir.mkdir(parents=True, exist_ok=True)
-    save_snapshot(init_state(config, kd=False).params, snap_dir / "task0.enc")
+    save_snapshot(f0, snap_dir / "task0.enc")
     for state in checkpoints:
         t = state.trained_through
         save_snapshot(state.params, snap_dir / f"task{t}.enc")
@@ -154,7 +155,8 @@ def _cmd_train(args) -> int:
     run_dir.mkdir(parents=True, exist_ok=True)
     save_config(config, run_dir / "config.json")
     slug = _slug(kd)
-    _write_trajectory(run_dir, slug, config, checkpoints)
+    f0 = init_state(config, kd=False).params
+    _write_trajectory(run_dir, slug, f0, checkpoints)
     _write_json(
         run_dir / "ledger.json",
         {slug: ledger_to_dict(checkpoints[-1].ledger)},
@@ -180,10 +182,11 @@ def _cmd_bench(args) -> int:
     run_dir = Path(config.out_dir) / run_id
     run_dir.mkdir(parents=True, exist_ok=True)
     save_config(config, run_dir / "config.json")
+    f0 = init_state(config, kd=False).params
     ledgers = {}
     for kd, checkpoints in trajectories.items():
         slug = _slug(kd)
-        _write_trajectory(run_dir, slug, config, checkpoints)
+        _write_trajectory(run_dir, slug, f0, checkpoints)
         ledgers[slug] = ledger_to_dict(checkpoints[-1].ledger)
     _write_json(run_dir / "ledger.json", ledgers)
     (run_dir / "metrics.csv").write_text(
@@ -240,18 +243,15 @@ def _cmd_eval(args) -> int:
         methods = [m for m in METHODS if _slug(parse_method(m)[0]) in stored]
     if not methods:
         raise ConfigError(f"no evaluable trajectories in {run_dir}")
-    results = []
-    cache: dict[str, list[ContinualState]] = {}
+    trajectories: dict[bool, list[ContinualState]] = {}
     for method in methods:
-        kd, strategy = parse_method(method)
+        kd, _ = parse_method(method)
         slug = _slug(kd)
         if slug not in stored:
             raise ConfigError(f"run has no {slug} trajectory for {method}")
-        if slug not in cache:
-            cache[slug] = _reconstruct_states(run_dir, slug, config, datasets)
-        results.append(
-            evaluate_matrix(cache[slug], strategy, config.k, method)
-        )
+        if kd not in trajectories:
+            trajectories[kd] = _reconstruct_states(run_dir, slug, config, datasets)
+    results = evaluate_methods(trajectories, methods, config.k)
     print(results_to_csv(results), end="")
     return 0
 

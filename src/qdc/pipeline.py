@@ -120,8 +120,13 @@ def mine_hard_negatives(
     pairs: list[tuple[str, str]],
     corpus,
     h: int,
+    qfeats: list[TokenFeatures] | None = None,
 ) -> list[list[str]]:
-    """(q, d+) -> top-h most similar docs excluding every positive of q."""
+    """(q, d+) -> top-h most similar docs excluding every positive of q.
+
+    qfeats, one per pair, are the queries' features when the caller has
+    them already; otherwise the queries are tokenized here.
+    """
     if h == 0 or not pairs:
         return [[] for _ in pairs]
     vocab = params.vocab_size
@@ -130,7 +135,9 @@ def mine_hard_negatives(
     positives: dict[str, set[str]] = {}
     for query, doc_id in pairs:
         positives.setdefault(query, set()).add(doc_id)
-    q_units = encode_batch(params, [tokenize(q, vocab) for q, _ in pairs])
+    if qfeats is None:
+        qfeats = [tokenize(q, vocab) for q, _ in pairs]
+    q_units = encode_batch(params, qfeats)
     scores = q_units @ doc_units.T
     out: list[list[str]] = []
     for i, (query, _) in enumerate(pairs):
@@ -193,7 +200,9 @@ def _prepare_features(data: TaskDataset, params: EncoderParams, h: int):
     dfeats = [
         doc_features(doc_by_id[doc_id], vocab) for _, doc_id in data.train_pairs
     ]
-    neg_ids = mine_hard_negatives(params, data.train_pairs, data.corpus, h)
+    neg_ids = mine_hard_negatives(
+        params, data.train_pairs, data.corpus, h, qfeats
+    )
     neg_feats = [
         [doc_features(doc_by_id[i], vocab) for i in ids]
         for ids in neg_ids
@@ -342,17 +351,53 @@ def evaluate_matrix(
 ) -> RunResult:
     """Metric matrix over every (checkpoint, task) cell, future cells
     zero-shot."""
-    num_tasks = len(checkpoints)
-    cells = {}
-    for t, state in enumerate(checkpoints, start=1):
-        for t_prime in range(1, num_tasks + 1):
-            data = state.datasets[t_prime]
-            if t_prime <= t:
-                run = retrieve_eval(state, t_prime, strategy, k)
-            else:
-                run = zero_shot_run(state, data, k)
-            cells[(t, t_prime)] = compute_metrics(run, data.qrels, k)
-    return RunResult(method=method, k=k, num_tasks=num_tasks, cells=cells)
+    (result,) = _evaluate([(method, strategy, checkpoints)], k)
+    return result
+
+
+def evaluate_methods(
+    trajectories: dict[bool, list[ContinualState]], methods, k: int
+) -> list[RunResult]:
+    """One metric matrix per method, over the trajectory of its kd flag."""
+    jobs = []
+    for method in methods:
+        kd, strategy = parse_method(method)
+        jobs.append((method, strategy, trajectories[kd]))
+    return _evaluate(jobs, k)
+
+
+def _evaluate(
+    jobs: list[tuple[str, str, list[ContinualState]]], k: int
+) -> list[RunResult]:
+    """Matrices for (method, strategy, checkpoints) jobs, one trajectory per
+    kd flag.
+
+    Strategies differ only on old tasks (t' < t), so each cell is evaluated
+    once per key (kd, t, t', strategy), where the diagonal and future
+    (zero-shot) cells leave the strategy out and a trajectory's strategies
+    share them.
+    """
+    memo: dict[tuple, MetricReport] = {}
+    results = []
+    for method, strategy, checkpoints in jobs:
+        num_tasks = len(checkpoints)
+        cells = {}
+        for t, state in enumerate(checkpoints, start=1):
+            for t_prime in range(1, num_tasks + 1):
+                old = strategy if t_prime < t else None
+                key = (state.kd, t, t_prime, old)
+                if key not in memo:
+                    data = state.datasets[t_prime]
+                    if t_prime <= t:
+                        run = retrieve_eval(state, t_prime, strategy, k)
+                    else:
+                        run = zero_shot_run(state, data, k)
+                    memo[key] = compute_metrics(run, data.qrels, k)
+                cells[(t, t_prime)] = memo[key]
+        results.append(
+            RunResult(method=method, k=k, num_tasks=num_tasks, cells=cells)
+        )
+    return results
 
 
 def run_continual(
@@ -367,18 +412,17 @@ def run_continual(
 def bench(
     datasets: list[TaskDataset], config: RunConfig
 ) -> tuple[list[RunResult], dict[bool, list[ContinualState]]]:
-    """All six methods over two shared trajectories (with and without KD)."""
-    trajectories = {
-        False: train_trajectory(datasets, False, config),
-        True: train_trajectory(datasets, True, config),
-    }
-    results = []
-    for method in METHODS:
-        kd, strategy = parse_method(method)
-        results.append(
-            evaluate_matrix(trajectories[kd], strategy, config.k, method)
-        )
-    return results, trajectories
+    """All six methods over two shared trajectories (with and without KD).
+
+    Task 1 trains without distillation, so the KD trajectory branches from
+    the FT trajectory's first checkpoint.
+    """
+    ft = train_trajectory(datasets, False, config)
+    kd = [replace(state, kd=True) for state in ft[:1]]
+    for t in range(2, len(ft) + 1):
+        kd.append(train_task(kd[-1], kd[-1].datasets[t], config))
+    trajectories = {False: ft, True: kd}
+    return evaluate_methods(trajectories, METHODS, config.k), trajectories
 
 
 def results_to_csv(results: list[RunResult]) -> str:

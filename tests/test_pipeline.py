@@ -7,8 +7,14 @@ import pytest
 
 from qdc.config import METHODS, RunConfig, derive_rng, parse_method
 from qdc.datagen import TaskDataset, generate_task_stream
-from qdc.drift import DriftLedger, append_record, estimate_drift
+from qdc.drift import (
+    DriftLedger,
+    append_record,
+    estimate_drift,
+    ledger_to_dict,
+)
 import qdc.encoder
+import qdc.pipeline
 from qdc.encoder import (
     EncoderParams,
     contrastive_loss,
@@ -373,9 +379,7 @@ class TestEvaluateMatrix:
 
 class TestTokenizeOnce:
     @staticmethod
-    def _bench_tokenize_calls(spec, monkeypatch):
-        # a fresh stream: the session fixture's records already hold features
-        stream = generate_task_stream(spec)
+    def _count_tokenize(monkeypatch):
         calls = Counter()
         real = qdc.encoder.tokenize
 
@@ -388,6 +392,13 @@ class TestTokenizeOnce:
                 for attr, value in list(vars(module).items()):
                     if value is real:
                         monkeypatch.setattr(module, attr, counting)
+        return calls
+
+    @classmethod
+    def _bench_tokenize_calls(cls, spec, monkeypatch):
+        # a fresh stream: the session fixture's records already hold features
+        stream = generate_task_stream(spec)
+        calls = cls._count_tokenize(monkeypatch)
         bench(stream, RunConfig(stream=spec))
         return stream, calls
 
@@ -403,6 +414,87 @@ class TestTokenizeOnce:
         stream, calls = self._bench_tokenize_calls(tiny_spec, monkeypatch)
         queries = Counter(text for ds in stream for _, text in ds.queries_test)
         assert {text: calls[text] for text in queries} == dict(queries)
+
+    def test_training_tokenizes_each_training_query_once(
+        self, tiny_spec, tiny_stream, monkeypatch
+    ):
+        # mining reuses the features the training batches are built from
+        calls = self._count_tokenize(monkeypatch)
+        train_trajectory(tiny_stream, True, RunConfig(stream=tiny_spec))
+        queries = Counter(q for ds in tiny_stream for q, _ in ds.train_pairs)
+        assert {text: calls[text] for text in queries} == dict(queries)
+
+
+class TestBenchCallCounts:
+    @pytest.mark.parametrize("num_tasks", [1, 3])
+    def test_bench_does_each_distinct_step_once(
+        self, tiny_spec, monkeypatch, num_tasks
+    ):
+        # FT+KD branches from FT's first checkpoint, and the diagonal and
+        # future cells of a trajectory are evaluated once for all strategies
+        spec = replace(tiny_spec, num_tasks=num_tasks)
+        stream = generate_task_stream(spec)
+        (queries,) = {len(ds.queries_test) for ds in stream}
+        calls = Counter()
+        for name in ("train_task", "build_index", "search_topk"):
+            real = getattr(qdc.pipeline, name)
+
+            def counting(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(qdc.pipeline, name, counting)
+        bench(stream, RunConfig(stream=spec))
+        T = num_tasks
+        cells = T + 2 * T * (T - 1)  # per trajectory
+        assert calls == {
+            "train_task": 2 * T - 1,
+            "build_index": 2 * T - 1 + 2 * T * (T - 1),
+            "search_topk": 2 * cells * queries,
+        }
+
+
+class TestBenchEquivalence:
+    """bench against every method trained and evaluated on its own."""
+
+    @pytest.fixture(scope="class")
+    def outcome(self, tiny_spec):
+        spec = replace(tiny_spec, num_tasks=3)
+        stream = generate_task_stream(spec)
+        # several batches a task, so distillation moves FT+KD away from FT
+        config = RunConfig(stream=spec, batch_size=8)
+        results, trajectories = bench(stream, config)
+        independent = {
+            kd: train_trajectory(stream, kd, config) for kd in (False, True)
+        }
+        return results, trajectories, independent, config
+
+    def test_metrics_equal_per_method_evaluation(self, outcome):
+        results, _, independent, config = outcome
+        per_method = []
+        for method in METHODS:
+            kd, strategy = parse_method(method)
+            per_method.append(
+                evaluate_matrix(independent[kd], strategy, config.k, method)
+            )
+        assert results_to_csv(results) == results_to_csv(per_method)
+
+    def test_branched_kd_trajectory_equals_full_training(self, outcome):
+        _, trajectories, independent, _ = outcome
+        branched, full = trajectories[True], independent[True]
+        ft_final = trajectories[False][-1].params.W
+        assert not np.array_equal(branched[-1].params.W, ft_final)
+        assert [s.trained_through for s in branched] == [1, 2, 3]
+        assert [s.trained_through for s in full] == [1, 2, 3]
+        for a, b in zip(branched, full):
+            assert a.kd and b.kd
+            assert a.params.version == b.params.version
+            assert np.array_equal(a.params.W, b.params.W)
+            assert a.indexes.keys() == b.indexes.keys()
+            for t in a.indexes:
+                assert a.indexes[t].doc_ids == b.indexes[t].doc_ids
+                assert np.array_equal(a.indexes[t].rows, b.indexes[t].rows)
+            assert ledger_to_dict(a.ledger) == ledger_to_dict(b.ledger)
 
 
 class TestSingleTaskStream:
