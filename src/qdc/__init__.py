@@ -44,6 +44,7 @@ from .drift import (
 )
 from .encoder import (
     EncoderParams,
+    RowGrad,
     TokenFeatures,
     contrastive_loss,
     distill_loss,
@@ -52,6 +53,7 @@ from .encoder import (
     grad_check,
     init_params,
     load_snapshot,
+    merge_grads,
     save_snapshot,
     sgd_step,
     tokenize,

@@ -24,7 +24,13 @@ from .config import (
 from .datagen import TaskDataset, generate_task_stream, export_stream, load_beir_dataset
 from .drift import ledger_from_dict, ledger_to_dict
 from .encoder import encode, grad_check, load_snapshot, save_snapshot, tokenize
-from .errors import ConfigError, CorruptLedgerError, QdcError
+from .errors import (
+    ConfigError,
+    CorruptIndexError,
+    CorruptLedgerError,
+    CorruptSnapshotError,
+    QdcError,
+)
 from .index import load_index, save_index
 from .metrics import drift_report, drift_report_csv
 from .pipeline import (
@@ -112,6 +118,30 @@ def _load_run_ledgers(run_dir: Path) -> dict:
     if not isinstance(payload, dict):
         raise CorruptLedgerError(f"ledger map is not an object: {run_dir}")
     return payload
+
+
+def _load_run_snapshot(run_dir: Path, slug: str, t: int):
+    """f_t of one trajectory; a snapshot of another version is rejected."""
+    path = run_dir / "snapshots" / slug / f"task{t}.enc"
+    params = load_snapshot(path)
+    if params.version != t:
+        raise CorruptSnapshotError(
+            f"encoder version {params.version} in place of {t}: {path}"
+        )
+    return params
+
+
+def _load_run_index(run_dir: Path, slug: str, t: int, dim: int):
+    """Task t's index, which f_t must have built in dim dimensions."""
+    path = run_dir / "indexes" / slug / f"task{t}.idx"
+    index = load_index(path)
+    if (index.task_id, index.encoder_version, index.dim) != (t, t, dim):
+        raise CorruptIndexError(
+            f"task {index.task_id}, encoder version {index.encoder_version}, "
+            f"dim {index.dim} in place of task {t}, version {t}, dim {dim}: "
+            f"{path}"
+        )
+    return index
 
 
 def _dataset_for(datasets: list[TaskDataset], task_id: int) -> TaskDataset:
@@ -209,11 +239,10 @@ def _reconstruct_states(
     by_id = {ds.task_id: ds for ds in datasets}
     num_tasks = len(datasets)
     snaps = {
-        t: load_snapshot(run_dir / "snapshots" / slug / f"task{t}.enc")
-        for t in range(1, num_tasks + 1)
+        t: _load_run_snapshot(run_dir, slug, t) for t in range(1, num_tasks + 1)
     }
     indexes = {
-        t: load_index(run_dir / "indexes" / slug / f"task{t}.idx")
+        t: _load_run_index(run_dir, slug, t, snaps[t].dim)
         for t in range(1, num_tasks + 1)
     }
     states = []
@@ -278,8 +307,8 @@ def _cmd_retrieve(args) -> int:
     if slug not in stored:
         raise ConfigError(f"run has no {slug} trajectory for {method}")
 
-    params = load_snapshot(run_dir / "snapshots" / slug / f"task{checkpoint}.enc")
-    index = load_index(run_dir / "indexes" / slug / f"task{task}.idx")
+    params = _load_run_snapshot(run_dir, slug, checkpoint)
+    index = _load_run_index(run_dir, slug, task, params.dim)
     ledger = ledger_from_dict(stored[slug])
     corpus = []
     if strategy == "reindex" and task != checkpoint:
@@ -307,10 +336,8 @@ def _cmd_drift_report(args) -> int:
         raise ConfigError(f"task must be in 1..{num_tasks}")
     kd, _ = parse_method(args.method or "FT")
     slug = _slug(kd)
-    params_old = load_snapshot(
-        run_dir / "snapshots" / slug / f"task{from_task}.enc"
-    )
-    params_new = load_snapshot(run_dir / "snapshots" / slug / f"task{to_task}.enc")
+    params_old = _load_run_snapshot(run_dir, slug, from_task)
+    params_new = _load_run_snapshot(run_dir, slug, to_task)
     data = _dataset_for(_load_datasets(config), task)
     report = drift_report(
         params_new,

@@ -91,6 +91,8 @@ class RunConfig:
             raise ConfigError("temperature must be positive")
         if self.lr < 0 or self.wd < 0:
             raise ConfigError("lr and wd must be non-negative")
+        if self.lr * self.wd >= 1:
+            raise ConfigError("lr * wd must be below 1")
         if self.batch_size < 1 or self.epochs < 1:
             raise ConfigError("batch_size and epochs must be >= 1")
         if self.hard_negatives < 0:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import chain
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -162,8 +163,6 @@ def encode(params: EncoderParams, feats: TokenFeatures) -> np.ndarray:
 # vocabulary is large keep a block under _MAX_WEIGHTS entries (8 MB).
 _BLOCK_ROWS = 32
 _MAX_WEIGHTS = 1 << 20
-# rows per block in sgd_step, which keeps its temporaries under 0.5 MB at d=64
-_SGD_ROWS = 1024
 
 
 def _weight_blocks(feats_list, vocab_size: int):
@@ -232,26 +231,62 @@ def encode_batch(params: EncoderParams, feats_list) -> np.ndarray:
     return out
 
 
-def _backprop(batch: _EncodedBatch, g_units: np.ndarray, dW: np.ndarray) -> None:
+class RowGrad(NamedTuple):
+    """A gradient of W that is zero outside some rows.
+
+    rows are the sorted distinct row ids a batch touched; values holds
+    their gradient, one row of values per id.
+    """
+
+    rows: np.ndarray
+    values: np.ndarray
+
+    def dense(self, vocab_size: int) -> np.ndarray:
+        """The full vocab_size x d gradient."""
+        out = np.zeros((vocab_size, self.values.shape[1]), dtype=np.float64)
+        out[self.rows] = self.values
+        return out
+
+
+def merge_grads(parts, shape: tuple[int, int]) -> RowGrad:
+    """Sum (rows, values) gradient blocks of a shape-sized W, in order.
+
+    The rows of one block must be distinct. Each touched row starts at zero
+    and adds the blocks that hold it in the order given.
+    """
+    parts = list(parts)
+    touched = np.zeros(shape[0], dtype=bool)
+    for rows, _ in parts:
+        touched[rows] = True
+    rows = np.flatnonzero(touched)
+    values = np.zeros((len(rows), shape[1]), dtype=np.float64)
+    for block_rows, block in parts:
+        values[np.searchsorted(rows, block_rows)] += block
+    return RowGrad(rows, values)
+
+
+def _backprop(batch: _EncodedBatch, g_units: np.ndarray):
+    """Yield (rows, gradient block) per weight block of the batch."""
     # through normalization: g_raw = (g - (g.u) u) / |raw|, then into the
     # touched rows through the count/total weights
     u = batch.units
     g_dot_u = np.einsum("ij,ij->i", g_units, u)
     g_raw = (g_units - g_dot_u[:, None] * u) / batch.norms[:, None]
     for lo, rows, x in batch.blocks:
-        dW[rows] += x.T @ g_raw[lo : lo + len(x)]
+        yield rows, x.T @ g_raw[lo : lo + len(x)]
 
 
 def contrastive_loss(
     params: EncoderParams,
     batch,
     hard_negs=None,
-) -> tuple[float, np.ndarray]:
+) -> tuple[float, RowGrad]:
     """Supervised contrastive loss over (query, doc) pairs.
 
     Per query the denominator sums similarity exponentials over every
     in-batch document (the positive included) plus that query's hard
-    negatives. Returns (loss, dLoss/dW).
+    negatives. Returns (loss, dLoss/dW) with the gradient on the rows the
+    batch touched.
     """
     n = len(batch)
     if n == 0:
@@ -261,10 +296,6 @@ def contrastive_loss(
     if len(hard_negs) != n:
         raise ValueError("hard_negs must align with the batch")
 
-    # allocated before the batch's smaller temporaries, so it reuses the
-    # memory of the V x d array the training loop just freed instead of
-    # growing the heap (the temporaries would split that free block)
-    dW = np.zeros_like(params.W)
     q_enc = _EncodedBatch(params, [q for q, _ in batch])
     d_enc = _EncodedBatch(params, [d for _, d in batch])
     # every query's hard negatives in one batch; query i owns rows
@@ -299,20 +330,26 @@ def contrastive_loss(
         if len(negs):
             gq[i] += coef[n:] @ negs
             gneg[offsets[i] : offsets[i + 1]] = coef[n:, None] * q_enc.units[i]
-    _backprop(neg_enc, gneg, dW)
-    _backprop(q_enc, gq, dW)
-    _backprop(d_enc, gd, dW)
-    return float(loss_sum / n), dW
+    grads = merge_grads(
+        chain(
+            _backprop(neg_enc, gneg),
+            _backprop(q_enc, gq),
+            _backprop(d_enc, gd),
+        ),
+        params.W.shape,
+    )
+    return float(loss_sum / n), grads
 
 
 def distill_loss(
     params_new: EncoderParams,
     params_old: EncoderParams,
     batch,
-) -> tuple[float, np.ndarray]:
+) -> tuple[float, RowGrad]:
     """Cosine-distance tie to the frozen previous encoder, queries and docs.
 
-    Gradient flows only through params_new. Returns (loss, dLoss/dW_new).
+    Gradient flows only through params_new. Returns (loss, dLoss/dW_new)
+    with the gradient on the rows the batch touched.
     """
     n = len(batch)
     if n == 0:
@@ -323,37 +360,46 @@ def distill_loss(
     ):
         raise ShapeMismatchError("old and new encoder shapes differ")
 
-    dW = np.zeros_like(params_new.W)  # first, as in contrastive_loss
     texts = [q for q, _ in batch] + [d for _, d in batch]
     enc_new = _EncodedBatch(params_new, texts)
     enc_old = _EncodedBatch(params_old, texts)
     dots = np.einsum("ij,ij->i", enc_new.units, enc_old.units)
     loss = float(np.sum(1.0 - dots) / n)
-    _backprop(enc_new, -enc_old.units / n, dW)
-    return loss, dW
+    grads = merge_grads(_backprop(enc_new, -enc_old.units / n), params_new.W.shape)
+    return loss, grads
 
 
 def sgd_step(
-    params: EncoderParams,
-    grads: np.ndarray,
+    v: np.ndarray,
+    scale: float,
+    grads: RowGrad,
     lr: float,
     wd: float,
-) -> EncoderParams:
-    """W <- W - lr*dW - lr*wd*W (decoupled weight decay)."""
-    if grads.shape != params.W.shape:
+) -> float:
+    """One SGD step with decoupled weight decay on W = scale * v.
+
+    grads is the loss gradient with respect to v. In exact arithmetic the
+    step is W <- W - lr*dW - lr*wd*W: the decay multiplies scale by
+    1 - lr*wd, and only the gradient's rows of v are written, in place.
+    Returns the new scale. v is left part-written if the step overflows.
+    """
+    rows, values = grads
+    if values.shape != (len(rows), v.shape[1]) or (
+        len(rows) and int(rows[-1]) >= len(v)
+    ):
         raise ShapeMismatchError(
-            f"gradient shape {grads.shape} vs W {params.W.shape}"
+            f"gradient of {values.shape} on {len(rows)} rows vs v {v.shape}"
         )
-    # row block by row block, so the only V x d array made is the result
-    w = np.empty_like(params.W)
-    for lo in range(0, len(w), _SGD_ROWS):
-        block = slice(lo, lo + _SGD_ROWS)
-        w[block] = (
-            params.W[block] - lr * grads[block] - (lr * wd) * params.W[block]
-        )
-        if not np.isfinite(w[block]).all():
-            raise NonFiniteError("sgd step produced non-finite weights")
-    return replace(params, W=w)
+    if not 0.0 <= lr * wd < 1.0:
+        raise ValueError(f"lr * wd must be in [0, 1), got {lr * wd}")
+    if not scale > 0.0:
+        raise ValueError(f"scale must be positive, got {scale}")
+    # W' = s'v' with s' = s(1 - lr*wd), and dLoss/dW = dLoss/dv / s
+    new_scale = scale * (1.0 - lr * wd)
+    v[rows] -= lr * values / (scale * new_scale)
+    if not np.isfinite(v[rows]).all():
+        raise NonFiniteError("sgd step produced non-finite weights")
+    return new_scale
 
 
 def _random_feats(rng: np.random.Generator, vocab_size: int) -> TokenFeatures:
@@ -418,7 +464,7 @@ def grad_check(loss_kind: str, seed: int, max_coords: int = 256) -> float:
             touched.update(q.indices)
             touched.update(d.indices)
 
-    _, analytic = evaluate(params)
+    analytic = evaluate(params)[1].dense(vocab)
     coords = [(r, c) for r in sorted(touched) for c in range(dim)]
     if len(coords) > max_coords:
         chosen = rng.choice(len(coords), size=max_coords, replace=False)

@@ -30,6 +30,7 @@ from .encoder import (
     distill_loss,
     encode_batch,
     init_params,
+    merge_grads,
     sgd_step,
     tokenize,
 )
@@ -45,6 +46,13 @@ from .metrics import METRIC_NAMES, MetricReport, compute_metrics, performance_dr
 from .vecops import top_order
 
 STRATEGIES = ("plain", "qdc", "reindex")
+
+# queries scored against the corpus at a time while mining; bounds the
+# score block at 1,024 x corpus size
+_MINE_ROWS = 1024
+# training folds a weight scale below this into v, so that v stays within
+# 1,000x of the weights it stands for
+_SCALE_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -138,21 +146,22 @@ def mine_hard_negatives(
     if qfeats is None:
         qfeats = [tokenize(q, vocab) for q, _ in pairs]
     q_units = encode_batch(params, qfeats)
-    scores = q_units @ doc_units.T
     out: list[list[str]] = []
-    for i, (query, _) in enumerate(pairs):
-        exclude = positives[query]
-        # the h best non-positives lie within the h + |positives| best docs
-        order = top_order(scores[i], ids_arr, h + len(exclude))
-        negs: list[str] = []
-        for j in order:
-            doc_id = str(ids_arr[j])
-            if doc_id in exclude:
-                continue
-            negs.append(doc_id)
-            if len(negs) == h:
-                break
-        out.append(negs)
+    for lo in range(0, len(pairs), _MINE_ROWS):
+        scores = q_units[lo : lo + _MINE_ROWS] @ doc_units.T
+        for i, (query, _) in enumerate(pairs[lo : lo + _MINE_ROWS]):
+            exclude = positives[query]
+            # the h best non-positives lie within the h + |positives| best
+            order = top_order(scores[i], ids_arr, h + len(exclude))
+            negs: list[str] = []
+            for j in order:
+                doc_id = str(ids_arr[j])
+                if doc_id in exclude:
+                    continue
+                negs.append(doc_id)
+                if len(negs) == h:
+                    break
+            out.append(negs)
     return out
 
 
@@ -178,7 +187,12 @@ def _train_params(
     shuffle_rng: np.random.Generator,
     config: RunConfig,
 ) -> EncoderParams:
-    params = replace(start, version=version)
+    # W = scale * v: a step writes only its batch's rows of v and decays
+    # scale. Both losses L2-normalize every embedding, so they take the same
+    # value at v as at W, and their gradient at v is scale times that at W.
+    v = start.W.copy()
+    scale = 1.0
+    params = replace(start, W=v, version=version)
     n = len(qfeats)
     for _ in range(config.epochs):
         order = shuffle_rng.permutation(n)
@@ -188,9 +202,13 @@ def _train_params(
             negs = [neg_feats[int(i)] for i in sel]
             _, grads = contrastive_loss(params, batch, negs)
             if kd:
-                grads += distill_loss(params, prev, batch)[1]
-            params = sgd_step(params, grads, config.lr, config.wd)
-    return params
+                distill = distill_loss(params, prev, batch)[1]
+                grads = merge_grads([grads, distill], v.shape)
+            scale = sgd_step(v, scale, grads, config.lr, config.wd)
+            if scale < _SCALE_FLOOR:
+                v *= scale
+                scale = 1.0
+    return replace(params, W=scale * v)
 
 
 def _prepare_features(data: TaskDataset, params: EncoderParams, h: int):

@@ -1,13 +1,15 @@
 import json
-from dataclasses import asdict
+import shutil
+from dataclasses import asdict, replace
 
+import numpy as np
 import pytest
 
 from qdc.cli import dispatch
 from qdc.config import METHODS, load_config
 from qdc.drift import compensate_query_path, ledger_from_dict
-from qdc.encoder import encode, load_snapshot, tokenize
-from qdc.index import load_index, search_topk
+from qdc.encoder import encode, init_params, load_snapshot, tokenize
+from qdc.index import build_index, load_index, save_index, search_topk
 from qdc.pipeline import retrieve_eval, train_trajectory
 
 
@@ -61,6 +63,12 @@ class TestParsing:
         bad.write_text('{"learning_rate": 0.1}', encoding="utf-8")
         assert dispatch(["bench", "--config", str(bad)]) == 1
         assert "unknown config keys" in capsys.readouterr().err
+
+    def test_decay_of_one_or_more_per_step_exits_one(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"lr": 10.0, "wd": 0.1}', encoding="utf-8")
+        assert dispatch(["bench", "--config", str(bad)]) == 1
+        assert "lr * wd" in capsys.readouterr().err
 
 
 class TestGenData:
@@ -171,6 +179,59 @@ class TestEval:
     def test_missing_run_dir_exits_one(self, tmp_path, capsys):
         assert dispatch(["eval", "--run", str(tmp_path / "nope")]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+
+def _mixed_copy(bench_run, tmp_path, kind):
+    """A copy of the run whose ft task1 and task2 files trade places."""
+    run = tmp_path / "mixed"
+    shutil.copytree(bench_run, run)
+    if kind == "enc":
+        folder = run / "snapshots" / "ft"
+    else:
+        folder = run / "indexes" / "ft"
+    first, second = folder / f"task1.{kind}", folder / f"task2.{kind}"
+    first.rename(folder / "swap")
+    second.rename(first)
+    (folder / "swap").rename(second)
+    return run
+
+
+_RETRIEVE_OLD = ["retrieve", "--task", "1", "--checkpoint", "2", "--query", "x"]
+_RETRIEVE_NEW = ["retrieve", "--task", "2", "--query", "x", "--method", "FT"]
+
+
+class TestMixedRunRejected:
+    @pytest.mark.parametrize(
+        "kind, args",
+        [
+            ("enc", ["eval"]),
+            ("idx", ["eval"]),
+            ("enc", _RETRIEVE_OLD),
+            ("idx", _RETRIEVE_OLD),
+            ("enc", _RETRIEVE_NEW),
+            ("idx", _RETRIEVE_NEW),
+            ("enc", ["drift-report"]),
+        ],
+    )
+    def test_swapped_files_exit_one(self, bench_run, tmp_path, kind, args, capsys):
+        run = _mixed_copy(bench_run, tmp_path, kind)
+        assert dispatch([args[0], "--run", str(run)] + args[1:]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert f"task1.{kind}" in captured.err or f"task2.{kind}" in captured.err
+
+    def test_index_of_another_dim_exits_one(
+        self, bench_run, tmp_path, tiny_stream, capsys
+    ):
+        run = tmp_path / "mixed"
+        shutil.copytree(bench_run, run)
+        vocab = load_snapshot(run / "snapshots" / "ft" / "task1.enc").vocab_size
+        params = init_params(vocab, 4, 0.5, np.random.default_rng(0))
+        index = build_index(replace(params, version=1), tiny_stream[0].corpus, 1)
+        save_index(index, run / "indexes" / "ft" / "task1.idx")
+        assert dispatch(["eval", "--run", str(run), "--method", "FT"]) == 1
+        assert "dim 4 in place of" in capsys.readouterr().err
 
 
 class TestRetrieve:

@@ -8,9 +8,9 @@ from qdc import encoder
 from qdc.encoder import (
     _BLOCK_ROWS,
     _MAX_WEIGHTS,
-    _SGD_ROWS,
     DEFAULT_VOCAB,
     EncoderParams,
+    RowGrad,
     TokenFeatures,
     contrastive_loss,
     distill_loss,
@@ -20,6 +20,7 @@ from qdc.encoder import (
     grad_check,
     init_params,
     load_snapshot,
+    merge_grads,
     save_snapshot,
     sgd_step,
     tokenize,
@@ -316,7 +317,7 @@ class TestContrastiveLoss:
             touched.update(d.indices)
         for per in negs:
             touched.update(per[0].indices)
-        _, analytic = evaluate(params)
+        analytic = evaluate(params)[1].dense(16)
         numeric = _fd_gradient(evaluate, params, touched, 4)
         assert _max_rel_error(analytic, numeric) <= 1e-4
 
@@ -338,7 +339,7 @@ class TestContrastiveLoss:
         for per in negs:
             for f in per:
                 touched.update(f.indices)
-        _, analytic = evaluate(params)
+        analytic = evaluate(params)[1].dense(16)
         numeric = _fd_gradient(evaluate, params, touched, 4)
         assert _max_rel_error(analytic, numeric) <= 1e-4
 
@@ -357,9 +358,12 @@ class TestContrastiveLoss:
         def evaluate(p):
             return contrastive_loss(p, batch, negs)
 
-        loss, analytic = evaluate(params)
+        loss, grads = evaluate(params)
+        analytic = grads.dense(16)
         assert loss == pytest.approx(whole[0], abs=1e-12)
-        np.testing.assert_allclose(analytic, whole[1], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            analytic, whole[1].dense(16), rtol=0, atol=1e-12
+        )
         touched = {i for pair in batch for f in pair for i in f.indices}
         touched.update(i for per in negs for f in per for i in f.indices)
         numeric = _fd_gradient(evaluate, params, touched, 4)
@@ -391,7 +395,10 @@ class TestContrastiveLoss:
             params, [batch[i] for i in order], [negs[i] for i in order]
         )
         assert loss_b == pytest.approx(loss_a, abs=1e-9)
-        np.testing.assert_allclose(grads_b, grads_a, rtol=0, atol=1e-9)
+        np.testing.assert_array_equal(grads_b.rows, grads_a.rows)
+        np.testing.assert_allclose(
+            grads_b.values, grads_a.values, rtol=0, atol=1e-9
+        )
 
     def test_duplicated_pair_raises_loss(self):
         # the duplicate contributes a similarity-1 in-batch negative
@@ -410,7 +417,7 @@ class TestDistillLoss:
         batch = [(_rand_feats(rng, 16), _rand_feats(rng, 16)) for _ in range(3)]
         loss, grads = distill_loss(params, params, batch)
         assert abs(loss) <= 1e-12
-        np.testing.assert_allclose(grads, 0.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grads.values, 0.0, rtol=0, atol=1e-12)
 
     def test_orthogonal_encoders_loss_two(self):
         w_new = np.tile(np.array([1.0, 0.0]), (5, 1))
@@ -445,7 +452,7 @@ class TestDistillLoss:
         for q, d in batch:
             touched.update(q.indices)
             touched.update(d.indices)
-        _, analytic = evaluate(new)
+        analytic = evaluate(new)[1].dense(16)
         numeric = _fd_gradient(evaluate, new, touched, 4)
         assert _max_rel_error(analytic, numeric) <= 1e-4
 
@@ -463,7 +470,7 @@ class TestDistillLoss:
         for q, d in batch:
             touched.update(q.indices)
             touched.update(d.indices)
-        _, analytic = evaluate(params)
+        analytic = evaluate(params)[1].dense(16)
         numeric = _fd_gradient(evaluate, params, touched, 4)
         assert _max_rel_error(analytic, numeric) <= 1e-4
 
@@ -481,70 +488,153 @@ class TestDistillLoss:
             distill_loss(params, params, [])
 
 
+class TestScaleInvariance:
+    # training evaluates both losses at v, where W = scale * v
+    @pytest.mark.parametrize("c", [0.5, 3.0])
+    @pytest.mark.parametrize("kind", ["contrastive", "distill"])
+    def test_loss_unchanged_and_gradient_divided(self, kind, c):
+        rng = np.random.default_rng(31)
+        params = init_params(32, 8, 0.5, rng)
+        old = init_params(32, 8, 0.5, rng)
+        batch = [(_rand_feats(rng, 32), _rand_feats(rng, 32)) for _ in range(4)]
+        negs = [[_rand_feats(rng, 32) for _ in range(2)] for _ in range(4)]
+
+        def evaluate(p):
+            if kind == "contrastive":
+                return contrastive_loss(p, batch, negs)
+            return distill_loss(p, old, batch)
+
+        loss, grads = evaluate(params)
+        loss_c, grads_c = evaluate(replace(params, W=c * params.W))
+        assert loss_c == pytest.approx(loss, abs=1e-12)
+        np.testing.assert_array_equal(grads_c.rows, grads.rows)
+        np.testing.assert_allclose(
+            grads_c.values, grads.values / c, rtol=0, atol=1e-12
+        )
+
+
+class TestMergeGrads:
+    def test_overlapping_blocks_sum_in_order(self):
+        rng = np.random.default_rng(4)
+        parts = [
+            (np.array([5, 2, 9]), rng.normal(size=(3, 4))),
+            (np.array([9, 0]), rng.normal(size=(2, 4))),
+            (np.array([], dtype=np.intp), np.zeros((0, 4))),
+            (np.array([2]), rng.normal(size=(1, 4))),
+        ]
+        merged = merge_grads(parts, (12, 4))
+        np.testing.assert_array_equal(merged.rows, [0, 2, 5, 9])
+        expected = np.zeros((12, 4))
+        for rows, block in parts:
+            expected[rows] += block
+        assert np.array_equal(merged.dense(12), expected)
+
+    def test_loss_gradient_rows_are_the_batch_ids(self):
+        rng = np.random.default_rng(14)
+        params = init_params(64, 4, 0.5, rng)
+        batch = [(_rand_feats(rng, 64), _rand_feats(rng, 64)) for _ in range(3)]
+        negs = [[_rand_feats(rng, 64)] for _ in range(3)]
+        ids = {i for pair in batch for f in pair for i in f.indices}
+        _, grads = distill_loss(params, init_params(64, 4, 0.5, rng), batch)
+        assert grads.rows.tolist() == sorted(ids)
+        ids.update(i for per in negs for f in per for i in f.indices)
+        _, grads = contrastive_loss(params, batch, negs)
+        assert grads.rows.tolist() == sorted(ids)
+        assert grads.values.shape == (len(ids), 4)
+
+
+def _row_grad(rows, values) -> RowGrad:
+    return RowGrad(np.asarray(rows, dtype=np.intp), np.asarray(values, float))
+
+
 class TestSgdStep:
     def test_zero_gradient_zero_decay_identity(self):
         rng = np.random.default_rng(1)
-        params = init_params(8, 4, 0.5, rng)
-        out = sgd_step(params, np.zeros((8, 4)), lr=0.3, wd=0.0)
-        np.testing.assert_array_equal(out.W, params.W)
+        v = rng.normal(size=(8, 4))
+        before = v.copy()
+        grads = _row_grad(range(8), np.zeros((8, 4)))
+        assert sgd_step(v, 1.0, grads, lr=0.3, wd=0.0) == 1.0
+        np.testing.assert_array_equal(v, before)
 
     def test_scalar_update(self):
-        params = EncoderParams(
-            W=np.array([[1.0]]), vocab_size=1, dim=1, temperature=0.5
-        )
-        out = sgd_step(params, np.array([[0.5]]), lr=1.0, wd=0.0)
-        assert out.W[0, 0] == 0.5
+        v = np.array([[1.0]])
+        assert sgd_step(v, 1.0, _row_grad([0], [[0.5]]), lr=1.0, wd=0.0) == 1.0
+        assert v[0, 0] == 0.5
 
     def test_decoupled_decay(self):
-        params = EncoderParams(
-            W=np.array([[1.0]]), vocab_size=1, dim=1, temperature=0.5
-        )
-        out = sgd_step(params, np.array([[0.0]]), lr=0.1, wd=0.01)
-        assert out.W[0, 0] == pytest.approx(0.999, abs=1e-12)
+        v = np.array([[1.0], [2.0]])
+        scale = sgd_step(v, 1.0, _row_grad([0], [[0.0]]), lr=0.1, wd=0.01)
+        assert scale == pytest.approx(0.999, abs=1e-12)
+        np.testing.assert_array_equal(v, [[1.0], [2.0]])
+
+    def test_writes_only_the_gradient_rows(self):
+        rng = np.random.default_rng(5)
+        v = rng.normal(size=(10, 3))
+        before = v.copy()
+        grads = _row_grad([1, 4, 7], rng.normal(size=(3, 3)))
+        values = grads.values.copy()
+        sgd_step(v, 0.8, grads, lr=0.5, wd=0.01)
+        untouched = [0, 2, 3, 5, 6, 8, 9]
+        np.testing.assert_array_equal(v[untouched], before[untouched])
+        assert not np.any(v[[1, 4, 7]] == before[[1, 4, 7]])
+        np.testing.assert_array_equal(grads.values, values)
 
     def test_lr_zero_is_bitwise_identity(self):
         rng = np.random.default_rng(2)
-        params = init_params(8, 4, 0.5, rng)
-        grads = rng.normal(size=(8, 4))
-        out = sgd_step(params, grads, lr=0.0, wd=0.01)
-        np.testing.assert_array_equal(out.W, params.W)
+        v = rng.normal(size=(8, 4))
+        before = v.copy()
+        grads = _row_grad(range(8), rng.normal(size=(8, 4)))
+        assert sgd_step(v, 0.7, grads, lr=0.0, wd=0.01) == 0.7
+        np.testing.assert_array_equal(v, before)
 
     def test_shape_mismatch_rejected(self):
-        rng = np.random.default_rng(2)
-        params = init_params(8, 4, 0.5, rng)
+        v = np.zeros((8, 4))
         with pytest.raises(ShapeMismatchError):
-            sgd_step(params, np.zeros((4, 4)), lr=0.1, wd=0.0)
+            sgd_step(v, 1.0, _row_grad([0, 1], np.zeros((2, 3))), lr=0.1, wd=0.0)
+        with pytest.raises(ShapeMismatchError):
+            sgd_step(v, 1.0, _row_grad([8], np.zeros((1, 4))), lr=0.1, wd=0.0)
+
+    @pytest.mark.parametrize("lr, wd", [(1.0, 1.0), (10.0, 0.5)])
+    def test_decay_that_zeroes_or_flips_weights_rejected(self, lr, wd):
+        v = np.ones((2, 2))
+        with pytest.raises(ValueError):
+            sgd_step(v, 1.0, _row_grad([0], np.zeros((1, 2))), lr=lr, wd=wd)
+
+    def test_non_positive_scale_rejected(self):
+        v = np.ones((2, 2))
+        with pytest.raises(ValueError):
+            sgd_step(v, 0.0, _row_grad([0], np.zeros((1, 2))), lr=0.1, wd=0.0)
 
     def test_non_finite_result_rejected(self):
-        rng = np.random.default_rng(2)
-        params = init_params(8, 4, 0.5, rng)
-        grads = np.full((8, 4), np.inf)
+        v = np.ones((8, 4))
         with pytest.raises(NonFiniteError):
-            sgd_step(params, grads, lr=0.1, wd=0.0)
+            sgd_step(v, 1.0, _row_grad([3], np.full((1, 4), np.inf)), 0.1, 0.0)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflowing_step_rejected(self):
-        params = EncoderParams(
-            W=np.full((3, 2), 1e308), vocab_size=3, dim=2, temperature=0.5
-        )
+        v = np.full((3, 2), 1e308)
+        grads = _row_grad(range(3), np.full((3, 2), -1e308))
         with pytest.raises(NonFiniteError):
-            sgd_step(params, np.full((3, 2), -1e308), lr=1.0, wd=0.0)
+            sgd_step(v, 1.0, grads, lr=1.0, wd=0.0)
 
-    def test_bit_identical_to_formula_and_inputs_untouched(self):
-        # row blocks must not change a bit of W - lr*g - (lr*wd)*W, also
-        # across block boundaries, and write only into the result
+    def test_lazy_steps_match_dense_recursion(self):
+        # W = scale * v must follow W <- W - lr*g - (lr*wd)*W when each step
+        # gets the gradient at v, which is scale * g for these losses
         rng = np.random.default_rng(3)
-        params = init_params(2 * _SGD_ROWS + 37, 8, 0.5, rng)
-        grads = rng.normal(size=params.W.shape)
-        w_before, g_before = params.W.copy(), grads.copy()
-        lr, wd = 0.5, 0.01
-        out = sgd_step(params, grads, lr=lr, wd=wd)
-        assert np.array_equal(
-            out.W, params.W - lr * grads - (lr * wd) * params.W
+        vocab, dim, lr, wd = 40, 8, 0.5, 0.2
+        w = rng.normal(size=(vocab, dim))
+        v, scale = w.copy(), 1.0
+        for _ in range(60):
+            size = int(rng.integers(1, 12))
+            rows = np.sort(rng.choice(vocab, size=size, replace=False))
+            g = np.zeros_like(w)
+            g[rows] = rng.normal(size=(len(rows), dim))
+            scale = sgd_step(v, scale, RowGrad(rows, scale * g[rows]), lr, wd)
+            w = w - lr * g - (lr * wd) * w
+        assert scale < 0.01
+        np.testing.assert_allclose(
+            scale * v, w, rtol=0, atol=1e-12 * np.abs(w).max()
         )
-        assert np.array_equal(params.W, w_before)
-        assert np.array_equal(grads, g_before)
-        assert out.W is not params.W and out.W is not grads
 
 
 class TestGradCheck:

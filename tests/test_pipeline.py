@@ -18,6 +18,7 @@ import qdc.pipeline
 from qdc.encoder import (
     EncoderParams,
     contrastive_loss,
+    distill_loss,
     encode_batch,
     sgd_step,
     tokenize,
@@ -110,6 +111,16 @@ class TestMineHardNegatives:
         got = mine_hard_negatives(state.params, pairs, ds.corpus, 3)
         assert got == _mined_by_full_sort(state.params, pairs, ds.corpus, 3)
 
+    def test_matches_brute_force_oracle_across_score_chunks(
+        self, tiny_stream, tiny_config, monkeypatch
+    ):
+        monkeypatch.setattr(qdc.pipeline, "_MINE_ROWS", 4)
+        ds = tiny_stream[0]
+        assert len(ds.train_pairs) > 3 * 4
+        params = init_state(tiny_config, False).params
+        got = mine_hard_negatives(params, ds.train_pairs, ds.corpus, 3)
+        assert got == _mined_by_full_sort(params, ds.train_pairs, ds.corpus, 3)
+
     @pytest.mark.parametrize("h", [1, 4, 29, 30, 31])
     def test_positives_inside_a_tied_top_block(self, tiny_config, h):
         # 30 identical docs top every query below; ids shuffled so the
@@ -161,15 +172,92 @@ class TestTrainTask:
             [tokenize(doc_encoding_text(doc_by_id[i]), vocab) for i in ids]
             for ids in neg_ids
         ]
-        params = replace(state0.params, version=1)
+        v = state0.params.W.copy()
+        params = replace(state0.params, W=v, version=1)
         order = derive_rng(tiny_config.seed, "shuffle", 1).permutation(len(qfeats))
         batch = [(qfeats[int(i)], dfeats[int(i)]) for i in order]
         negs = [neg_feats[int(i)] for i in order]
         _, grads = contrastive_loss(params, batch, negs)
-        params = sgd_step(params, grads, tiny_config.lr, tiny_config.wd)
+        scale = sgd_step(v, 1.0, grads, tiny_config.lr, tiny_config.wd)
 
         assert state1.params.version == 1
-        assert np.array_equal(state1.params.W, params.W)
+        assert np.array_equal(state1.params.W, scale * v)
+
+    def test_lazy_steps_match_dense_recursion(
+        self, tiny_stream, tiny_config, monkeypatch
+    ):
+        # 60 one-batch KD steps that fold the scale into v several times.
+        # Each step's gradient at v, over the scale, must be the gradient at
+        # W = scale * v, and the dense recursion driven by those gradients
+        # must end at the trained W. (A dense run that recomputes its own
+        # gradients drifts apart from any other float order within 60
+        # steps at this temperature, so it cannot serve as the reference.)
+        monkeypatch.setattr(qdc.pipeline, "_SCALE_FLOOR", 0.5)
+        config = replace(tiny_config, epochs=60, lr=0.5, wd=0.1)
+        ds = tiny_stream[0]
+        start = init_state(config, False).params
+        qfeats, dfeats, neg_feats = qdc.pipeline._prepare_features(ds, start, 2)
+        steps = []
+
+        def recording_step(v, scale, grads, lr, wd):
+            steps.append((scale, scale * v, grads.dense(len(v))))
+            return sgd_step(v, scale, grads, lr, wd)
+
+        monkeypatch.setattr(qdc.pipeline, "sgd_step", recording_step)
+        lazy = qdc.pipeline._train_params(
+            start,
+            start,
+            2,
+            qfeats,
+            dfeats,
+            neg_feats,
+            kd=True,
+            shuffle_rng=np.random.default_rng(1),
+            config=config,
+        )
+        assert len(steps) == 60
+        assert [s for s, _, _ in steps].count(1.0) >= 3
+
+        vocab = start.vocab_size
+        w = start.W
+        rng = np.random.default_rng(1)
+        for scale, w_step, g_v in steps:
+            order = rng.permutation(len(qfeats))
+            batch = [(qfeats[int(i)], dfeats[int(i)]) for i in order]
+            negs = [neg_feats[int(i)] for i in order]
+            params = replace(start, W=w_step)
+            g = contrastive_loss(params, batch, negs)[1].dense(vocab)
+            g += distill_loss(params, start, batch)[1].dense(vocab)
+            assert np.max(np.abs(g_v / scale - g)) <= 1e-12 * np.max(np.abs(g))
+            w = w - config.lr * g - (config.lr * config.wd) * w
+        assert lazy.version == 2
+        assert np.max(np.abs(lazy.W - w)) <= 1e-12 * np.max(np.abs(w))
+
+    def test_step_gradients_hold_exactly_the_batch_rows(
+        self, tiny_stream, tiny_config, monkeypatch
+    ):
+        config = replace(tiny_config, batch_size=8)
+        batch_ids, step_rows = [], []
+        real_loss = qdc.pipeline.contrastive_loss
+
+        def recording_loss(params, batch, hard_negs):
+            feats = [f for pair in batch for f in pair]
+            feats += [f for negs in hard_negs for f in negs]
+            batch_ids.append(sorted({i for f in feats for i in f.indices}))
+            return real_loss(params, batch, hard_negs)
+
+        def recording_step(v, scale, grads, lr, wd):
+            step_rows.append(grads.rows.tolist())
+            assert grads.values.shape == (len(grads.rows), v.shape[1])
+            return sgd_step(v, scale, grads, lr, wd)
+
+        monkeypatch.setattr(qdc.pipeline, "contrastive_loss", recording_loss)
+        monkeypatch.setattr(qdc.pipeline, "sgd_step", recording_step)
+        train_trajectory(tiny_stream, True, config)
+        steps = sum(-(-len(ds.train_pairs) // 8) for ds in tiny_stream)
+        assert len(step_rows) == steps
+        assert step_rows == batch_ids
+        assert max(map(len, step_rows)) < config.vocab_size
 
     def test_lr_zero_keeps_weights_and_matches_zero_shot(
         self, tiny_stream, tiny_spec
