@@ -22,7 +22,7 @@ from .config import (
     save_config,
 )
 from .datagen import TaskDataset, generate_task_stream, export_stream, load_beir_dataset
-from .drift import ledger_from_dict, ledger_to_dict
+from .drift import DriftLedger, ledger_from_dict, ledger_to_dict
 from .encoder import encode, grad_check, load_snapshot, save_snapshot, tokenize
 from .errors import (
     ConfigError,
@@ -144,6 +144,34 @@ def _load_run_index(run_dir: Path, slug: str, t: int, dim: int):
     return index
 
 
+def _load_run_ledger(
+    run_dir: Path, stored: dict, slug: str, num_tasks: int, snapshots
+) -> DriftLedger:
+    """slug's drift ledger, which must match the run it was loaded with.
+
+    Its dim must be every given snapshot's, and its records must be exactly
+    the transitions 1->2 ... num_tasks-1->num_tasks.
+    """
+    path = run_dir / "ledger.json"
+    if slug not in stored:
+        raise ConfigError(f"run has no {slug} trajectory: {path}")
+    ledger = ledger_from_dict(stored[slug])
+    for params in snapshots:
+        if params.dim != ledger.dim:
+            raise CorruptLedgerError(
+                f"{slug} ledger of dim {ledger.dim} for encoders of dim "
+                f"{params.dim}: {path}"
+            )
+    found = [f"{rec.from_task}->{rec.to_task}" for rec in ledger.records]
+    expected = [f"{t}->{t + 1}" for t in range(1, num_tasks)]
+    if found != expected:
+        raise CorruptLedgerError(
+            f"{slug} ledger holds transitions [{', '.join(found)}] in place "
+            f"of [{', '.join(expected)}]: {path}"
+        )
+    return ledger
+
+
 def _dataset_for(datasets: list[TaskDataset], task_id: int) -> TaskDataset:
     for ds in datasets:
         if ds.task_id == task_id:
@@ -235,12 +263,14 @@ def _reconstruct_states(
     run_dir: Path, slug: str, config: RunConfig, datasets: list[TaskDataset]
 ) -> list[ContinualState]:
     kd = slug == "ft_kd"
-    ledger = ledger_from_dict(_load_run_ledgers(run_dir)[slug])
     by_id = {ds.task_id: ds for ds in datasets}
     num_tasks = len(datasets)
     snaps = {
         t: _load_run_snapshot(run_dir, slug, t) for t in range(1, num_tasks + 1)
     }
+    ledger = _load_run_ledger(
+        run_dir, _load_run_ledgers(run_dir), slug, num_tasks, snaps.values()
+    )
     indexes = {
         t: _load_run_index(run_dir, slug, t, snaps[t].dim)
         for t in range(1, num_tasks + 1)
@@ -309,7 +339,7 @@ def _cmd_retrieve(args) -> int:
 
     params = _load_run_snapshot(run_dir, slug, checkpoint)
     index = _load_run_index(run_dir, slug, task, params.dim)
-    ledger = ledger_from_dict(stored[slug])
+    ledger = _load_run_ledger(run_dir, stored, slug, num_tasks, [params])
     corpus = []
     if strategy == "reindex" and task != checkpoint:
         corpus = _dataset_for(_load_datasets(config), task).corpus
@@ -338,6 +368,13 @@ def _cmd_drift_report(args) -> int:
     slug = _slug(kd)
     params_old = _load_run_snapshot(run_dir, slug, from_task)
     params_new = _load_run_snapshot(run_dir, slug, to_task)
+    _load_run_ledger(
+        run_dir,
+        _load_run_ledgers(run_dir),
+        slug,
+        num_tasks,
+        [params_old, params_new],
+    )
     data = _dataset_for(_load_datasets(config), task)
     report = drift_report(
         params_new,

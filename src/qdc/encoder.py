@@ -71,6 +71,16 @@ class TokenFeatures:
         if self.total != sum(self.counts):
             raise ValueError("total must equal sum of counts")
 
+    def __hash__(self) -> int:
+        # every contrastive step keys a table by each document it sees, so
+        # the hash of the field tuples is kept after its first use
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.indices, self.counts, self.total))
+            object.__setattr__(self, "_hash", h)
+            return h
+
 
 @lru_cache(maxsize=1 << 16)
 def _token_id(token: str, vocab_size: int) -> int:
@@ -285,8 +295,9 @@ def contrastive_loss(
 
     Per query the denominator sums similarity exponentials over every
     in-batch document (the positive included) plus that query's hard
-    negatives. Returns (loss, dLoss/dW) with the gradient on the rows the
-    batch touched.
+    negatives. Each distinct document is encoded once, however many
+    positives and negatives it appears as. Returns (loss, dLoss/dW) with
+    the gradient on the rows the batch touched.
     """
     n = len(batch)
     if n == 0:
@@ -296,49 +307,58 @@ def contrastive_loss(
     if len(hard_negs) != n:
         raise ValueError("hard_negs must align with the batch")
 
+    # one table row per distinct document, keyed by value (never by id(),
+    # so equal inputs give the same loss); pos[i] is pair i's positive and
+    # neg lists every query's hard negatives in order
+    slot: dict[TokenFeatures, int] = {}
+    pos = np.fromiter((slot.setdefault(d, len(slot)) for _, d in batch), np.intp, n)
+    counts = np.fromiter((len(negs) for negs in hard_negs), np.intp, n)
+    neg = np.fromiter(
+        (slot.setdefault(f, len(slot)) for negs in hard_negs for f in negs),
+        np.intp,
+        int(counts.sum()),
+    )
     q_enc = _EncodedBatch(params, [q for q, _ in batch])
-    d_enc = _EncodedBatch(params, [d for _, d in batch])
-    # every query's hard negatives in one batch; query i owns rows
-    # offsets[i]:offsets[i + 1]
-    offsets = np.cumsum([0] + [len(negs) for negs in hard_negs])
-    neg_enc = _EncodedBatch(params, [f for negs in hard_negs for f in negs])
+    doc_enc = _EncodedBatch(params, list(slot))
+    q = q_enc.units
+    docs = doc_enc.units[pos]
+
+    # query i's negatives fill row i of an n x h x d block, padded with
+    # zero vectors whose logits are -inf; the live cells, in row-major
+    # order, are the negatives in neg's order
+    live = np.arange(int(counts.max())) < counts[:, None]
+    owner = live.nonzero()[0]
+    negs = np.zeros(live.shape + (q.shape[1],), dtype=np.float64)
+    negs[live] = doc_enc.units[neg]
 
     tau = params.temperature
-    s_in = q_enc.units @ d_enc.units.T
-    inv = 1.0 / (n * tau)
+    s_neg = np.where(live, (negs @ q[:, :, None])[:, :, 0], -np.inf)
+    logits = np.concatenate([q @ docs.T, s_neg], axis=1) / tau
+    top = logits.max(axis=1)
+    p = np.exp(logits - top[:, None])
+    z = p.sum(axis=1)
+    diag = np.arange(n)
+    loss = float(np.sum(top + np.log(z) - logits[diag, diag]) / n)
 
-    loss_sum = 0.0
-    gq = np.zeros_like(q_enc.units)
-    gd = np.zeros_like(d_enc.units)
-    gneg = np.zeros_like(neg_enc.units)
-    for i in range(n):
-        negs = neg_enc.units[offsets[i] : offsets[i + 1]]
-        if len(negs):
-            row = np.concatenate([s_in[i], q_enc.units[i] @ negs.T]) / tau
-        else:
-            row = s_in[i] / tau
-        m = float(row.max())
-        p = np.exp(row - m)
-        z = float(p.sum())
-        loss_sum += m + np.log(z) - row[i]
-        p /= z
-        coef = p
-        coef[i] -= 1.0
-        coef *= inv
-        gq[i] = coef[:n] @ d_enc.units
-        gd += coef[:n, None] * q_enc.units[i]
-        if len(negs):
-            gq[i] += coef[n:] @ negs
-            gneg[offsets[i] : offsets[i + 1]] = coef[n:, None] * q_enc.units[i]
+    coef = p / z[:, None]
+    coef[diag, diag] -= 1.0
+    coef *= 1.0 / (n * tau)
+    c_in, c_neg = coef[:, :n], coef[:, n:]
+    gq = c_in @ docs + (c_neg[:, None, :] @ negs)[:, 0]
+    # scatter-add every occurrence's gradient into its document's row, in
+    # occurrence order; bincount over flat (row, column) cells is faster
+    # than np.add.at over rows
+    m, dim = doc_enc.units.shape
+    cells = np.concatenate([pos, neg])[:, None] * dim + np.arange(dim)
+    g_occ = np.concatenate([c_in.T @ q, c_neg[live][:, None] * q[owner]])
+    g_docs = np.bincount(
+        cells.ravel(), weights=g_occ.ravel(), minlength=m * dim
+    ).reshape(m, dim)
     grads = merge_grads(
-        chain(
-            _backprop(neg_enc, gneg),
-            _backprop(q_enc, gq),
-            _backprop(d_enc, gd),
-        ),
+        chain(_backprop(doc_enc, g_docs), _backprop(q_enc, gq)),
         params.W.shape,
     )
-    return float(loss_sum / n), grads
+    return loss, grads
 
 
 def distill_loss(
@@ -418,6 +438,8 @@ def grad_check(loss_kind: str, seed: int, max_coords: int = 256) -> float:
 
     Builds a small random instance from the seed (V=64, d=8, n=4, H=2) and
     probes every touched (row, column) coordinate, subsampled to max_coords.
+    The contrastive instance repeats documents across positives and hard
+    negatives, so their gradients must sum into shared rows.
     The instance runs at temperature 0.5: sharp production temperatures push
     softmax tails to ~1e-8, below what central differences can resolve, while
     0.5 keeps every coordinate live and still exercises the 1/tau scaling.
@@ -440,6 +462,11 @@ def grad_check(loss_kind: str, seed: int, max_coords: int = 256) -> float:
     ]
     if loss_kind == "contrastive":
         negs = [[_random_feats(rng, vocab) for _ in range(h)] for _ in range(n)]
+        # repeated documents, as mined batches have them, each as an equal
+        # but distinct object: pairs 0 and 1 share a positive, and pair 2's
+        # positive is also query 3's first hard negative
+        batch[1] = (batch[1][0], replace(batch[0][1]))
+        negs[3][0] = replace(batch[2][1])
 
         def evaluate(p: EncoderParams):
             return contrastive_loss(p, batch, negs)

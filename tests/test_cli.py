@@ -7,7 +7,13 @@ import pytest
 
 from qdc.cli import dispatch
 from qdc.config import METHODS, load_config
-from qdc.drift import compensate_query_path, ledger_from_dict
+from qdc.drift import (
+    DriftLedger,
+    DriftVector,
+    compensate_query_path,
+    ledger_from_dict,
+    ledger_to_dict,
+)
 from qdc.encoder import encode, init_params, load_snapshot, tokenize
 from qdc.index import build_index, load_index, save_index, search_topk
 from qdc.pipeline import retrieve_eval, train_trajectory
@@ -232,6 +238,41 @@ class TestMixedRunRejected:
         save_index(index, run / "indexes" / "ft" / "task1.idx")
         assert dispatch(["eval", "--run", str(run), "--method", "FT"]) == 1
         assert "dim 4 in place of" in capsys.readouterr().err
+
+
+def _ledger_copy(bench_run, tmp_path, kind):
+    """A copy of the run whose ft ledger lost its last record or its dim."""
+    run = tmp_path / "mixed"
+    shutil.copytree(bench_run, run)
+    path = run / "ledger.json"
+    stored = json.loads(path.read_text(encoding="utf-8"))
+    ledger = ledger_from_dict(stored["ft"])
+    if kind == "short":
+        ledger.records.pop()
+    else:
+        ledger = DriftLedger(
+            dim=4,
+            records=[
+                DriftVector(np.zeros(4), r.from_task, r.to_task)
+                for r in ledger.records
+            ],
+        )
+    stored["ft"] = ledger_to_dict(ledger)
+    path.write_text(json.dumps(stored), encoding="utf-8")
+    return run
+
+
+class TestLedgerMismatchRejected:
+    @pytest.mark.parametrize("kind", ["short", "dim"])
+    @pytest.mark.parametrize("args", [["eval"], _RETRIEVE_OLD, ["drift-report"]])
+    def test_exits_one(self, bench_run, tmp_path, kind, args, capsys):
+        run = _ledger_copy(bench_run, tmp_path, kind)
+        assert dispatch([args[0], "--run", str(run)] + args[1:]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        expected = "in place of [1->2" if kind == "short" else "dim 4"
+        assert expected in captured.err and "ledger.json" in captured.err
 
 
 class TestRetrieve:

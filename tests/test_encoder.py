@@ -119,6 +119,17 @@ class TestTokenFeaturesInvariants:
         with pytest.raises(ValueError):
             TokenFeatures(indices=(-1,), counts=(1,), total=1)
 
+    def test_equal_values_hash_equal(self):
+        # the hash is kept on the object after its first use; equality and
+        # hash still follow the field values alone
+        f = _feats((1, 2), (4, 1))
+        g = _feats((1, 2), (4, 1))
+        assert f is not g and f == g
+        assert hash(f) == hash(g) == hash(((1, 4), (2, 1), 3))
+        assert hash(f) == hash(f)
+        assert {f: 0}[g] == 0
+        assert f != _feats((1, 2), (4, 2))
+
 
 class TestEncode:
     def test_one_hot_passthrough(self):
@@ -408,6 +419,119 @@ class TestContrastiveLoss:
         base, _ = contrastive_loss(params, batch)
         dup, _ = contrastive_loss(params, batch + [batch[0]])
         assert dup > base
+
+
+def _contrastive_reference(params, batch, hard_negs):
+    """The per-occurrence loss: every document occurrence encoded on its own
+    and a Python loop over the queries' softmax rows."""
+    n = len(batch)
+    q_enc = encoder._EncodedBatch(params, [q for q, _ in batch])
+    d_enc = encoder._EncodedBatch(params, [d for _, d in batch])
+    offsets = np.cumsum([0] + [len(negs) for negs in hard_negs])
+    neg_enc = encoder._EncodedBatch(params, [f for negs in hard_negs for f in negs])
+    tau = params.temperature
+    s_in = q_enc.units @ d_enc.units.T
+    loss_sum = 0.0
+    gq = np.zeros_like(q_enc.units)
+    gd = np.zeros_like(d_enc.units)
+    gneg = np.zeros_like(neg_enc.units)
+    for i in range(n):
+        negs = neg_enc.units[offsets[i] : offsets[i + 1]]
+        row = np.concatenate([s_in[i], q_enc.units[i] @ negs.T]) / tau
+        m = float(row.max())
+        p = np.exp(row - m)
+        z = float(p.sum())
+        loss_sum += m + np.log(z) - row[i]
+        coef = p / z
+        coef[i] -= 1.0
+        coef /= n * tau
+        gq[i] = coef[:n] @ d_enc.units + coef[n:] @ negs
+        gd += coef[:n, None] * q_enc.units[i]
+        gneg[offsets[i] : offsets[i + 1]] = coef[n:, None] * q_enc.units[i]
+    grads = merge_grads(
+        [
+            *encoder._backprop(neg_enc, gneg),
+            *encoder._backprop(q_enc, gq),
+            *encoder._backprop(d_enc, gd),
+        ],
+        params.W.shape,
+    )
+    return loss_sum / n, grads
+
+
+def _repeated_docs_instance(rng, vocab, neg_counts, fresh):
+    """Pairs whose documents repeat as positives and hard negatives.
+
+    Pairs 0 and 1 share a positive, pair 2's positive is also query 0's
+    first negative, and one extra document is a negative of every query
+    that has two or more. With fresh=True every repeat is an equal but
+    distinct object.
+    """
+    n = len(neg_counts)
+    again = replace if fresh else (lambda f: f)
+    batch = [(_rand_feats(rng, vocab), _rand_feats(rng, vocab)) for _ in range(n)]
+    batch[1] = (batch[1][0], again(batch[0][1]))
+    shared = _rand_feats(rng, vocab)
+    negs = []
+    for h in neg_counts:
+        per = [_rand_feats(rng, vocab) for _ in range(h)]
+        if h >= 2:
+            per[1] = again(shared)
+        negs.append(per)
+    if neg_counts[0]:
+        negs[0][0] = again(batch[2][1])
+    return batch, negs
+
+
+class TestContrastiveDistinctDocuments:
+    @pytest.mark.parametrize("tau", [0.05, 0.7])
+    @pytest.mark.parametrize(
+        "neg_counts", [(0, 1, 3, 2), (0, 0, 0, 0), (1, 1, 1, 1), (3, 3, 0, 2)]
+    )
+    def test_matches_per_occurrence_reference(self, neg_counts, tau):
+        rng = np.random.default_rng(31)
+        params = replace(init_params(24, 6, tau, rng), version=1)
+        batch, negs = _repeated_docs_instance(rng, 24, neg_counts, fresh=False)
+        loss, grads = contrastive_loss(params, batch, negs)
+        ref_loss, ref_grads = _contrastive_reference(params, batch, negs)
+        assert loss == pytest.approx(ref_loss, rel=0, abs=1e-12)
+        np.testing.assert_array_equal(grads.rows, ref_grads.rows)
+        np.testing.assert_allclose(grads.values, ref_grads.values, rtol=0, atol=1e-12)
+
+    def test_equal_inputs_give_identical_results(self):
+        # the loss depends on its inputs' values, not on which objects hold
+        # them: repeats as shared objects and as fresh copies agree bitwise
+        params = replace(init_params(24, 6, 0.05, np.random.default_rng(32)), version=1)
+        shared = _repeated_docs_instance(
+            np.random.default_rng(33), 24, (2, 3, 1, 2), fresh=False
+        )
+        fresh = _repeated_docs_instance(
+            np.random.default_rng(33), 24, (2, 3, 1, 2), fresh=True
+        )
+        assert fresh == shared
+        loss_a, grads_a = contrastive_loss(params, *shared)
+        loss_b, grads_b = contrastive_loss(params, *fresh)
+        assert np.array_equal(loss_a, loss_b)
+        np.testing.assert_array_equal(grads_a.rows, grads_b.rows)
+        np.testing.assert_array_equal(grads_a.values, grads_b.values)
+
+    def test_encodes_each_distinct_document_once(self, monkeypatch):
+        params = replace(init_params(24, 6, 0.05, np.random.default_rng(34)), version=1)
+        batch, negs = _repeated_docs_instance(
+            np.random.default_rng(35), 24, (2, 3, 1, 2), fresh=True
+        )
+        docs = [d for _, d in batch] + [f for per in negs for f in per]
+        assert len(set(docs)) < len(docs)
+        encoded = []
+        real = encoder._weight_blocks
+
+        def spy(feats_list, vocab_size):
+            encoded.append(len(feats_list))
+            return real(feats_list, vocab_size)
+
+        monkeypatch.setattr(encoder, "_weight_blocks", spy)
+        contrastive_loss(params, batch, negs)
+        assert sum(encoded) == len(batch) + len(set(docs))
 
 
 class TestDistillLoss:
