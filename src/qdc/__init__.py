@@ -44,12 +44,14 @@ from .drift import (
 )
 from .encoder import (
     EncoderParams,
+    FeatureRows,
     RowGrad,
     TokenFeatures,
     contrastive_loss,
     distill_loss,
     encode,
     encode_batch,
+    feature_rows,
     grad_check,
     init_params,
     load_snapshot,
@@ -89,6 +91,7 @@ from .pipeline import (
     retrieve,
     retrieve_eval,
     run_continual,
+    train_from,
     train_task,
     train_trajectory,
     zero_shot_run,

@@ -44,7 +44,7 @@ from .pipeline import (
     render_report,
     results_to_csv,
     retrieve,
-    train_trajectory,
+    train_from,
 )
 
 GRAD_TOL = 1e-4
@@ -205,16 +205,15 @@ def _cmd_train(args) -> int:
         f"train-{method.lower().replace('+', '-')}-s{config.seed}"
     )
     config = replace(config, run_id=run_id)
-    datasets = _load_datasets(config)
-    checkpoints = train_trajectory(datasets, kd, config)
+    start = init_state(config, kd, _load_datasets(config))
+    checkpoints = train_from(start, config)
     result = evaluate_matrix(checkpoints, strategy, config.k, method)
 
     run_dir = Path(config.out_dir) / run_id
     run_dir.mkdir(parents=True, exist_ok=True)
     save_config(config, run_dir / "config.json")
     slug = _slug(kd)
-    f0 = init_state(config, kd=False).params
-    _write_trajectory(run_dir, slug, f0, checkpoints)
+    _write_trajectory(run_dir, slug, start.params, checkpoints)
     _write_json(
         run_dir / "ledger.json",
         {slug: ledger_to_dict(checkpoints[-1].ledger)},
@@ -234,17 +233,16 @@ def _cmd_bench(args) -> int:
     config = _resolve_config(args, reseed_stream=True)
     run_id = config.run_id or f"bench-s{config.seed}"
     config = replace(config, run_id=run_id)
-    datasets = _load_datasets(config)
-    results, trajectories = bench(datasets, config)
+    start = init_state(config, False, _load_datasets(config))
+    results, trajectories = bench(start, config)
 
     run_dir = Path(config.out_dir) / run_id
     run_dir.mkdir(parents=True, exist_ok=True)
     save_config(config, run_dir / "config.json")
-    f0 = init_state(config, kd=False).params
     ledgers = {}
     for kd, checkpoints in trajectories.items():
         slug = _slug(kd)
-        _write_trajectory(run_dir, slug, f0, checkpoints)
+        _write_trajectory(run_dir, slug, start.params, checkpoints)
         ledgers[slug] = ledger_to_dict(checkpoints[-1].ledger)
     _write_json(run_dir / "ledger.json", ledgers)
     (run_dir / "metrics.csv").write_text(

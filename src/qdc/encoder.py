@@ -71,16 +71,6 @@ class TokenFeatures:
         if self.total != sum(self.counts):
             raise ValueError("total must equal sum of counts")
 
-    def __hash__(self) -> int:
-        # every contrastive step keys a table by each document it sees, so
-        # the hash of the field tuples is kept after its first use
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.indices, self.counts, self.total))
-            object.__setattr__(self, "_hash", h)
-            return h
-
 
 @lru_cache(maxsize=1 << 16)
 def _token_id(token: str, vocab_size: int) -> int:
@@ -166,6 +156,41 @@ def encode(params: EncoderParams, feats: TokenFeatures) -> np.ndarray:
     return raw / norm
 
 
+@dataclass(frozen=True, eq=False)
+class FeatureRows:
+    """A population of inputs as one CSR table.
+
+    Row i holds the token ids ids[indptr[i]:indptr[i + 1]], ascending, with
+    weights count/total, so its raw embedding is that slice of weights
+    times those rows of W.
+    """
+
+    indptr: np.ndarray
+    ids: np.ndarray
+    weights: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+
+def feature_rows(feats_list) -> FeatureRows:
+    """The table of a list of features, one row per item, in order."""
+    n = len(feats_list)
+    lengths = np.fromiter((len(f.indices) for f in feats_list), np.int64, n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    m = int(indptr[-1])
+    ids = np.fromiter(
+        chain.from_iterable(f.indices for f in feats_list), np.int32, m
+    )
+    weights = np.fromiter(
+        chain.from_iterable(f.counts for f in feats_list), np.float64, m
+    )
+    totals = np.fromiter((f.total for f in feats_list), np.float64, n)
+    weights /= np.repeat(totals, lengths)
+    return FeatureRows(indptr, ids, weights)
+
+
 # inputs per dense weight block. A block has one column per distinct token
 # id its inputs touch, so it holds at most _BLOCK_ROWS entries per nonzero:
 # its GEMM does at most _BLOCK_ROWS times the work of a sparse product,
@@ -173,42 +198,47 @@ def encode(params: EncoderParams, feats: TokenFeatures) -> np.ndarray:
 # vocabulary is large keep a block under _MAX_WEIGHTS entries (8 MB).
 _BLOCK_ROWS = 32
 _MAX_WEIGHTS = 1 << 20
+# blocks' worth of a list's inputs that encode_batch tables at a time, so
+# a large corpus never has a table of its own; a whole number of blocks,
+# so the blocks, and the output bits, do not depend on it
+_ENCODE_BLOCKS = 128
 
 
-def _weight_blocks(feats_list, vocab_size: int):
-    """Yield (lo, rows, x): the batch in row ranges with dense weights.
+def _block_rows(vocab_size: int) -> int:
+    return max(1, min(_BLOCK_ROWS, _MAX_WEIGHTS // vocab_size))
 
-    Entry (i, j) of x is count/total of token rows[j] in input lo + i, so
-    those inputs' raw embeddings are x @ W[rows].
+
+def _weight_blocks(table: FeatureRows, sel: np.ndarray, vocab_size: int):
+    """Yield (lo, rows, x): table rows sel, in runs, with dense weights.
+
+    Entry (i, j) of x is the weight of token rows[j] in table row
+    sel[lo + i], so those inputs' raw embeddings are x @ W[rows].
     """
-    step = max(1, min(_BLOCK_ROWS, _MAX_WEIGHTS // vocab_size))
-    for lo in range(0, len(feats_list), step):
-        chunk = feats_list[lo : lo + step]
-        n = len(chunk)
-        lengths = np.fromiter((len(f.indices) for f in chunk), np.intp, n)
-        m = int(lengths.sum())
-        ids = np.fromiter(
-            chain.from_iterable(f.indices for f in chunk), np.intp, m
-        )
-        counts = np.fromiter(
-            chain.from_iterable(f.counts for f in chunk), np.float64, m
-        )
-        totals = np.fromiter((f.total for f in chunk), np.float64, n)
-        if int(ids.max()) >= vocab_size:
-            raise ValueError(f"token id {int(ids.max())} >= vocab {vocab_size}")
-        owner = np.repeat(np.arange(n), lengths)
-        rows, cols = np.unique(ids, return_inverse=True)
+    step = _block_rows(vocab_size)
+    starts = table.indptr[sel]
+    lengths = table.indptr[sel + 1] - starts
+    for lo in range(0, len(sel), step):
+        run = lengths[lo : lo + step]
+        n = len(run)
+        owner = np.repeat(np.arange(n), run)
+        # entry e of the block lies at its row's start plus e less the
+        # entries of the block's earlier rows
+        shift = starts[lo : lo + step] - (np.cumsum(run) - run)
+        pos = np.arange(len(owner)) + shift[owner]
+        rows, cols = np.unique(table.ids[pos], return_inverse=True)
+        if int(rows[-1]) >= vocab_size:
+            raise ValueError(f"token id {int(rows[-1])} >= vocab {vocab_size}")
         x = np.zeros((n, len(rows)), dtype=np.float64)
-        x[owner, cols] = counts / totals[owner]
+        x[owner, cols] = table.weights[pos]
         yield lo, rows, x
 
 
-def _project(W: np.ndarray, blocks, n: int) -> np.ndarray:
-    """Raw (unnormalized) embeddings of the n inputs the blocks cover."""
-    raw = np.empty((n, W.shape[1]), dtype=np.float64)
+def _project(W: np.ndarray, blocks, out: np.ndarray) -> np.ndarray:
+    """Write the raw (unnormalized) embeddings of the inputs the blocks
+    cover into out; returns out."""
     for lo, rows, x in blocks:
-        raw[lo : lo + len(x)] = x @ W[rows]
-    return raw
+        out[lo : lo + len(x)] = x @ W[rows]
+    return out
 
 
 def _normalize(raw: np.ndarray) -> np.ndarray:
@@ -225,17 +255,33 @@ class _EncodedBatch:
 
     __slots__ = ("blocks", "norms", "units")
 
-    def __init__(self, params: EncoderParams, feats_list) -> None:
-        self.blocks = list(_weight_blocks(feats_list, params.vocab_size))
-        self.units = _project(params.W, self.blocks, len(feats_list))
+    def __init__(self, params: EncoderParams, table: FeatureRows, sel) -> None:
+        self.blocks = list(_weight_blocks(table, sel, params.vocab_size))
+        self.units = _project(
+            params.W, self.blocks, np.empty((len(sel), params.dim))
+        )
         self.norms = _normalize(self.units)
 
 
 def encode_batch(params: EncoderParams, feats_list) -> np.ndarray:
-    """Encode many inputs at once; rows follow the input order."""
-    # one block at a time, so only one dense weight block is ever alive
-    blocks = _weight_blocks(feats_list, params.vocab_size)
-    out = _project(params.W, blocks, len(feats_list))
+    """Encode many inputs at once; rows follow the input order.
+
+    feats_list is a FeatureRows table or a list of features, which is
+    tabled a bounded run of inputs at a time.
+    """
+    out = np.empty((len(feats_list), params.dim), dtype=np.float64)
+    if isinstance(feats_list, FeatureRows):
+        runs = [(0, feats_list)]
+    else:
+        size = _block_rows(params.vocab_size) * _ENCODE_BLOCKS
+        runs = (
+            (lo, feature_rows(feats_list[lo : lo + size]))
+            for lo in range(0, len(feats_list), size)
+        )
+    for lo, table in runs:
+        # one block at a time, so only one dense weight block is ever alive
+        blocks = _weight_blocks(table, np.arange(len(table)), params.vocab_size)
+        _project(params.W, blocks, out[lo : lo + len(table)])
     if not params.linear_output:
         _normalize(out)
     return out
@@ -265,13 +311,16 @@ def merge_grads(parts, shape: tuple[int, int]) -> RowGrad:
     and adds the blocks that hold it in the order given.
     """
     parts = list(parts)
-    touched = np.zeros(shape[0], dtype=bool)
-    for rows, _ in parts:
-        touched[rows] = True
-    rows = np.flatnonzero(touched)
+    if not parts:
+        return RowGrad(np.empty(0, dtype=np.intp), np.zeros((0, shape[1])))
+    rows, slot = np.unique(
+        np.concatenate([r for r, _ in parts]), return_inverse=True
+    )
     values = np.zeros((len(rows), shape[1]), dtype=np.float64)
+    lo = 0
     for block_rows, block in parts:
-        values[np.searchsorted(rows, block_rows)] += block
+        values[slot[lo : lo + len(block_rows)]] += block
+        lo += len(block_rows)
     return RowGrad(rows, values)
 
 
@@ -286,54 +335,62 @@ def _backprop(batch: _EncodedBatch, g_units: np.ndarray):
         yield rows, x.T @ g_raw[lo : lo + len(x)]
 
 
+def _first_occurrence(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct, slot): rows' distinct values in first-occurrence order,
+    and each entry's position among them."""
+    distinct, first, inverse = np.unique(
+        rows, return_index=True, return_inverse=True
+    )
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return distinct[order], rank[inverse]
+
+
 def contrastive_loss(
     params: EncoderParams,
-    batch,
-    hard_negs=None,
+    queries: FeatureRows,
+    docs: FeatureRows,
+    q_rows,
+    pos_rows,
+    neg_rows,
 ) -> tuple[float, RowGrad]:
     """Supervised contrastive loss over (query, doc) pairs.
 
-    Per query the denominator sums similarity exponentials over every
-    in-batch document (the positive included) plus that query's hard
-    negatives. Each distinct document is encoded once, however many
-    positives and negatives it appears as. Returns (loss, dLoss/dW) with
-    the gradient on the rows the batch touched.
+    Pair i is query q_rows[i] of queries with positive pos_rows[i] of docs;
+    neg_rows[i] lists its hard negatives as docs rows, padded with -1. Per
+    query the denominator sums similarity exponentials over every in-batch
+    document (the positive included) plus that query's hard negatives. Each
+    distinct docs row is encoded once, however many positives and negatives
+    it appears as. Returns (loss, dLoss/dW) with the gradient on the rows
+    the batch touched.
     """
-    n = len(batch)
+    q_rows = np.asarray(q_rows, dtype=np.intp)
+    pos_rows = np.asarray(pos_rows, dtype=np.intp)
+    n = len(q_rows)
     if n == 0:
         raise EmptyBatchError("contrastive loss over an empty batch")
-    if hard_negs is None:
-        hard_negs = [[] for _ in range(n)]
-    if len(hard_negs) != n:
-        raise ValueError("hard_negs must align with the batch")
+    neg_rows = np.asarray(neg_rows, dtype=np.intp)
+    if len(pos_rows) != n or neg_rows.ndim != 2 or len(neg_rows) != n:
+        raise ValueError("positives and hard negatives must align with the batch")
 
-    # one table row per distinct document, keyed by value (never by id(),
-    # so equal inputs give the same loss); pos[i] is pair i's positive and
-    # neg lists every query's hard negatives in order
-    slot: dict[TokenFeatures, int] = {}
-    pos = np.fromiter((slot.setdefault(d, len(slot)) for _, d in batch), np.intp, n)
-    counts = np.fromiter((len(negs) for negs in hard_negs), np.intp, n)
-    neg = np.fromiter(
-        (slot.setdefault(f, len(slot)) for negs in hard_negs for f in negs),
-        np.intp,
-        int(counts.sum()),
-    )
-    q_enc = _EncodedBatch(params, [q for q, _ in batch])
-    doc_enc = _EncodedBatch(params, list(slot))
-    q = q_enc.units
-    docs = doc_enc.units[pos]
-
-    # query i's negatives fill row i of an n x h x d block, padded with
-    # zero vectors whose logits are -inf; the live cells, in row-major
-    # order, are the negatives in neg's order
-    live = np.arange(int(counts.max())) < counts[:, None]
+    # query i's negatives fill row i of an n x h x d block; its padding
+    # cells hold zero vectors whose logits are -inf. The live cells, in
+    # row-major order, follow pos in one list of document occurrences
+    live = neg_rows >= 0
     owner = live.nonzero()[0]
+    distinct, slot = _first_occurrence(np.concatenate([pos_rows, neg_rows[live]]))
+    pos, neg = slot[:n], slot[n:]
+    q_enc = _EncodedBatch(params, queries, q_rows)
+    doc_enc = _EncodedBatch(params, docs, distinct)
+    q = q_enc.units
+    docs_u = doc_enc.units[pos]
     negs = np.zeros(live.shape + (q.shape[1],), dtype=np.float64)
     negs[live] = doc_enc.units[neg]
 
     tau = params.temperature
     s_neg = np.where(live, (negs @ q[:, :, None])[:, :, 0], -np.inf)
-    logits = np.concatenate([q @ docs.T, s_neg], axis=1) / tau
+    logits = np.concatenate([q @ docs_u.T, s_neg], axis=1) / tau
     top = logits.max(axis=1)
     p = np.exp(logits - top[:, None])
     z = p.sum(axis=1)
@@ -344,12 +401,12 @@ def contrastive_loss(
     coef[diag, diag] -= 1.0
     coef *= 1.0 / (n * tau)
     c_in, c_neg = coef[:, :n], coef[:, n:]
-    gq = c_in @ docs + (c_neg[:, None, :] @ negs)[:, 0]
+    gq = c_in @ docs_u + (c_neg[:, None, :] @ negs)[:, 0]
     # scatter-add every occurrence's gradient into its document's row, in
     # occurrence order; bincount over flat (row, column) cells is faster
     # than np.add.at over rows
     m, dim = doc_enc.units.shape
-    cells = np.concatenate([pos, neg])[:, None] * dim + np.arange(dim)
+    cells = slot[:, None] * dim + np.arange(dim)
     g_occ = np.concatenate([c_in.T @ q, c_neg[live][:, None] * q[owner]])
     g_docs = np.bincount(
         cells.ravel(), weights=g_occ.ravel(), minlength=m * dim
@@ -362,30 +419,41 @@ def contrastive_loss(
 
 
 def distill_loss(
-    params_new: EncoderParams,
-    params_old: EncoderParams,
-    batch,
+    params: EncoderParams,
+    queries: FeatureRows,
+    docs: FeatureRows,
+    q_rows,
+    d_rows,
+    q_old: np.ndarray,
+    d_old: np.ndarray,
 ) -> tuple[float, RowGrad]:
     """Cosine-distance tie to the frozen previous encoder, queries and docs.
 
-    Gradient flows only through params_new. Returns (loss, dLoss/dW_new)
-    with the gradient on the rows the batch touched.
+    The batch is queries rows q_rows and docs rows d_rows; q_old and d_old
+    are the previous encoder's embeddings of those inputs, row for row.
+    Returns (loss, dLoss/dW) with the gradient on the rows the batch
+    touched.
     """
-    n = len(batch)
+    n = len(q_rows)
     if n == 0:
         raise EmptyBatchError("distillation loss over an empty batch")
-    if (params_new.vocab_size, params_new.dim) != (
-        params_old.vocab_size,
-        params_old.dim,
-    ):
-        raise ShapeMismatchError("old and new encoder shapes differ")
+    if len(d_rows) != n:
+        raise ValueError("query and document rows must align")
+    if q_old.shape != (n, params.dim) or d_old.shape != (n, params.dim):
+        raise ShapeMismatchError(
+            f"targets of {q_old.shape} and {d_old.shape} vs {n} pairs of "
+            f"dim {params.dim}"
+        )
 
-    texts = [q for q, _ in batch] + [d for _, d in batch]
-    enc_new = _EncodedBatch(params_new, texts)
-    enc_old = _EncodedBatch(params_old, texts)
-    dots = np.einsum("ij,ij->i", enc_new.units, enc_old.units)
-    loss = float(np.sum(1.0 - dots) / n)
-    grads = merge_grads(_backprop(enc_new, -enc_old.units / n), params_new.W.shape)
+    q_enc = _EncodedBatch(params, queries, np.asarray(q_rows, dtype=np.intp))
+    d_enc = _EncodedBatch(params, docs, np.asarray(d_rows, dtype=np.intp))
+    units = np.concatenate([q_enc.units, d_enc.units])
+    targets = np.concatenate([q_old, d_old])
+    loss = float(np.sum(1.0 - np.einsum("ij,ij->i", units, targets)) / n)
+    g = -targets / n
+    grads = merge_grads(
+        chain(_backprop(q_enc, g[:n]), _backprop(d_enc, g[n:])), params.W.shape
+    )
     return loss, grads
 
 
@@ -460,36 +528,37 @@ def grad_check(loss_kind: str, seed: int, max_coords: int = 256) -> float:
     batch = [
         (_random_feats(rng, vocab), _random_feats(rng, vocab)) for _ in range(n)
     ]
+    queries = feature_rows([q for q, _ in batch])
+    q_rows = np.arange(n)
     if loss_kind == "contrastive":
-        negs = [[_random_feats(rng, vocab) for _ in range(h)] for _ in range(n)]
-        # repeated documents, as mined batches have them, each as an equal
-        # but distinct object: pairs 0 and 1 share a positive, and pair 2's
-        # positive is also query 3's first hard negative
-        batch[1] = (batch[1][0], replace(batch[0][1]))
-        negs[3][0] = replace(batch[2][1])
+        negs = [_random_feats(rng, vocab) for _ in range(n * h)]
+        # repeated documents, as mined batches have them: pairs 0 and 1
+        # share one positive row, and query 3's first hard negative is a
+        # row of its own that holds pair 2's positive features
+        feats = [d for _, d in batch] + negs
+        feats[n + 3 * h] = replace(feats[2])
+        docs = feature_rows(feats)
+        pos_rows = np.array([0, 0, 2, 3])
+        neg_rows = n + np.arange(n * h).reshape(n, h)
 
         def evaluate(p: EncoderParams):
-            return contrastive_loss(p, batch, negs)
+            return contrastive_loss(p, queries, docs, q_rows, pos_rows, neg_rows)
 
-        touched = set()
-        for q, d in batch:
-            touched.update(q.indices)
-            touched.update(d.indices)
-        for per_query in negs:
-            for f in per_query:
-                touched.update(f.indices)
+        used = [q for q, _ in batch]
+        used += [feats[int(i)] for i in np.concatenate([pos_rows, neg_rows.ravel()])]
     else:
         params_old = replace(
             params, W=rng.normal(0.0, 1.0 / np.sqrt(dim), size=(vocab, dim))
         )
+        docs = feature_rows([d for _, d in batch])
+        q_old = encode_batch(params_old, queries)
+        d_old = encode_batch(params_old, docs)
 
         def evaluate(p: EncoderParams):
-            return distill_loss(p, params_old, batch)
+            return distill_loss(p, queries, docs, q_rows, q_rows, q_old, d_old)
 
-        touched = set()
-        for q, d in batch:
-            touched.update(q.indices)
-            touched.update(d.indices)
+        used = [f for pair in batch for f in pair]
+    touched = {i for f in used for i in f.indices}
 
     analytic = evaluate(params)[1].dense(vocab)
     coords = [(r, c) for r in sorted(touched) for c in range(dim)]

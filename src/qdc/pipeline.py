@@ -9,6 +9,7 @@ so FT and FT+QDC share bit-identical snapshots.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,10 +26,12 @@ from .drift import (
 )
 from .encoder import (
     EncoderParams,
+    FeatureRows,
     TokenFeatures,
     contrastive_loss,
     distill_loss,
     encode_batch,
+    feature_rows,
     init_params,
     merge_grads,
     sgd_step,
@@ -47,9 +50,9 @@ from .vecops import top_order
 
 STRATEGIES = ("plain", "qdc", "reindex")
 
-# queries scored against the corpus at a time while mining; bounds the
-# score block at 1,024 x corpus size
-_MINE_ROWS = 1024
+# scores computed at a time while mining: a block of queries against the
+# whole corpus, 16 MB at most however large the corpus
+_MINE_SCORES = 1 << 21
 # training folds a weight scale below this into v, so that v stays within
 # 1,000x of the weights it stands for
 _SCALE_FLOOR = 1e-3
@@ -101,7 +104,10 @@ class ContinualState:
 
 
 def init_state(config: RunConfig, kd: bool, datasets=()) -> ContinualState:
-    """Fresh state holding the shared pre-trained stand-in f_0."""
+    """Fresh state holding the shared pre-trained stand-in f_0 and the
+    datasets of tasks 1..T."""
+    if sorted(ds.task_id for ds in datasets) != list(range(1, len(datasets) + 1)):
+        raise DataMismatchError("task ids must be contiguous from 1")
     params = init_params(
         config.vocab_size,
         config.dim,
@@ -128,41 +134,43 @@ def mine_hard_negatives(
     pairs: list[tuple[str, str]],
     corpus,
     h: int,
-    qfeats: list[TokenFeatures] | None = None,
-) -> list[list[str]]:
-    """(q, d+) -> top-h most similar docs excluding every positive of q.
+    queries: FeatureRows | None = None,
+    docs: FeatureRows | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(q, d+) -> the top-h most similar docs excluding every positive of q.
 
-    qfeats, one per pair, are the queries' features when the caller has
-    them already; otherwise the queries are tokenized here.
+    Returns (negs, q_units, doc_units). Row i of negs holds pair i's
+    negatives as corpus positions, best first, padded with -1 when the
+    corpus has fewer than h other documents. q_units and doc_units are
+    params' embeddings of the pairs' queries and of the corpus. queries (one
+    row per pair) and docs (one per corpus document) are their feature
+    tables when the caller has them already.
     """
-    if h == 0 or not pairs:
-        return [[] for _ in pairs]
     vocab = params.vocab_size
-    doc_units = encode_batch(params, [doc_features(d, vocab) for d in corpus])
+    if queries is None:
+        queries = feature_rows([tokenize(q, vocab) for q, _ in pairs])
+    if docs is None:
+        docs = feature_rows([doc_features(d, vocab) for d in corpus])
+    q_units = encode_batch(params, queries)
+    doc_units = encode_batch(params, docs)
+    negs = np.full((len(pairs), h), -1, dtype=np.intp)
+    if h == 0 or not pairs:
+        return negs, q_units, doc_units
     ids_arr = np.asarray([d.doc_id for d in corpus])
-    positives: dict[str, set[str]] = {}
+    position = {d.doc_id: j for j, d in enumerate(corpus)}
+    positives: dict[str, set[int]] = {}
     for query, doc_id in pairs:
-        positives.setdefault(query, set()).add(doc_id)
-    if qfeats is None:
-        qfeats = [tokenize(q, vocab) for q, _ in pairs]
-    q_units = encode_batch(params, qfeats)
-    out: list[list[str]] = []
-    for lo in range(0, len(pairs), _MINE_ROWS):
-        scores = q_units[lo : lo + _MINE_ROWS] @ doc_units.T
-        for i, (query, _) in enumerate(pairs[lo : lo + _MINE_ROWS]):
+        positives.setdefault(query, set()).add(position[doc_id])
+    step = max(1, _MINE_SCORES // len(corpus))
+    for lo in range(0, len(pairs), step):
+        scores = q_units[lo : lo + step] @ doc_units.T
+        for i, (query, _) in enumerate(pairs[lo : lo + step]):
             exclude = positives[query]
             # the h best non-positives lie within the h + |positives| best
             order = top_order(scores[i], ids_arr, h + len(exclude))
-            negs: list[str] = []
-            for j in order:
-                doc_id = str(ids_arr[j])
-                if doc_id in exclude:
-                    continue
-                negs.append(doc_id)
-                if len(negs) == h:
-                    break
-            out.append(negs)
-    return out
+            found = [j for j in order.tolist() if j not in exclude][:h]
+            negs[lo + i, : len(found)] = found
+    return negs, q_units, doc_units
 
 
 def _drift_query_sample(
@@ -176,14 +184,26 @@ def _drift_query_sample(
     return [qfeats[int(i)] for i in chosen]
 
 
+class _TaskRows(NamedTuple):
+    """A task's training populations as feature tables, and their mining.
+
+    Pair i is queries row i with positive docs row pos[i] and hard
+    negatives negs[i] (docs rows, -1 padded). targets are the previous
+    encoder's embeddings of every pair's query and positive, on KD tasks
+    only.
+    """
+
+    queries: FeatureRows
+    docs: FeatureRows
+    pos: np.ndarray
+    negs: np.ndarray
+    targets: tuple[np.ndarray, np.ndarray] | None
+
+
 def _train_params(
     start: EncoderParams,
-    prev: EncoderParams,
     version: int,
-    qfeats,
-    dfeats,
-    neg_feats,
-    kd: bool,
+    rows: _TaskRows,
     shuffle_rng: np.random.Generator,
     config: RunConfig,
 ) -> EncoderParams:
@@ -193,39 +213,49 @@ def _train_params(
     v = start.W.copy()
     scale = 1.0
     params = replace(start, W=v, version=version)
-    n = len(qfeats)
+    queries, docs, pos, negs, targets = rows
+    n = len(queries)
     for _ in range(config.epochs):
         order = shuffle_rng.permutation(n)
         for lo in range(0, n, config.batch_size):
             sel = order[lo : lo + config.batch_size]
-            batch = [(qfeats[int(i)], dfeats[int(i)]) for i in sel]
-            negs = [neg_feats[int(i)] for i in sel]
-            _, grads = contrastive_loss(params, batch, negs)
-            if kd:
-                distill = distill_loss(params, prev, batch)[1]
+            _, grads = contrastive_loss(
+                params, queries, docs, sel, pos[sel], negs[sel]
+            )
+            if targets is not None:
+                q_old, d_old = targets
+                distill = distill_loss(
+                    params, queries, docs, sel, pos[sel], q_old[sel], d_old[sel]
+                )[1]
                 grads = merge_grads([grads, distill], v.shape)
             scale = sgd_step(v, scale, grads, config.lr, config.wd)
             if scale < _SCALE_FLOOR:
                 v *= scale
                 scale = 1.0
-    return replace(params, W=scale * v)
+    # in place: a second V x d array here would set the task's peak memory
+    v *= scale
+    return params
 
 
-def _prepare_features(data: TaskDataset, params: EncoderParams, h: int):
+def _prepare_rows(
+    data: TaskDataset, params: EncoderParams, h: int, qfeats, kd: bool
+) -> _TaskRows:
+    """Tables of the task's training queries and corpus, built once, and
+    the negatives and distillation targets mined with params."""
     vocab = params.vocab_size
-    doc_by_id = {d.doc_id: d for d in data.corpus}
-    qfeats = [tokenize(q, vocab) for q, _ in data.train_pairs]
-    dfeats = [
-        doc_features(doc_by_id[doc_id], vocab) for _, doc_id in data.train_pairs
-    ]
-    neg_ids = mine_hard_negatives(
-        params, data.train_pairs, data.corpus, h, qfeats
+    queries = feature_rows(qfeats)
+    docs = feature_rows([doc_features(d, vocab) for d in data.corpus])
+    position = {d.doc_id: j for j, d in enumerate(data.corpus)}
+    pos = np.fromiter(
+        (position[doc_id] for _, doc_id in data.train_pairs),
+        np.intp,
+        len(data.train_pairs),
     )
-    neg_feats = [
-        [doc_features(doc_by_id[i], vocab) for i in ids]
-        for ids in neg_ids
-    ]
-    return qfeats, dfeats, neg_feats
+    negs, q_units, doc_units = mine_hard_negatives(
+        params, data.train_pairs, data.corpus, h, queries, docs
+    )
+    targets = (q_units, doc_units[pos]) if kd else None
+    return _TaskRows(queries, docs, pos, negs, targets)
 
 
 def train_task(
@@ -238,18 +268,14 @@ def train_task(
             f"expected task {t}, received task {data.task_id}"
         )
     validate_dataset(data)
-    qfeats, dfeats, neg_feats = _prepare_features(
-        data, state.params, config.hard_negatives
-    )
     prev = state.params
+    qfeats = [tokenize(q, prev.vocab_size) for q, _ in data.train_pairs]
     params = _train_params(
         start=prev,
-        prev=prev,
         version=t,
-        qfeats=qfeats,
-        dfeats=dfeats,
-        neg_feats=neg_feats,
-        kd=state.kd and t > 1,
+        rows=_prepare_rows(
+            data, prev, config.hard_negatives, qfeats, kd=state.kd and t > 1
+        ),
         shuffle_rng=derive_rng(config.seed, "shuffle", t),
         config=config,
     )
@@ -350,13 +376,14 @@ def train_trajectory(
     datasets: list[TaskDataset], kd: bool, config: RunConfig
 ) -> list[ContinualState]:
     """All checkpoint states, one per task, trained in task order."""
-    ordered = sorted(datasets, key=lambda ds: ds.task_id)
-    if [ds.task_id for ds in ordered] != list(range(1, len(ordered) + 1)):
-        raise DataMismatchError("task ids must be contiguous from 1")
-    state = init_state(config, kd, ordered)
+    return train_from(init_state(config, kd, datasets), config)
+
+
+def train_from(state: ContinualState, config: RunConfig) -> list[ContinualState]:
+    """Checkpoint states after each of state's registered tasks, in order."""
     checkpoints = []
-    for ds in ordered:
-        state = train_task(state, ds, config)
+    for t in sorted(state.datasets):
+        state = train_task(state, state.datasets[t], config)
         checkpoints.append(state)
     return checkpoints
 
@@ -428,14 +455,15 @@ def run_continual(
 
 
 def bench(
-    datasets: list[TaskDataset], config: RunConfig
+    start: ContinualState, config: RunConfig
 ) -> tuple[list[RunResult], dict[bool, list[ContinualState]]]:
     """All six methods over two shared trajectories (with and without KD).
 
-    Task 1 trains without distillation, so the KD trajectory branches from
-    the FT trajectory's first checkpoint.
+    Both trajectories train from start, an untrained state (init_state)
+    with every task's dataset. Task 1 trains without distillation, so the
+    KD trajectory branches from the FT trajectory's first checkpoint.
     """
-    ft = train_trajectory(datasets, False, config)
+    ft = train_from(replace(start, kd=False), config)
     kd = [replace(state, kd=True) for state in ft[:1]]
     for t in range(2, len(ft) + 1):
         kd.append(train_task(kd[-1], kd[-1].datasets[t], config))

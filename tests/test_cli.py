@@ -5,8 +5,9 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+import qdc.pipeline
 from qdc.cli import dispatch
-from qdc.config import METHODS, load_config
+from qdc.config import METHODS, derive_rng, load_config
 from qdc.drift import (
     DriftLedger,
     DriftVector,
@@ -164,6 +165,41 @@ class TestBench:
         first.pop("config.json")
         again.pop("config.json")
         assert first == again
+
+
+class TestInitialEncoder:
+    @pytest.mark.parametrize(
+        "command, run_id, slugs",
+        [
+            (["bench"], "bench-s7", ("ft", "ft_kd")),
+            (["train", "--method", "FT+KD"], "train-ft-kd-s7", ("ft_kd",)),
+        ],
+    )
+    def test_f0_built_once_and_written(
+        self, cfg_path, tmp_path, monkeypatch, capsys, command, run_id, slugs
+    ):
+        calls = []
+        real = qdc.pipeline.init_params
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(qdc.pipeline, "init_params", counting)
+        argv = command + ["--config", cfg_path, "--out", str(tmp_path)]
+        assert dispatch(argv) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
+        config = load_config(tmp_path / run_id / "config.json")
+        f0 = init_params(
+            config.vocab_size,
+            config.dim,
+            config.temperature,
+            derive_rng(config.seed, "init"),
+        )
+        for slug in slugs:
+            path = tmp_path / run_id / "snapshots" / slug / "task0.enc"
+            assert np.array_equal(load_snapshot(path).W, f0.W)
 
 
 class TestEval:

@@ -10,12 +10,14 @@ from qdc.encoder import (
     _MAX_WEIGHTS,
     DEFAULT_VOCAB,
     EncoderParams,
+    FeatureRows,
     RowGrad,
     TokenFeatures,
     contrastive_loss,
     distill_loss,
     encode,
     encode_batch,
+    feature_rows,
     fnv1a64,
     grad_check,
     init_params,
@@ -58,6 +60,38 @@ def _rand_feats(rng, vocab):
         counts=tuple(int(c) for c in cnt),
         total=int(cnt.sum()),
     )
+
+
+def _tables(batch, hard_negs=None):
+    """The batch as contrastive_loss takes it: a queries table with one row
+    per pair and a docs table with one row per distinct document value, as
+    a corpus holds each document once; hard_negs pad with -1."""
+    hard_negs = hard_negs if hard_negs is not None else [[] for _ in batch]
+    slot = {}
+    pos = [slot.setdefault(d, len(slot)) for _, d in batch]
+    negs = np.full((len(hard_negs), max(map(len, hard_negs), default=0)), -1)
+    for i, per in enumerate(hard_negs):
+        negs[i, : len(per)] = [slot.setdefault(f, len(slot)) for f in per]
+    queries = feature_rows([q for q, _ in batch])
+    return queries, feature_rows(list(slot)), np.arange(len(batch)), pos, negs
+
+
+def _contrastive(params, batch, hard_negs=None):
+    return contrastive_loss(params, *_tables(batch, hard_negs))
+
+
+def _distill(new, old, batch):
+    """distill_loss against old's embeddings of the batch's inputs."""
+    queries = feature_rows([q for q, _ in batch])
+    docs = feature_rows([d for _, d in batch])
+    rows = np.arange(len(batch))
+    q_old, d_old = encode_batch(old, queries), encode_batch(old, docs)
+    return distill_loss(new, queries, docs, rows, rows, q_old, d_old)
+
+
+def _encoded(params, feats):
+    """The forward pass of a list of features, one table row each."""
+    return encoder._EncodedBatch(params, feature_rows(feats), np.arange(len(feats)))
 
 
 class TestTokenize:
@@ -120,8 +154,7 @@ class TestTokenFeaturesInvariants:
             TokenFeatures(indices=(-1,), counts=(1,), total=1)
 
     def test_equal_values_hash_equal(self):
-        # the hash is kept on the object after its first use; equality and
-        # hash still follow the field values alone
+        # equality and hash follow the field values alone
         f = _feats((1, 2), (4, 1))
         g = _feats((1, 2), (4, 1))
         assert f is not g and f == g
@@ -210,7 +243,8 @@ class TestEncode:
                 TokenFeatures(tuple(int(i) for i in idx), (1,) * len(idx), len(idx))
             )
         lo = 0
-        for start, rows, x in encoder._weight_blocks(feats, DEFAULT_VOCAB):
+        table, sel = feature_rows(feats), np.arange(len(feats))
+        for start, rows, x in encoder._weight_blocks(table, sel, DEFAULT_VOCAB):
             nonzeros = sum(len(f.indices) for f in feats[start : start + len(x)])
             assert start == lo and x.shape[1] == len(rows)
             assert x.size <= min(_MAX_WEIGHTS, _BLOCK_ROWS * nonzeros)
@@ -220,9 +254,14 @@ class TestEncode:
     def test_large_vocab_shrinks_blocks(self, monkeypatch):
         # at most _MAX_WEIGHTS // vocab inputs per block, and never zero
         monkeypatch.setattr(encoder, "_MAX_WEIGHTS", 16)
-        feats = [_feats((1, 1), (2, 1), (3, 1)), _feats((4, 2)), _feats((5, 1))]
-        assert [len(x) for _, _, x in encoder._weight_blocks(feats, 8)] == [2, 1]
-        assert [len(x) for _, _, x in encoder._weight_blocks(feats, 32)] == [1, 1, 1]
+        table = feature_rows(
+            [_feats((1, 1), (2, 1), (3, 1)), _feats((4, 2)), _feats((5, 1))]
+        )
+        sel = np.arange(3)
+        assert [len(x) for _, _, x in encoder._weight_blocks(table, sel, 8)] == [2, 1]
+        assert [
+            len(x) for _, _, x in encoder._weight_blocks(table, sel, 32)
+        ] == [1, 1, 1]
 
     def test_empty_batch_encodes_to_no_rows(self):
         rng = np.random.default_rng(15)
@@ -260,6 +299,83 @@ class TestEncode:
             EncoderParams(W=np.eye(3), vocab_size=4, dim=3, temperature=0.5)
 
 
+class TestFeatureRows:
+    def test_layout(self):
+        feats = [_feats((1, 2), (4, 1)), _feats((0, 1)), _feats((2, 1), (3, 3))]
+        table = feature_rows(feats)
+        assert isinstance(table, FeatureRows) and len(table) == 3
+        assert table.indptr.tolist() == [0, 2, 3, 5]
+        assert table.ids.tolist() == [1, 4, 0, 2, 3]
+        # count/total in float64, bit for bit
+        assert table.weights.tolist() == [2 / 3, 1 / 3, 1.0, 1 / 4, 3 / 4]
+
+    def test_empty_table(self):
+        table = feature_rows([])
+        assert len(table) == 0 and table.indptr.tolist() == [0]
+        assert len(table.ids) == len(table.weights) == 0
+
+    def test_rows_hold_each_items_ids_and_weights(self):
+        rng = np.random.default_rng(40)
+        feats = [_rand_feats(rng, 64) for _ in range(10)]
+        table = feature_rows(feats)
+        for i, f in enumerate(feats):
+            lo, hi = table.indptr[i], table.indptr[i + 1]
+            assert table.ids[lo:hi].tolist() == list(f.indices)
+            assert table.weights[lo:hi].tolist() == [c / f.total for c in f.counts]
+
+    @pytest.mark.parametrize(
+        "sel",
+        [
+            [4, 4, 1, 4, 1],  # repeated rows
+            [6, 0, 5, 2, 3, 1],  # unsorted rows
+            [3],  # a single row
+            list(range(99, -1, -1)),  # many blocks, the last one short
+        ],
+    )
+    @pytest.mark.parametrize("vocab", [64, 1 << 18])
+    def test_gathered_blocks_equal_per_item(self, sel, vocab):
+        # 2^18 ids leave 4 rows a block under the 2^20-entry cap
+        rng = np.random.default_rng(41)
+        params = init_params(vocab, 8, 0.5, rng)
+        feats = [_rand_feats(rng, vocab) for _ in range(100)]
+        sel = np.asarray(sel)
+        blocks = list(encoder._weight_blocks(feature_rows(feats), sel, vocab))
+        step = max(1, min(_BLOCK_ROWS, _MAX_WEIGHTS // vocab))
+        assert [lo for lo, _, _ in blocks] == list(range(0, len(sel), step))
+        for lo, rows, x in blocks:
+            for i, row in enumerate(x):
+                f = feats[int(sel[lo + i])]
+                dense = np.zeros(vocab)
+                dense[list(f.indices)] = np.asarray(f.counts) / f.total
+                assert np.array_equal(row, dense[rows])
+                assert set(f.indices) <= set(rows.tolist())
+        units = encoder._EncodedBatch(params, feature_rows(feats), sel).units
+        expected = np.array([encode(params, feats[int(j)]) for j in sel])
+        np.testing.assert_allclose(units, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("vocab", [64, 1 << 18])
+    def test_list_tabled_in_runs_encodes_bit_for_bit(self, monkeypatch, vocab):
+        # a list is tabled two blocks at a time here; a run is a whole
+        # number of blocks, so the blocks and every bit match one table
+        monkeypatch.setattr(encoder, "_ENCODE_BLOCKS", 2)
+        rng = np.random.default_rng(42)
+        params = init_params(vocab, 8, 0.5, rng)
+        feats = [_rand_feats(rng, vocab) for _ in range(150)]
+        tabled = []
+        real = encoder.feature_rows
+
+        def spy(feats_list):
+            tabled.append(len(feats_list))
+            return real(feats_list)
+
+        monkeypatch.setattr(encoder, "feature_rows", spy)
+        out = encode_batch(params, feats)
+        run = 2 * min(_BLOCK_ROWS, _MAX_WEIGHTS // vocab)
+        assert tabled == [min(run, 150 - lo) for lo in range(0, 150, run)]
+        assert np.array_equal(out, encode_batch(params, real(feats)))
+
+
+
 def _fd_gradient(evaluate, params, touched, dim):
     """Central finite differences over every touched coordinate."""
     eps = 1e-5
@@ -290,28 +406,33 @@ class TestContrastiveLoss:
     def test_single_pair_no_negatives_is_zero(self):
         rng = np.random.default_rng(2)
         params = init_params(16, 4, 0.5, rng)
-        loss, _ = contrastive_loss(params, [(_feats((1, 1)), _feats((1, 1)))])
+        loss, _ = _contrastive(params, [(_feats((1, 1)), _feats((1, 1)))])
         assert loss == 0.0
 
     def test_symmetric_two_pair_batch_is_ln_two(self):
         rng = np.random.default_rng(2)
         params = init_params(16, 4, 0.05, rng)
         f = _feats((2, 1), (5, 1))
-        loss, _ = contrastive_loss(params, [(f, f), (f, f)])
+        loss, _ = _contrastive(params, [(f, f), (f, f)])
         assert loss == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_empty_batch_rejected(self):
         rng = np.random.default_rng(2)
         params = init_params(16, 4, 0.5, rng)
         with pytest.raises(EmptyBatchError):
-            contrastive_loss(params, [])
+            _contrastive(params, [])
 
     def test_misaligned_hard_negatives_rejected(self):
         rng = np.random.default_rng(2)
         params = init_params(16, 4, 0.5, rng)
         batch = [(_rand_feats(rng, 16), _rand_feats(rng, 16))]
+        queries, docs, q_rows, pos, _ = _tables(batch)
         with pytest.raises(ValueError):
-            contrastive_loss(params, batch, hard_negs=[[], []])
+            contrastive_loss(params, queries, docs, q_rows, pos, np.full((2, 1), -1))
+        with pytest.raises(ValueError):
+            contrastive_loss(params, queries, docs, q_rows, [0, 0], np.full((1, 0), -1))
+        with pytest.raises(ValueError):
+            contrastive_loss(params, queries, docs, q_rows, pos, np.zeros(1, int))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)
@@ -320,7 +441,7 @@ class TestContrastiveLoss:
         negs = [[_rand_feats(rng, 16)] for _ in range(3)]
 
         def evaluate(p):
-            return contrastive_loss(p, batch, negs)
+            return _contrastive(p, batch, negs)
 
         touched = set()
         for q, d in batch:
@@ -341,7 +462,7 @@ class TestContrastiveLoss:
         negs = [[_rand_feats(rng, 16) for _ in range(h)] for h in (0, 1, 3)]
 
         def evaluate(p):
-            return contrastive_loss(p, batch, negs)
+            return _contrastive(p, batch, negs)
 
         touched = set()
         for q, d in batch:
@@ -361,13 +482,13 @@ class TestContrastiveLoss:
         params = replace(init_params(16, 4, 0.7, rng), version=1)
         batch = [(_rand_feats(rng, 16), _rand_feats(rng, 16)) for _ in range(4)]
         negs = [[_rand_feats(rng, 16) for _ in range(h)] for h in (2, 0, 3, 1)]
-        whole = contrastive_loss(params, batch, negs)
+        whole = _contrastive(params, batch, negs)
         monkeypatch.setattr(encoder, "_BLOCK_ROWS", 2)
-        queries = [q for q, _ in batch]
-        assert len(list(encoder._weight_blocks(queries, 16))) == 2
+        queries = feature_rows([q for q, _ in batch])
+        assert len(list(encoder._weight_blocks(queries, np.arange(4), 16))) == 2
 
         def evaluate(p):
-            return contrastive_loss(p, batch, negs)
+            return _contrastive(p, batch, negs)
 
         loss, grads = evaluate(params)
         analytic = grads.dense(16)
@@ -385,7 +506,7 @@ class TestContrastiveLoss:
         params = init_params(32, 8, 0.5, rng)
         batch = [(_rand_feats(rng, 32), _rand_feats(rng, 32)) for _ in range(3)]
         negs = [[_rand_feats(rng, 32) for _ in range(h)] for h in (3, 0, 1)]
-        loss, _ = contrastive_loss(params, batch, negs)
+        loss, _ = _contrastive(params, batch, negs)
         docs = [encode(params, d) for _, d in batch]
         expected = 0.0
         for i, (q, _) in enumerate(batch):
@@ -400,9 +521,9 @@ class TestContrastiveLoss:
         params = init_params(32, 8, 0.5, rng)
         batch = [(_rand_feats(rng, 32), _rand_feats(rng, 32)) for _ in range(5)]
         negs = [[_rand_feats(rng, 32)] for _ in range(5)]
-        loss_a, grads_a = contrastive_loss(params, batch, negs)
+        loss_a, grads_a = _contrastive(params, batch, negs)
         order = [3, 1, 4, 0, 2]
-        loss_b, grads_b = contrastive_loss(
+        loss_b, grads_b = _contrastive(
             params, [batch[i] for i in order], [negs[i] for i in order]
         )
         assert loss_b == pytest.approx(loss_a, abs=1e-9)
@@ -416,8 +537,8 @@ class TestContrastiveLoss:
         rng = np.random.default_rng(7)
         params = init_params(32, 8, 0.5, rng)
         batch = [(_rand_feats(rng, 32), _rand_feats(rng, 32)) for _ in range(2)]
-        base, _ = contrastive_loss(params, batch)
-        dup, _ = contrastive_loss(params, batch + [batch[0]])
+        base, _ = _contrastive(params, batch)
+        dup, _ = _contrastive(params, batch + [batch[0]])
         assert dup > base
 
 
@@ -425,10 +546,10 @@ def _contrastive_reference(params, batch, hard_negs):
     """The per-occurrence loss: every document occurrence encoded on its own
     and a Python loop over the queries' softmax rows."""
     n = len(batch)
-    q_enc = encoder._EncodedBatch(params, [q for q, _ in batch])
-    d_enc = encoder._EncodedBatch(params, [d for _, d in batch])
+    q_enc = _encoded(params, [q for q, _ in batch])
+    d_enc = _encoded(params, [d for _, d in batch])
     offsets = np.cumsum([0] + [len(negs) for negs in hard_negs])
-    neg_enc = encoder._EncodedBatch(params, [f for negs in hard_negs for f in negs])
+    neg_enc = _encoded(params, [f for negs in hard_negs for f in negs])
     tau = params.temperature
     s_in = q_enc.units @ d_enc.units.T
     loss_sum = 0.0
@@ -483,22 +604,38 @@ def _repeated_docs_instance(rng, vocab, neg_counts, fresh):
     return batch, negs
 
 
+def _occurrence_tables(batch, hard_negs):
+    """Like _tables, but every document occurrence is a docs row of its own,
+    so repeated documents are distinct rows with equal features."""
+    n = len(batch)
+    counts = [len(per) for per in hard_negs]
+    negs = np.full((n, max(counts)), -1)
+    live = np.arange(max(counts)) < np.array(counts)[:, None]
+    negs[live] = n + np.arange(sum(counts))
+    docs = [d for _, d in batch] + [f for per in hard_negs for f in per]
+    queries = feature_rows([q for q, _ in batch])
+    return queries, feature_rows(docs), np.arange(n), np.arange(n), negs
+
+
 class TestContrastiveDistinctDocuments:
+    @pytest.mark.parametrize("layout", [_tables, _occurrence_tables])
     @pytest.mark.parametrize("tau", [0.05, 0.7])
     @pytest.mark.parametrize(
         "neg_counts", [(0, 1, 3, 2), (0, 0, 0, 0), (1, 1, 1, 1), (3, 3, 0, 2)]
     )
-    def test_matches_per_occurrence_reference(self, neg_counts, tau):
+    def test_matches_per_occurrence_reference(self, neg_counts, tau, layout):
+        # _tables repeats a docs row wherever a document repeats;
+        # _occurrence_tables gives each repeat a row of equal features
         rng = np.random.default_rng(31)
         params = replace(init_params(24, 6, tau, rng), version=1)
         batch, negs = _repeated_docs_instance(rng, 24, neg_counts, fresh=False)
-        loss, grads = contrastive_loss(params, batch, negs)
+        loss, grads = contrastive_loss(params, *layout(batch, negs))
         ref_loss, ref_grads = _contrastive_reference(params, batch, negs)
         assert loss == pytest.approx(ref_loss, rel=0, abs=1e-12)
         np.testing.assert_array_equal(grads.rows, ref_grads.rows)
         np.testing.assert_allclose(grads.values, ref_grads.values, rtol=0, atol=1e-12)
 
-    def test_equal_inputs_give_identical_results(self):
+    def test_equal_objects_give_identical_results(self):
         # the loss depends on its inputs' values, not on which objects hold
         # them: repeats as shared objects and as fresh copies agree bitwise
         params = replace(init_params(24, 6, 0.05, np.random.default_rng(32)), version=1)
@@ -509,37 +646,104 @@ class TestContrastiveDistinctDocuments:
             np.random.default_rng(33), 24, (2, 3, 1, 2), fresh=True
         )
         assert fresh == shared
-        loss_a, grads_a = contrastive_loss(params, *shared)
-        loss_b, grads_b = contrastive_loss(params, *fresh)
+        loss_a, grads_a = _contrastive(params, *shared)
+        loss_b, grads_b = _contrastive(params, *fresh)
         assert np.array_equal(loss_a, loss_b)
         np.testing.assert_array_equal(grads_a.rows, grads_b.rows)
         np.testing.assert_array_equal(grads_a.values, grads_b.values)
 
-    def test_encodes_each_distinct_document_once(self, monkeypatch):
-        params = replace(init_params(24, 6, 0.05, np.random.default_rng(34)), version=1)
-        batch, negs = _repeated_docs_instance(
-            np.random.default_rng(35), 24, (2, 3, 1, 2), fresh=True
-        )
-        docs = [d for _, d in batch] + [f for per in negs for f in per]
-        assert len(set(docs)) < len(docs)
-        encoded = []
+    @staticmethod
+    def _encoded_selections(monkeypatch, params, tables):
+        selections = []
         real = encoder._weight_blocks
 
-        def spy(feats_list, vocab_size):
-            encoded.append(len(feats_list))
-            return real(feats_list, vocab_size)
+        def spy(table, sel, vocab_size):
+            selections.append(np.array(sel))
+            return real(table, sel, vocab_size)
 
         monkeypatch.setattr(encoder, "_weight_blocks", spy)
-        contrastive_loss(params, batch, negs)
-        assert sum(encoded) == len(batch) + len(set(docs))
+        contrastive_loss(params, *tables)
+        return selections
+
+    def test_encodes_each_distinct_row_once(self, monkeypatch):
+        # rows repeat as positives and negatives; equal features in two
+        # rows are two inputs
+        params = replace(init_params(24, 6, 0.05, np.random.default_rng(34)), version=1)
+        rng = np.random.default_rng(35)
+        feats = [_rand_feats(rng, 24) for _ in range(6)]
+        feats[5] = replace(feats[0])
+        docs = feature_rows(feats)
+        queries = feature_rows([_rand_feats(rng, 24) for _ in range(4)])
+        pos = [3, 0, 3, 5]
+        negs = [[0, 1], [2, -1], [1, 3], [-1, -1]]
+        q_sel, doc_sel = self._encoded_selections(
+            monkeypatch, params, (queries, docs, [2, 0, 1, 3], pos, negs)
+        )
+        assert q_sel.tolist() == [2, 0, 1, 3]
+        # distinct rows in first-occurrence order: positives, then the live
+        # negatives row by row
+        assert doc_sel.tolist() == [3, 0, 5, 1, 2]
+
+    def test_first_occurrence_order_on_a_large_batch(self, monkeypatch):
+        rng = np.random.default_rng(36)
+        params = replace(init_params(64, 6, 0.05, rng), version=1)
+        docs = feature_rows([_rand_feats(rng, 64) for _ in range(50)])
+        queries = feature_rows([_rand_feats(rng, 64) for _ in range(40)])
+        pos = rng.integers(0, 50, size=40)
+        negs = rng.integers(-1, 50, size=(40, 3))
+        _, doc_sel = self._encoded_selections(
+            monkeypatch, params, (queries, docs, np.arange(40), pos, negs)
+        )
+        seen = []
+        for row in np.concatenate([pos, negs[negs >= 0]]).tolist():
+            if row not in seen:
+                seen.append(row)
+        assert doc_sel.tolist() == seen
+
+
+def _distill_reference(new, old, batch):
+    """The distillation loss with every target encoded on its own."""
+    n = len(batch)
+    texts = [q for q, _ in batch] + [d for _, d in batch]
+    enc = _encoded(new, texts)
+    targets = np.array([encode(old, f) for f in texts])
+    loss = float(np.sum(1.0 - np.einsum("ij,ij->i", enc.units, targets)) / n)
+    grads = merge_grads(encoder._backprop(enc, -targets / n), new.W.shape)
+    return loss, grads
 
 
 class TestDistillLoss:
+    def test_table_rows_match_per_item_reference(self):
+        # the batch is a shuffled selection of table rows, one row twice
+        rng = np.random.default_rng(37)
+        new = init_params(32, 8, 0.5, rng)
+        old = init_params(32, 8, 0.5, rng)
+        qfeats = [_rand_feats(rng, 32) for _ in range(6)]
+        dfeats = [_rand_feats(rng, 32) for _ in range(9)]
+        q_rows, d_rows = np.array([4, 0, 2, 4, 5]), np.array([8, 1, 1, 3, 0])
+        batch = [(qfeats[i], dfeats[j]) for i, j in zip(q_rows, d_rows)]
+        queries, docs = feature_rows(qfeats), feature_rows(dfeats)
+        q_old = encode_batch(old, queries)[q_rows]
+        d_old = encode_batch(old, docs)[d_rows]
+        loss, grads = distill_loss(new, queries, docs, q_rows, d_rows, q_old, d_old)
+        ref_loss, ref_grads = _distill_reference(new, old, batch)
+        assert loss == pytest.approx(ref_loss, rel=0, abs=1e-12)
+        np.testing.assert_array_equal(grads.rows, ref_grads.rows)
+        np.testing.assert_allclose(grads.values, ref_grads.values, rtol=0, atol=1e-12)
+
+    def test_misaligned_rows_rejected(self):
+        rng = np.random.default_rng(38)
+        params = init_params(16, 4, 0.5, rng)
+        table = feature_rows([_rand_feats(rng, 16) for _ in range(3)])
+        targets = np.zeros((2, 4))
+        with pytest.raises(ValueError):
+            distill_loss(params, table, table, [0, 1], [0], targets, targets[:1])
+
     def test_identical_encoders_zero_loss_zero_gradient(self):
         rng = np.random.default_rng(3)
         params = init_params(16, 4, 0.5, rng)
         batch = [(_rand_feats(rng, 16), _rand_feats(rng, 16)) for _ in range(3)]
-        loss, grads = distill_loss(params, params, batch)
+        loss, grads = _distill(params, params, batch)
         assert abs(loss) <= 1e-12
         np.testing.assert_allclose(grads.values, 0.0, rtol=0, atol=1e-12)
 
@@ -549,7 +753,7 @@ class TestDistillLoss:
         new = EncoderParams(W=w_new, vocab_size=5, dim=2, temperature=0.5)
         old = EncoderParams(W=w_old, vocab_size=5, dim=2, temperature=0.5)
         batch = [(_feats((0, 1), (2, 1)), _feats((3, 2),))]
-        loss, _ = distill_loss(new, old, batch)
+        loss, _ = _distill(new, old, batch)
         assert loss == pytest.approx(2.0, abs=1e-12)
 
     def test_loss_nonnegative(self):
@@ -560,7 +764,7 @@ class TestDistillLoss:
             batch = [
                 (_rand_feats(rng, 16), _rand_feats(rng, 16)) for _ in range(3)
             ]
-            loss, _ = distill_loss(new, old, batch)
+            loss, _ = _distill(new, old, batch)
             assert loss >= -1e-12
 
     def test_gradient_matches_finite_differences(self):
@@ -570,7 +774,7 @@ class TestDistillLoss:
         batch = [(_rand_feats(rng, 16), _rand_feats(rng, 16)) for _ in range(3)]
 
         def evaluate(p):
-            return distill_loss(p, old, batch)
+            return _distill(p, old, batch)
 
         touched = set()
         for q, d in batch:
@@ -588,7 +792,7 @@ class TestDistillLoss:
         batch = [(_rand_feats(rng, 16), _rand_feats(rng, 16)) for _ in range(3)]
 
         def evaluate(p):
-            return distill_loss(p, params, batch)
+            return _distill(p, params, batch)
 
         touched = set()
         for q, d in batch:
@@ -603,13 +807,13 @@ class TestDistillLoss:
         new = init_params(16, 4, 0.5, rng)
         old = init_params(16, 8, 0.5, rng)
         with pytest.raises(ShapeMismatchError):
-            distill_loss(new, old, [(_feats((1, 1)), _feats((2, 1)))])
+            _distill(new, old, [(_feats((1, 1)), _feats((2, 1)))])
 
     def test_empty_batch_rejected(self):
         rng = np.random.default_rng(11)
         params = init_params(16, 4, 0.5, rng)
         with pytest.raises(EmptyBatchError):
-            distill_loss(params, params, [])
+            _distill(params, params, [])
 
 
 class TestScaleInvariance:
@@ -625,8 +829,8 @@ class TestScaleInvariance:
 
         def evaluate(p):
             if kind == "contrastive":
-                return contrastive_loss(p, batch, negs)
-            return distill_loss(p, old, batch)
+                return _contrastive(p, batch, negs)
+            return _distill(p, old, batch)
 
         loss, grads = evaluate(params)
         loss_c, grads_c = evaluate(replace(params, W=c * params.W))
@@ -653,16 +857,37 @@ class TestMergeGrads:
             expected[rows] += block
         assert np.array_equal(merged.dense(12), expected)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_the_sequential_sum_bit_for_bit(self, seed):
+        # random overlapping parts, as the blocks of a batch are: each row
+        # must start at zero and add its parts in the order given
+        rng = np.random.default_rng(seed)
+        parts = []
+        for _ in range(int(rng.integers(1, 30))):
+            rows = rng.choice(200, size=int(rng.integers(0, 60)), replace=False)
+            parts.append((rows.astype(np.int32), rng.normal(size=(len(rows), 8))))
+        merged = merge_grads(parts, (200, 8))
+        expected = np.zeros((200, 8))
+        for rows, block in parts:
+            expected[rows] += block
+        touched = np.unique(np.concatenate([r for r, _ in parts]))
+        np.testing.assert_array_equal(merged.rows, touched)
+        assert merged.values.tobytes() == expected[touched].tobytes()
+
+    def test_no_parts_is_an_empty_gradient(self):
+        merged = merge_grads([], (12, 4))
+        assert merged.rows.shape == (0,) and merged.values.shape == (0, 4)
+
     def test_loss_gradient_rows_are_the_batch_ids(self):
         rng = np.random.default_rng(14)
         params = init_params(64, 4, 0.5, rng)
         batch = [(_rand_feats(rng, 64), _rand_feats(rng, 64)) for _ in range(3)]
         negs = [[_rand_feats(rng, 64)] for _ in range(3)]
         ids = {i for pair in batch for f in pair for i in f.indices}
-        _, grads = distill_loss(params, init_params(64, 4, 0.5, rng), batch)
+        _, grads = _distill(params, init_params(64, 4, 0.5, rng), batch)
         assert grads.rows.tolist() == sorted(ids)
         ids.update(i for per in negs for f in per for i in f.indices)
-        _, grads = contrastive_loss(params, batch, negs)
+        _, grads = _contrastive(params, batch, negs)
         assert grads.rows.tolist() == sorted(ids)
         assert grads.values.shape == (len(ids), 4)
 
@@ -772,6 +997,30 @@ class TestGradCheck:
         for seed in range(3):
             assert grad_check("contrastive", seed) <= 1e-4
             assert grad_check("distill", seed) <= 1e-4
+
+    def test_contrastive_instance_repeats_documents(self, monkeypatch):
+        # one docs row twice among the positives, and two rows with equal
+        # features, so shared rows must sum their gradients
+        seen = []
+        real = encoder.contrastive_loss
+
+        def spy(params, queries, docs, q_rows, pos_rows, neg_rows):
+            seen.append((docs, np.asarray(pos_rows), np.asarray(neg_rows)))
+            return real(params, queries, docs, q_rows, pos_rows, neg_rows)
+
+        monkeypatch.setattr(encoder, "contrastive_loss", spy)
+        assert grad_check("contrastive", 0, max_coords=1) <= 1e-4
+        docs, pos, negs = seen[0]
+        used = np.concatenate([pos, negs[negs >= 0]])
+        assert len(np.unique(pos)) < len(pos)
+        rows = {
+            r: (
+                docs.ids[docs.indptr[r] : docs.indptr[r + 1]].tobytes(),
+                docs.weights[docs.indptr[r] : docs.indptr[r + 1]].tobytes(),
+            )
+            for r in np.unique(used).tolist()
+        }
+        assert len(set(rows.values())) < len(rows)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -20,6 +20,7 @@ from qdc.encoder import (
     contrastive_loss,
     distill_loss,
     encode_batch,
+    feature_rows,
     sgd_step,
     tokenize,
 )
@@ -80,45 +81,86 @@ def _mined_by_full_sort(params, pairs, corpus, h):
     return out
 
 
+def _mined_ids(params, pairs, corpus, h):
+    """mine_hard_negatives' rows as doc ids, padding dropped."""
+    negs, _, _ = mine_hard_negatives(params, pairs, corpus, h)
+    assert negs.shape == (len(pairs), h)
+    return [[corpus[j].doc_id for j in row if j >= 0] for row in negs.tolist()]
+
+
 class TestMineHardNegatives:
-    def test_h_zero_yields_empty_lists(self, tiny_stream, tiny_config):
+    def test_h_zero_yields_no_negatives(self, tiny_stream, tiny_config):
         ds = tiny_stream[0]
         state = init_state(tiny_config, False)
-        negs = mine_hard_negatives(state.params, ds.train_pairs, ds.corpus, 0)
-        assert negs == [[] for _ in ds.train_pairs]
+        negs, _, _ = mine_hard_negatives(state.params, ds.train_pairs, ds.corpus, 0)
+        assert negs.shape == (len(ds.train_pairs), 0)
+
+    def test_no_pairs_yield_no_negatives(self, tiny_stream, tiny_config):
+        params = init_state(tiny_config, False).params
+        negs, q_units, _ = mine_hard_negatives(params, [], tiny_stream[0].corpus, 3)
+        assert negs.shape == (0, 3) and q_units.shape == (0, tiny_config.dim)
+
+    def test_returns_the_embeddings_it_scored(self, tiny_stream, tiny_config):
+        ds = tiny_stream[0]
+        params = init_state(tiny_config, False).params
+        vocab = params.vocab_size
+        queries = [tokenize(q, vocab) for q, _ in ds.train_pairs]
+        docs = [tokenize(doc_encoding_text(d), vocab) for d in ds.corpus]
+        for h in (0, 3):
+            _, q_units, doc_units = mine_hard_negatives(
+                params, ds.train_pairs, ds.corpus, h
+            )
+            assert np.array_equal(q_units, encode_batch(params, queries))
+            assert np.array_equal(doc_units, encode_batch(params, docs))
+
+    def test_takes_the_callers_tables(self, tiny_stream, tiny_config):
+        ds = tiny_stream[0]
+        params = init_state(tiny_config, False).params
+        vocab = params.vocab_size
+        queries = feature_rows([tokenize(q, vocab) for q, _ in ds.train_pairs])
+        docs = feature_rows(
+            [tokenize(doc_encoding_text(d), vocab) for d in ds.corpus]
+        )
+        got = mine_hard_negatives(
+            params, ds.train_pairs, ds.corpus, 3, queries, docs
+        )
+        want = mine_hard_negatives(params, ds.train_pairs, ds.corpus, 3)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
     def test_small_corpus_capped_and_gold_free(self, tiny_config):
         corpus = [_doc(f"d{i}", f"tok{i} tok{i} other") for i in range(3)]
         pairs = [(f"tok{i}", f"d{i}") for i in range(3)]
         state = init_state(tiny_config, False)
-        negs = mine_hard_negatives(state.params, pairs, corpus, 7)
-        for (query, gold), neg in zip(pairs, negs):
-            assert len(neg) == 2
-            assert gold not in neg
+        negs, _, _ = mine_hard_negatives(state.params, pairs, corpus, 7)
+        for i, row in enumerate(negs.tolist()):
+            # the two other documents, then padding
+            assert row[2:] == [-1] * 5
+            assert sorted(row[:2]) == sorted({0, 1, 2} - {i})
 
     def test_excludes_every_positive_of_the_same_query(self, tiny_config):
         corpus = [_doc(f"d{i}", f"tok{i} shared") for i in range(4)]
         pairs = [("ask shared", "d0"), ("ask shared", "d1")]
         state = init_state(tiny_config, False)
-        negs = mine_hard_negatives(state.params, pairs, corpus, 4)
-        for neg in negs:
+        for neg in _mined_ids(state.params, pairs, corpus, 4):
             assert set(neg) <= {"d2", "d3"}
 
     def test_matches_brute_force_oracle(self, tiny_stream, tiny_config):
         ds = tiny_stream[0]
         pairs = ds.train_pairs[:6]
         state = init_state(tiny_config, False)
-        got = mine_hard_negatives(state.params, pairs, ds.corpus, 3)
+        got = _mined_ids(state.params, pairs, ds.corpus, 3)
         assert got == _mined_by_full_sort(state.params, pairs, ds.corpus, 3)
 
     def test_matches_brute_force_oracle_across_score_chunks(
         self, tiny_stream, tiny_config, monkeypatch
     ):
-        monkeypatch.setattr(qdc.pipeline, "_MINE_ROWS", 4)
         ds = tiny_stream[0]
+        # four queries a block
+        monkeypatch.setattr(qdc.pipeline, "_MINE_SCORES", 4 * len(ds.corpus) + 3)
         assert len(ds.train_pairs) > 3 * 4
         params = init_state(tiny_config, False).params
-        got = mine_hard_negatives(params, ds.train_pairs, ds.corpus, 3)
+        got = _mined_ids(params, ds.train_pairs, ds.corpus, 3)
         assert got == _mined_by_full_sort(params, ds.train_pairs, ds.corpus, 3)
 
     @pytest.mark.parametrize("h", [1, 4, 29, 30, 31])
@@ -138,7 +180,7 @@ class TestMineHardNegatives:
             ("alpha", ids[40]),
         ]
         params = init_state(tiny_config, False).params
-        got = mine_hard_negatives(params, pairs, corpus, h)
+        got = _mined_ids(params, pairs, corpus, h)
         assert got == _mined_by_full_sort(params, pairs, corpus, h)
         assert tied[0] not in got[0] and tied[h % 30] not in got[1]
 
@@ -146,9 +188,11 @@ class TestMineHardNegatives:
         corpus = [_doc(f"d{i}", "shared" if i < 2 else f"tok{i}") for i in range(4)]
         pairs = [("shared", "d0"), ("shared", "d1"), ("tok3", "d3")]
         params = init_state(tiny_config, False).params
-        got = mine_hard_negatives(params, pairs, corpus, 3)
+        got = _mined_ids(params, pairs, corpus, 3)
         assert got == _mined_by_full_sort(params, pairs, corpus, 3)
         assert [len(neg) for neg in got] == [2, 2, 3]
+        negs, _, _ = mine_hard_negatives(params, pairs, corpus, 3)
+        assert (negs[:2, 2] == -1).all() and (negs[2] >= 0).all()
 
 
 class TestTrainTask:
@@ -158,26 +202,23 @@ class TestTrainTask:
         state0 = init_state(tiny_config, False, tiny_stream)
         state1 = train_task(state0, ds, tiny_config)
 
+        # fresh tables of freshly tokenized features
         vocab = state0.params.vocab_size
-        doc_by_id = {d.doc_id: d for d in ds.corpus}
-        qfeats = [tokenize(q, vocab) for q, _ in ds.train_pairs]
-        dfeats = [
-            tokenize(doc_encoding_text(doc_by_id[i]), vocab)
-            for _, i in ds.train_pairs
-        ]
-        neg_ids = mine_hard_negatives(
+        queries = feature_rows([tokenize(q, vocab) for q, _ in ds.train_pairs])
+        docs = feature_rows(
+            [tokenize(doc_encoding_text(d), vocab) for d in ds.corpus]
+        )
+        position = {d.doc_id: j for j, d in enumerate(ds.corpus)}
+        pos = np.array([position[i] for _, i in ds.train_pairs])
+        negs, _, _ = mine_hard_negatives(
             state0.params, ds.train_pairs, ds.corpus, tiny_config.hard_negatives
         )
-        neg_feats = [
-            [tokenize(doc_encoding_text(doc_by_id[i]), vocab) for i in ids]
-            for ids in neg_ids
-        ]
         v = state0.params.W.copy()
         params = replace(state0.params, W=v, version=1)
-        order = derive_rng(tiny_config.seed, "shuffle", 1).permutation(len(qfeats))
-        batch = [(qfeats[int(i)], dfeats[int(i)]) for i in order]
-        negs = [neg_feats[int(i)] for i in order]
-        _, grads = contrastive_loss(params, batch, negs)
+        order = derive_rng(tiny_config.seed, "shuffle", 1).permutation(len(pos))
+        _, grads = contrastive_loss(
+            params, queries, docs, order, pos[order], negs[order]
+        )
         scale = sgd_step(v, 1.0, grads, tiny_config.lr, tiny_config.wd)
 
         assert state1.params.version == 1
@@ -196,7 +237,9 @@ class TestTrainTask:
         config = replace(tiny_config, epochs=60, lr=0.5, wd=0.1)
         ds = tiny_stream[0]
         start = init_state(config, False).params
-        qfeats, dfeats, neg_feats = qdc.pipeline._prepare_features(ds, start, 2)
+        vocab = start.vocab_size
+        qfeats = [tokenize(q, vocab) for q, _ in ds.train_pairs]
+        rows = qdc.pipeline._prepare_rows(ds, start, 2, qfeats, kd=True)
         steps = []
 
         def recording_step(v, scale, grads, lr, wd):
@@ -206,28 +249,29 @@ class TestTrainTask:
         monkeypatch.setattr(qdc.pipeline, "sgd_step", recording_step)
         lazy = qdc.pipeline._train_params(
             start,
-            start,
             2,
-            qfeats,
-            dfeats,
-            neg_feats,
-            kd=True,
+            rows,
             shuffle_rng=np.random.default_rng(1),
             config=config,
         )
         assert len(steps) == 60
         assert [s for s, _, _ in steps].count(1.0) >= 3
 
-        vocab = start.vocab_size
+        # the distillation targets are start's embeddings, made afresh here
+        q_old = encode_batch(start, rows.queries)
+        d_old = encode_batch(start, rows.docs)[rows.pos]
         w = start.W
         rng = np.random.default_rng(1)
         for scale, w_step, g_v in steps:
             order = rng.permutation(len(qfeats))
-            batch = [(qfeats[int(i)], dfeats[int(i)]) for i in order]
-            negs = [neg_feats[int(i)] for i in order]
+            pos, negs = rows.pos[order], rows.negs[order]
             params = replace(start, W=w_step)
-            g = contrastive_loss(params, batch, negs)[1].dense(vocab)
-            g += distill_loss(params, start, batch)[1].dense(vocab)
+            g = contrastive_loss(
+                params, rows.queries, rows.docs, order, pos, negs
+            )[1].dense(vocab)
+            g += distill_loss(
+                params, rows.queries, rows.docs, order, pos, q_old[order], d_old[order]
+            )[1].dense(vocab)
             assert np.max(np.abs(g_v / scale - g)) <= 1e-12 * np.max(np.abs(g))
             w = w - config.lr * g - (config.lr * config.wd) * w
         assert lazy.version == 2
@@ -240,11 +284,17 @@ class TestTrainTask:
         batch_ids, step_rows = [], []
         real_loss = qdc.pipeline.contrastive_loss
 
-        def recording_loss(params, batch, hard_negs):
-            feats = [f for pair in batch for f in pair]
-            feats += [f for negs in hard_negs for f in negs]
-            batch_ids.append(sorted({i for f in feats for i in f.indices}))
-            return real_loss(params, batch, hard_negs)
+        def ids_of(table, rows):
+            return {
+                int(i)
+                for r in rows
+                for i in table.ids[table.indptr[r] : table.indptr[r + 1]]
+            }
+
+        def recording_loss(params, queries, docs, q_rows, pos_rows, neg_rows):
+            doc_rows = list(pos_rows) + [r for r in neg_rows.ravel() if r >= 0]
+            batch_ids.append(sorted(ids_of(queries, q_rows) | ids_of(docs, doc_rows)))
+            return real_loss(params, queries, docs, q_rows, pos_rows, neg_rows)
 
         def recording_step(v, scale, grads, lr, wd):
             step_rows.append(grads.rows.tolist())
@@ -487,7 +537,8 @@ class TestTokenizeOnce:
         # a fresh stream: the session fixture's records already hold features
         stream = generate_task_stream(spec)
         calls = cls._count_tokenize(monkeypatch)
-        bench(stream, RunConfig(stream=spec))
+        config = RunConfig(stream=spec)
+        bench(init_state(config, False, stream), config)
         return stream, calls
 
     def test_bench_tokenizes_each_document_once(self, tiny_spec, monkeypatch):
@@ -513,6 +564,87 @@ class TestTokenizeOnce:
         assert {text: calls[text] for text in queries} == dict(queries)
 
 
+def _watch(monkeypatch, real, fake):
+    """Replace every binding of real in the loaded qdc modules by fake."""
+    for name, module in list(sys.modules.items()):
+        if name == "qdc" or name.startswith("qdc."):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, fake)
+
+
+class TestTrainingTables:
+    def test_kd_task_builds_each_table_once_and_no_frozen_pass(
+        self, tiny_stream, tiny_config, monkeypatch
+    ):
+        # several steps a task; task 2 distils toward checkpoint 1
+        config = replace(tiny_config, batch_size=8)
+        state = train_task(init_state(config, True, tiny_stream), tiny_stream[0], config)
+        ds, frozen = tiny_stream[1], state.params.W
+        events = []
+        real_rows = qdc.encoder.feature_rows
+        real_project = qdc.encoder._project
+        real_mine = qdc.pipeline.mine_hard_negatives
+        real_train = qdc.pipeline._train_params
+
+        def tabling(feats_list):
+            events.append(("table", len(feats_list)))
+            return real_rows(feats_list)
+
+        def projecting(W, blocks, out):
+            events.append(("frozen" if W is frozen else "forward", len(out)))
+            return real_project(W, blocks, out)
+
+        def mining(*args, **kwargs):
+            out = real_mine(*args, **kwargs)
+            events.append(("mined", 0))
+            return out
+
+        def training(*args, **kwargs):
+            out = real_train(*args, **kwargs)
+            events.append(("trained", 0))
+            return out
+
+        _watch(monkeypatch, real_rows, tabling)
+        monkeypatch.setattr(qdc.encoder, "_project", projecting)
+        _watch(monkeypatch, real_mine, mining)
+        monkeypatch.setattr(qdc.pipeline, "_train_params", training)
+        train_task(state, ds, config)
+
+        mined = events.index(("mined", 0))
+        loop = events[mined + 1 : events.index(("trained", 0))]
+        # one table per population, the training queries then the corpus,
+        # both before mining, which encodes them with the frozen encoder
+        tables = [e for e in events[:mined] if e[0] == "table"]
+        assert tables == [("table", len(ds.train_pairs)), ("table", len(ds.corpus))]
+        assert ("frozen", len(ds.corpus)) in events[:mined]
+        # the step loop builds no table and makes no frozen forward pass
+        assert {kind for kind, _ in loop} == {"forward"}
+        assert len(loop) >= 2 * -(-len(ds.train_pairs) // 8)
+
+    def test_distillation_targets_only_on_kd_tasks(
+        self, tiny_stream, tiny_config, monkeypatch
+    ):
+        seen = []
+        real = qdc.pipeline._train_params
+
+        def recording(start, version, rows, shuffle_rng, config):
+            seen.append((version, rows.targets))
+            return real(start, version, rows, shuffle_rng, config)
+
+        monkeypatch.setattr(qdc.pipeline, "_train_params", recording)
+        train_trajectory(tiny_stream, True, tiny_config)
+        train_trajectory(tiny_stream[:1], False, tiny_config)
+        train_trajectory(tiny_stream, False, tiny_config)
+        assert [t for t, _ in seen] == [1, 2, 1, 1, 2]
+        assert [targets is None for _, targets in seen] == [
+            True, False, True, True, True
+        ]
+        # the pairs' rows only: one query and one positive a pair
+        pairs, dim = len(tiny_stream[1].train_pairs), tiny_config.dim
+        assert [t.shape for t in seen[1][1]] == [(pairs, dim), (pairs, dim)]
+
+
 class TestBenchCallCounts:
     @pytest.mark.parametrize("num_tasks", [1, 3])
     def test_bench_does_each_distinct_step_once(
@@ -532,7 +664,8 @@ class TestBenchCallCounts:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(qdc.pipeline, name, counting)
-        bench(stream, RunConfig(stream=spec))
+        config = RunConfig(stream=spec)
+        bench(init_state(config, False, stream), config)
         T = num_tasks
         cells = T + 2 * T * (T - 1)  # per trajectory
         assert calls == {
@@ -551,7 +684,7 @@ class TestBenchEquivalence:
         stream = generate_task_stream(spec)
         # several batches a task, so distillation moves FT+KD away from FT
         config = RunConfig(stream=spec, batch_size=8)
-        results, trajectories = bench(stream, config)
+        results, trajectories = bench(init_state(config, False, stream), config)
         independent = {
             kd: train_trajectory(stream, kd, config) for kd in (False, True)
         }
@@ -589,7 +722,9 @@ class TestSingleTaskStream:
     def test_all_methods_coincide(self, tiny_spec):
         spec = replace(tiny_spec, num_tasks=1)
         config = RunConfig(stream=spec)
-        results, _ = bench(generate_task_stream(spec), config)
+        results, _ = bench(
+            init_state(config, False, generate_task_stream(spec)), config
+        )
         assert [r.method for r in results] == list(METHODS)
         scores = {r.method: r.score(1, 1) for r in results}
         assert len(set(scores.values())) == 1
