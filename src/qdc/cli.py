@@ -31,6 +31,7 @@ from .errors import (
     CorruptSnapshotError,
     QdcError,
 )
+from .fileio import atomic_write_text
 from .index import load_index, save_index
 from .metrics import drift_report, drift_report_csv
 from .pipeline import (
@@ -108,9 +109,7 @@ def _write_trajectory(run_dir: Path, slug: str, f0, checkpoints) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _load_run_ledgers(run_dir: Path) -> dict:
@@ -218,12 +217,8 @@ def _cmd_train(args) -> int:
         run_dir / "ledger.json",
         {slug: ledger_to_dict(checkpoints[-1].ledger)},
     )
-    (run_dir / "metrics.csv").write_text(
-        results_to_csv([result]), encoding="utf-8"
-    )
-    (run_dir / "table.txt").write_text(
-        render_report([result]), encoding="utf-8"
-    )
+    atomic_write_text(run_dir / "metrics.csv", results_to_csv([result]))
+    atomic_write_text(run_dir / "table.txt", render_report([result]))
     print(render_comparison_table([result]), end="")
     print(f"artifacts in {run_dir}")
     return 0
@@ -245,13 +240,9 @@ def _cmd_bench(args) -> int:
         _write_trajectory(run_dir, slug, start.params, checkpoints)
         ledgers[slug] = ledger_to_dict(checkpoints[-1].ledger)
     _write_json(run_dir / "ledger.json", ledgers)
-    (run_dir / "metrics.csv").write_text(
-        results_to_csv(results), encoding="utf-8"
-    )
-    (run_dir / "comparison.csv").write_text(
-        comparison_to_csv(results), encoding="utf-8"
-    )
-    (run_dir / "table.txt").write_text(render_report(results), encoding="utf-8")
+    atomic_write_text(run_dir / "metrics.csv", results_to_csv(results))
+    atomic_write_text(run_dir / "comparison.csv", comparison_to_csv(results))
+    atomic_write_text(run_dir / "table.txt", render_report(results))
     print(render_comparison_table(results), end="")
     print(f"artifacts in {run_dir}")
     return 0
@@ -381,7 +372,7 @@ def _cmd_drift_report(args) -> int:
         list(data.corpus),
     )
     out_path = Path(args.out) if args.out else run_dir / "drift_report.csv"
-    out_path.write_text(drift_report_csv(report), encoding="utf-8")
+    atomic_write_text(out_path, drift_report_csv(report))
     print(f"wrote {out_path}")
     return 0
 

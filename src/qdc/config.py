@@ -14,6 +14,7 @@ import numpy as np
 from .datagen import StreamSpec
 from .encoder import DEFAULT_DIM, DEFAULT_TAU, DEFAULT_VOCAB, fnv1a64
 from .errors import ConfigError
+from .fileio import atomic_write_text
 
 METHODS = (
     "FT",
@@ -163,7 +164,7 @@ def load_config(path) -> RunConfig:
 
 def save_config(config: RunConfig, path) -> None:
     text = json.dumps(config_to_dict(config), sort_keys=True, indent=2)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    atomic_write_text(path, text + "\n")
 
 
 def apply_overrides(config: RunConfig, **overrides) -> RunConfig:

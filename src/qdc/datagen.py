@@ -26,10 +26,11 @@ from .errors import (
     InvalidSpecError,
     ParseError,
 )
+from .fileio import atomic_write
 from .index import DocRecord
 
 if TYPE_CHECKING:
-    from .encoder import TokenFeatures
+    from .encoder import FeatureRows, TokenFeatures
 
 ZIPF_EXPONENT = 1.0
 # per-document share of stopword-pool tokens; the spread creates hub
@@ -65,8 +66,12 @@ class TaskDataset:
     train_pairs: list[tuple[str, str]]
     queries_test: list[tuple[str, str]]
     qrels: dict[tuple[str, str], int] = field(default_factory=dict)
-    # by vocab_size, filled by index.query_features; dies with the task
+    # by vocab_size, filled by index.query_features and
+    # index.train_query_rows; they die with the task
     _query_features: dict[int, list[TokenFeatures]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _train_queries: dict[int, FeatureRows] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -275,7 +280,7 @@ def export_stream(datasets: list[TaskDataset], out_dir) -> None:
     for ds in datasets:
         task_dir = root / f"task{ds.task_id}"
         task_dir.mkdir(parents=True, exist_ok=True)
-        with open(task_dir / "corpus.jsonl", "w", encoding="utf-8") as fh:
+        with atomic_write(task_dir / "corpus.jsonl", "w") as fh:
             for doc in ds.corpus:
                 fh.write(
                     json.dumps(
@@ -285,7 +290,7 @@ def export_stream(datasets: list[TaskDataset], out_dir) -> None:
                     )
                     + "\n"
                 )
-        with open(task_dir / "queries.jsonl", "w", encoding="utf-8") as fh:
+        with atomic_write(task_dir / "queries.jsonl", "w") as fh:
             for query_id, text in ds.queries_test:
                 fh.write(
                     json.dumps(
@@ -295,11 +300,11 @@ def export_stream(datasets: list[TaskDataset], out_dir) -> None:
                     )
                     + "\n"
                 )
-        with open(task_dir / "qrels.tsv", "w", encoding="utf-8") as fh:
+        with atomic_write(task_dir / "qrels.tsv", "w") as fh:
             fh.write("query-id\tcorpus-id\tscore\n")
             for (query_id, doc_id), grade in sorted(ds.qrels.items()):
                 fh.write(f"{query_id}\t{doc_id}\t{grade}\n")
-        with open(task_dir / "pairs.jsonl", "w", encoding="utf-8") as fh:
+        with atomic_write(task_dir / "pairs.jsonl", "w") as fh:
             for query, doc_id in ds.train_pairs:
                 fh.write(
                     json.dumps(

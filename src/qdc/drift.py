@@ -24,6 +24,7 @@ from .errors import (
     TooFewQueriesError,
     ZeroVectorError,
 )
+from .fileio import atomic_write_text
 from .vecops import ZERO_NORM_EPS, mean_embedding
 
 KMEANS_MAX_ITER = 100
@@ -424,7 +425,7 @@ def ledger_from_dict(payload: dict) -> DriftLedger:
 def save_ledger(ledger: DriftLedger, path) -> None:
     """JSON dump; float64 values survive the round trip exactly."""
     text = json.dumps(ledger_to_dict(ledger), sort_keys=True, indent=2)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    atomic_write_text(path, text + "\n")
 
 
 def load_ledger(path) -> DriftLedger:

@@ -7,13 +7,13 @@ be checked against finite differences.
 """
 from __future__ import annotations
 
+import os
 import re
 import struct
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import chain
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -25,6 +25,7 @@ from .errors import (
     ShapeMismatchError,
     ZeroVectorError,
 )
+from .fileio import atomic_write
 from .vecops import ZERO_NORM_EPS
 
 DEFAULT_VOCAB = 32768
@@ -172,6 +173,27 @@ class FeatureRows:
     def __len__(self) -> int:
         return len(self.indptr) - 1
 
+    def take(self, rows) -> FeatureRows:
+        """The table of these rows, in the order given; rows may repeat."""
+        rows = np.asarray(rows, dtype=np.intp)
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        pos = _entry_positions(starts, lengths, indptr[:-1])
+        return FeatureRows(indptr, self.ids[pos], self.weights[pos])
+
+
+def _entry_positions(starts, lengths, offsets) -> np.ndarray:
+    """Table positions of the entries of rows laid end to end.
+
+    Row i has lengths[i] entries from starts[i] and comes offsets[i]
+    entries into the run, so entry e of the run lies at its row's start
+    plus e less that offset.
+    """
+    shift = np.repeat(starts - offsets, lengths)
+    return np.arange(len(shift)) + shift
+
 
 def feature_rows(feats_list) -> FeatureRows:
     """The table of a list of features, one row per item, in order."""
@@ -221,10 +243,7 @@ def _weight_blocks(table: FeatureRows, sel: np.ndarray, vocab_size: int):
         run = lengths[lo : lo + step]
         n = len(run)
         owner = np.repeat(np.arange(n), run)
-        # entry e of the block lies at its row's start plus e less the
-        # entries of the block's earlier rows
-        shift = starts[lo : lo + step] - (np.cumsum(run) - run)
-        pos = np.arange(len(owner)) + shift[owner]
+        pos = _entry_positions(starts[lo : lo + step], run, np.cumsum(run) - run)
         rows, cols = np.unique(table.ids[pos], return_inverse=True)
         if int(rows[-1]) >= vocab_size:
             raise ValueError(f"token id {int(rows[-1])} >= vocab {vocab_size}")
@@ -354,6 +373,7 @@ def contrastive_loss(
     q_rows,
     pos_rows,
     neg_rows,
+    targets: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[float, RowGrad]:
     """Supervised contrastive loss over (query, doc) pairs.
 
@@ -362,8 +382,10 @@ def contrastive_loss(
     query the denominator sums similarity exponentials over every in-batch
     document (the positive included) plus that query's hard negatives. Each
     distinct docs row is encoded once, however many positives and negatives
-    it appears as. Returns (loss, dLoss/dW) with the gradient on the rows
-    the batch touched.
+    it appears as. targets = (q_old, d_old), the previous encoder's
+    embeddings of each pair's query and positive, adds distill_loss's term
+    for those pairs, in the same forward and backward pass. Returns (loss,
+    dLoss/dW) with the gradient on the rows the batch touched.
     """
     q_rows = np.asarray(q_rows, dtype=np.intp)
     pos_rows = np.asarray(pos_rows, dtype=np.intp)
@@ -408,6 +430,12 @@ def contrastive_loss(
     m, dim = doc_enc.units.shape
     cells = slot[:, None] * dim + np.arange(dim)
     g_occ = np.concatenate([c_in.T @ q, c_neg[live][:, None] * q[owner]])
+    if targets is not None:
+        # the positive occurrences are g_occ's first n rows
+        distill, g_q, g_d = _distill_terms(q, docs_u, *targets)
+        loss += distill
+        gq += g_q
+        g_occ[:n] += g_d
     g_docs = np.bincount(
         cells.ravel(), weights=g_occ.ravel(), minlength=m * dim
     ).reshape(m, dim)
@@ -416,6 +444,23 @@ def contrastive_loss(
         params.W.shape,
     )
     return loss, grads
+
+
+def _distill_terms(
+    q: np.ndarray, d: np.ndarray, q_old: np.ndarray, d_old: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """The distillation loss of n pairs' query and document units q and d
+    against their targets, and its gradients with respect to q and d."""
+    if q_old.shape != q.shape or d_old.shape != d.shape:
+        raise ShapeMismatchError(
+            f"targets of {q_old.shape} and {d_old.shape} vs {len(q)} pairs of "
+            f"dim {q.shape[1]}"
+        )
+    n = len(q)
+    units = np.concatenate([q, d])
+    targets = np.concatenate([q_old, d_old])
+    loss = float(np.sum(1.0 - np.einsum("ij,ij->i", units, targets)) / n)
+    return loss, -q_old / n, -d_old / n
 
 
 def distill_loss(
@@ -432,27 +477,19 @@ def distill_loss(
     The batch is queries rows q_rows and docs rows d_rows; q_old and d_old
     are the previous encoder's embeddings of those inputs, row for row.
     Returns (loss, dLoss/dW) with the gradient on the rows the batch
-    touched.
+    touched. Training adds this term inside contrastive_loss (its targets);
+    this standalone form is its reference.
     """
     n = len(q_rows)
     if n == 0:
         raise EmptyBatchError("distillation loss over an empty batch")
     if len(d_rows) != n:
         raise ValueError("query and document rows must align")
-    if q_old.shape != (n, params.dim) or d_old.shape != (n, params.dim):
-        raise ShapeMismatchError(
-            f"targets of {q_old.shape} and {d_old.shape} vs {n} pairs of "
-            f"dim {params.dim}"
-        )
-
     q_enc = _EncodedBatch(params, queries, np.asarray(q_rows, dtype=np.intp))
     d_enc = _EncodedBatch(params, docs, np.asarray(d_rows, dtype=np.intp))
-    units = np.concatenate([q_enc.units, d_enc.units])
-    targets = np.concatenate([q_old, d_old])
-    loss = float(np.sum(1.0 - np.einsum("ij,ij->i", units, targets)) / n)
-    g = -targets / n
+    loss, g_q, g_d = _distill_terms(q_enc.units, d_enc.units, q_old, d_old)
     grads = merge_grads(
-        chain(_backprop(q_enc, g[:n]), _backprop(d_enc, g[n:])), params.W.shape
+        chain(_backprop(q_enc, g_q), _backprop(d_enc, g_d)), params.W.shape
     )
     return loss, grads
 
@@ -590,28 +627,36 @@ def save_snapshot(params: EncoderParams, path) -> None:
     header = _SNAPSHOT_HEADER.pack(
         params.vocab_size, params.dim, params.temperature, params.version
     )
-    payload = np.ascontiguousarray(params.W, dtype="<f8").tobytes()
-    Path(path).write_bytes(SNAPSHOT_MAGIC + header + payload)
+    # the weights' own buffer, unless W is not little-endian C order
+    weights = np.ascontiguousarray(params.W, dtype="<f8")
+    with atomic_write(path) as f:
+        f.write(SNAPSHOT_MAGIC + header)
+        f.write(weights.data)
 
 
 def load_snapshot(path) -> EncoderParams:
     """Read an encoder snapshot, validating magic and layout."""
-    data = Path(path).read_bytes()
     base = len(SNAPSHOT_MAGIC) + _SNAPSHOT_HEADER.size
-    if len(data) < base or data[: len(SNAPSHOT_MAGIC)] != SNAPSHOT_MAGIC:
-        raise CorruptSnapshotError(f"bad magic or truncated header: {path}")
-    vocab, dim, tau, version = _SNAPSHOT_HEADER.unpack(
-        data[len(SNAPSHOT_MAGIC) : base]
-    )
-    if vocab < 1 or dim < 1 or not tau > 0:
-        raise CorruptSnapshotError(f"invalid header fields: {path}")
-    expected = base + vocab * dim * 8
-    if len(data) != expected:
-        raise CorruptSnapshotError(
-            f"expected {expected} bytes, found {len(data)}: {path}"
+    with open(path, "rb") as f:
+        head = f.read(base)
+        if len(head) < base or head[: len(SNAPSHOT_MAGIC)] != SNAPSHOT_MAGIC:
+            raise CorruptSnapshotError(f"bad magic or truncated header: {path}")
+        vocab, dim, tau, version = _SNAPSHOT_HEADER.unpack(
+            head[len(SNAPSHOT_MAGIC) :]
         )
-    w = np.frombuffer(data, dtype="<f8", count=vocab * dim, offset=base)
-    w = w.reshape(vocab, dim).astype(np.float64)
+        if vocab < 1 or dim < 1 or not tau > 0:
+            raise CorruptSnapshotError(f"invalid header fields: {path}")
+        expected = base + vocab * dim * 8
+        size = os.fstat(f.fileno()).st_size
+        if size != expected:
+            raise CorruptSnapshotError(
+                f"expected {expected} bytes, found {size}: {path}"
+            )
+        w = np.fromfile(f, dtype="<f8", count=vocab * dim)
+    if len(w) != vocab * dim:
+        raise CorruptSnapshotError(f"weights truncated while read: {path}")
+    # a no-op on little-endian hosts
+    w = w.reshape(vocab, dim).astype(np.float64, copy=False)
     if not np.all(np.isfinite(w)):
         raise CorruptSnapshotError(f"non-finite weights: {path}")
     return EncoderParams(

@@ -14,7 +14,14 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .encoder import EncoderParams, TokenFeatures, encode_batch, tokenize
+from .encoder import (
+    EncoderParams,
+    FeatureRows,
+    TokenFeatures,
+    encode_batch,
+    feature_rows,
+    tokenize,
+)
 from .errors import (
     CorruptIndexError,
     DimMismatchError,
@@ -22,6 +29,7 @@ from .errors import (
     EmptyCorpusError,
     ZeroVectorError,
 )
+from .fileio import atomic_write
 from .vecops import ZERO_NORM_EPS, top_order
 
 if TYPE_CHECKING:
@@ -70,6 +78,18 @@ def query_features(data: TaskDataset, vocab_size: int) -> list[TokenFeatures]:
         data._query_features,
         vocab_size,
         lambda: [tokenize(text, vocab_size) for _, text in data.queries_test],
+    )
+
+
+def train_query_rows(data: TaskDataset, vocab_size: int) -> FeatureRows:
+    """The training queries' table, one row per pair, tabled once per task
+    and vocab; only the table is kept, not the features."""
+    return _once_per_vocab(
+        data._train_queries,
+        vocab_size,
+        lambda: feature_rows(
+            [tokenize(query, vocab_size) for query, _ in data.train_pairs]
+        ),
     )
 
 
@@ -148,7 +168,9 @@ def save_index(index: CorpusIndex, path) -> None:
     payload = b"".join(parts)
     header = _INDEX_HEADER.pack(index.task_id, index.encoder_version, n, index.dim)
     crc = struct.pack("<I", zlib.crc32(payload))
-    Path(path).write_bytes(INDEX_MAGIC + header + crc + payload)
+    with atomic_write(path) as f:
+        f.write(INDEX_MAGIC + header + crc)
+        f.write(payload)
 
 
 def load_index(path) -> CorpusIndex:

@@ -27,13 +27,10 @@ from .drift import (
 from .encoder import (
     EncoderParams,
     FeatureRows,
-    TokenFeatures,
     contrastive_loss,
-    distill_loss,
     encode_batch,
     feature_rows,
     init_params,
-    merge_grads,
     sgd_step,
     tokenize,
 )
@@ -44,6 +41,7 @@ from .index import (
     doc_features,
     query_features,
     search_topk,
+    train_query_rows,
 )
 from .metrics import METRIC_NAMES, MetricReport, compute_metrics, performance_drop
 from .vecops import top_order
@@ -174,14 +172,14 @@ def mine_hard_negatives(
 
 
 def _drift_query_sample(
-    qfeats: list[TokenFeatures], config: RunConfig, task_id: int
-) -> list[TokenFeatures]:
+    queries: FeatureRows, config: RunConfig, task_id: int
+) -> FeatureRows:
     cap = config.drift_query_cap
-    if len(qfeats) <= cap:
-        return qfeats
+    if len(queries) <= cap:
+        return queries
     rng = derive_rng(config.seed, "driftcap", task_id)
-    chosen = np.sort(rng.choice(len(qfeats), size=cap, replace=False))
-    return [qfeats[int(i)] for i in chosen]
+    chosen = np.sort(rng.choice(len(queries), size=cap, replace=False))
+    return queries.take(chosen)
 
 
 class _TaskRows(NamedTuple):
@@ -219,15 +217,12 @@ def _train_params(
         order = shuffle_rng.permutation(n)
         for lo in range(0, n, config.batch_size):
             sel = order[lo : lo + config.batch_size]
-            _, grads = contrastive_loss(
-                params, queries, docs, sel, pos[sel], negs[sel]
+            batch_targets = (
+                None if targets is None else (targets[0][sel], targets[1][sel])
             )
-            if targets is not None:
-                q_old, d_old = targets
-                distill = distill_loss(
-                    params, queries, docs, sel, pos[sel], q_old[sel], d_old[sel]
-                )[1]
-                grads = merge_grads([grads, distill], v.shape)
+            _, grads = contrastive_loss(
+                params, queries, docs, sel, pos[sel], negs[sel], targets=batch_targets
+            )
             scale = sgd_step(v, scale, grads, config.lr, config.wd)
             if scale < _SCALE_FLOOR:
                 v *= scale
@@ -238,12 +233,14 @@ def _train_params(
 
 
 def _prepare_rows(
-    data: TaskDataset, params: EncoderParams, h: int, qfeats, kd: bool
+    data: TaskDataset, params: EncoderParams, h: int, queries, kd: bool
 ) -> _TaskRows:
-    """Tables of the task's training queries and corpus, built once, and
-    the negatives and distillation targets mined with params."""
+    """Tables of the task's training queries (given as a table or as
+    features) and of its corpus, and the negatives and distillation targets
+    mined with params."""
     vocab = params.vocab_size
-    queries = feature_rows(qfeats)
+    if not isinstance(queries, FeatureRows):
+        queries = feature_rows(queries)
     docs = feature_rows([doc_features(d, vocab) for d in data.corpus])
     position = {d.doc_id: j for j, d in enumerate(data.corpus)}
     pos = np.fromiter(
@@ -269,18 +266,18 @@ def train_task(
         )
     validate_dataset(data)
     prev = state.params
-    qfeats = [tokenize(q, prev.vocab_size) for q, _ in data.train_pairs]
+    queries = train_query_rows(data, prev.vocab_size)
     params = _train_params(
         start=prev,
         version=t,
         rows=_prepare_rows(
-            data, prev, config.hard_negatives, qfeats, kd=state.kd and t > 1
+            data, prev, config.hard_negatives, queries, kd=state.kd and t > 1
         ),
         shuffle_rng=derive_rng(config.seed, "shuffle", t),
         config=config,
     )
 
-    drift_queries = _drift_query_sample(qfeats, config, t)
+    drift_queries = _drift_query_sample(queries, config, t)
     ledger = state.ledger
     if t > 1:
         single = estimate_drift(params, prev, drift_queries)

@@ -145,6 +145,10 @@ class TestBench:
         metrics = (bench_run / "metrics.csv").read_text().splitlines()
         assert len(metrics) == 1 + len(METHODS) * tiny_spec.num_tasks**2 * 3
 
+    def test_no_temp_file_left_behind(self, bench_run):
+        # every artifact is written to a temp sibling and renamed into place
+        assert sorted(bench_run.rglob(".*")) == []
+
     def test_comparison_lists_all_methods_in_order(self, bench_run, tiny_spec):
         lines = (bench_run / "comparison.csv").read_text().splitlines()
         header = ["method"]

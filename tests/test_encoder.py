@@ -1,4 +1,5 @@
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from qdc.encoder import (
     _BLOCK_ROWS,
     _MAX_WEIGHTS,
     DEFAULT_VOCAB,
+    SNAPSHOT_MAGIC,
     EncoderParams,
     FeatureRows,
     RowGrad,
@@ -87,6 +89,15 @@ def _distill(new, old, batch):
     rows = np.arange(len(batch))
     q_old, d_old = encode_batch(old, queries), encode_batch(old, docs)
     return distill_loss(new, queries, docs, rows, rows, q_old, d_old)
+
+
+def _fused(new, old, batch, hard_negs=None):
+    """contrastive_loss distilling toward old's embeddings of each pair's
+    query and positive."""
+    tables = _tables(batch, hard_negs)
+    queries, docs, q_rows, pos, _ = tables
+    targets = (encode_batch(old, queries)[q_rows], encode_batch(old, docs)[pos])
+    return contrastive_loss(new, *tables, targets=targets)
 
 
 def _encoded(params, feats):
@@ -313,6 +324,18 @@ class TestFeatureRows:
         table = feature_rows([])
         assert len(table) == 0 and table.indptr.tolist() == [0]
         assert len(table.ids) == len(table.weights) == 0
+
+    @pytest.mark.parametrize(
+        "rows", [[], [3, 3, 0, 3], [5, 1, 4], [2], list(range(6))]
+    )
+    def test_take_equals_the_table_of_the_subset(self, rows):
+        rng = np.random.default_rng(43)
+        feats = [_rand_feats(rng, 64) for _ in range(6)]
+        got = feature_rows(feats).take(rows)
+        want = feature_rows([feats[i] for i in rows])
+        for name in ("indptr", "ids", "weights"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize(
         "sel",
@@ -806,10 +829,66 @@ class TestDistillLoss:
             _distill(params, params, [])
 
 
+class TestFusedDistillation:
+    """contrastive_loss with targets, the one pass a KD step makes."""
+
+    @pytest.mark.parametrize("layout", [_tables, _occurrence_tables])
+    @pytest.mark.parametrize("tau", [0.05, 0.7])
+    @pytest.mark.parametrize("neg_counts", [(0, 1, 3, 2), (3, 3, 0, 2), (0, 0, 0, 0)])
+    def test_equals_the_two_losses_merged(self, neg_counts, tau, layout):
+        # pairs 0 and 1 share a positive, pair 2's positive is query 0's
+        # first negative, and queries with fewer negatives pad with -1
+        rng = np.random.default_rng(51)
+        new = replace(init_params(24, 6, tau, rng), version=1)
+        old = init_params(24, 6, tau, rng)
+        batch, negs = _repeated_docs_instance(rng, 24, neg_counts, fresh=False)
+        queries, docs, q_rows, pos, neg_rows = layout(batch, negs)
+        # a shuffled selection of rows, as training draws its batches
+        sel = rng.permutation(len(batch))
+        q_rows, pos, neg_rows = q_rows[sel], np.asarray(pos)[sel], neg_rows[sel]
+        q_old = encode_batch(old, queries)[q_rows]
+        d_old = encode_batch(old, docs)[pos]
+        batch_rows = (queries, docs, q_rows, pos, neg_rows)
+        loss, grads = contrastive_loss(new, *batch_rows, targets=(q_old, d_old))
+        c_loss, c_grads = contrastive_loss(new, *batch_rows)
+        d_loss, d_grads = distill_loss(new, queries, docs, q_rows, pos, q_old, d_old)
+        merged = merge_grads([c_grads, d_grads], new.W.shape)
+        assert loss == pytest.approx(c_loss + d_loss, rel=0, abs=1e-12)
+        np.testing.assert_array_equal(grads.rows, merged.rows)
+        np.testing.assert_allclose(grads.values, merged.values, rtol=0, atol=1e-12)
+
+    def test_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(52)
+        new = replace(init_params(16, 4, 0.7, rng), version=1)
+        old = init_params(16, 4, 0.7, rng)
+        batch, negs = _repeated_docs_instance(rng, 16, (2, 0, 1), fresh=False)
+
+        def evaluate(p):
+            return _fused(p, old, batch, negs)
+
+        touched = {
+            i
+            for f in [f for pair in batch for f in pair] + sum(negs, [])
+            for i in f.indices
+        }
+        analytic = evaluate(new)[1].dense(16)
+        numeric = _fd_gradient(evaluate, new, touched, 4)
+        assert _max_rel_error(analytic, numeric) <= 1e-4
+
+    @pytest.mark.parametrize("q_shape, d_shape", [((3, 4), (2, 4)), ((2, 8), (2, 8))])
+    def test_target_shape_mismatch_rejected(self, q_shape, d_shape):
+        rng = np.random.default_rng(53)
+        params = init_params(16, 4, 0.5, rng)
+        batch = [(_rand_feats(rng, 16), _rand_feats(rng, 16)) for _ in range(2)]
+        targets = (np.zeros(q_shape), np.zeros(d_shape))
+        with pytest.raises(ShapeMismatchError):
+            contrastive_loss(params, *_tables(batch), targets=targets)
+
+
 class TestScaleInvariance:
-    # training evaluates both losses at v, where W = scale * v
+    # training evaluates the losses at v, where W = scale * v
     @pytest.mark.parametrize("c", [0.5, 3.0])
-    @pytest.mark.parametrize("kind", ["contrastive", "distill"])
+    @pytest.mark.parametrize("kind", ["contrastive", "distill", "fused"])
     def test_loss_unchanged_and_gradient_divided(self, kind, c):
         rng = np.random.default_rng(31)
         params = init_params(32, 8, 0.5, rng)
@@ -820,6 +899,8 @@ class TestScaleInvariance:
         def evaluate(p):
             if kind == "contrastive":
                 return _contrastive(p, batch, negs)
+            if kind == "fused":
+                return _fused(p, old, batch, negs)
             return _distill(p, old, batch)
 
         loss, grads = evaluate(params)
@@ -1031,6 +1112,20 @@ class TestSnapshots:
         second = tmp_path / "enc2.bin"
         save_snapshot(loaded, second)
         assert second.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_file_is_magic_header_then_weights(self, tmp_path, order):
+        rng = np.random.default_rng(25)
+        params = replace(init_params(32, 8, 0.07, rng), version=3)
+        params = replace(params, W=np.asarray(params.W, order=order))
+        path = tmp_path / "enc.bin"
+        save_snapshot(params, path)
+        header = struct.pack("<IIdI", 32, 8, 0.07, 3)
+        assert path.read_bytes() == (
+            SNAPSHOT_MAGIC + header + params.W.astype("<f8").tobytes()
+        )
+        w = load_snapshot(path).W
+        assert w.dtype == np.float64 and w.flags.c_contiguous and w.flags.writeable
 
     def test_bad_magic_rejected(self, tmp_path):
         rng = np.random.default_rng(22)

@@ -291,10 +291,14 @@ class TestTrainTask:
                 for i in table.ids[table.indptr[r] : table.indptr[r + 1]]
             }
 
-        def recording_loss(params, queries, docs, q_rows, pos_rows, neg_rows):
+        def recording_loss(
+            params, queries, docs, q_rows, pos_rows, neg_rows, targets=None
+        ):
             doc_rows = list(pos_rows) + [r for r in neg_rows.ravel() if r >= 0]
             batch_ids.append(sorted(ids_of(queries, q_rows) | ids_of(docs, doc_rows)))
-            return real_loss(params, queries, docs, q_rows, pos_rows, neg_rows)
+            return real_loss(
+                params, queries, docs, q_rows, pos_rows, neg_rows, targets
+            )
 
         def recording_step(v, scale, grads, lr, wd):
             step_rows.append(grads.rows.tolist())
@@ -338,6 +342,22 @@ class TestTrainTask:
     def test_non_contiguous_trajectory_rejected(self, tiny_stream, tiny_config):
         with pytest.raises(DataMismatchError):
             train_trajectory([tiny_stream[1]], False, tiny_config)
+
+    def test_drift_estimated_on_the_capped_query_sample(
+        self, tiny_stream, tiny_config
+    ):
+        # the sample is a row subset of the training queries' table; its
+        # drift must equal the drift of those queries' features, bit for bit
+        config = replace(tiny_config, drift_query_cap=7)
+        first, second = train_trajectory(tiny_stream, False, config)
+        rng = derive_rng(config.seed, "driftcap", 2)
+        pairs = tiny_stream[1].train_pairs
+        chosen = np.sort(rng.choice(len(pairs), size=7, replace=False))
+        vocab = config.vocab_size
+        sample = [tokenize(pairs[i][0], vocab) for i in chosen]
+        expected = estimate_drift(second.params, first.params, sample)
+        (record,) = second.ledger.records
+        assert record.values.tobytes() == expected.values.tobytes()
 
     def test_ledger_records_one_transition_per_later_task(self, tiny_traj):
         final = tiny_traj[-1]
@@ -554,14 +574,26 @@ class TestTokenizeOnce:
         queries = Counter(text for ds in stream for _, text in ds.queries_test)
         assert {text: calls[text] for text in queries} == dict(queries)
 
-    def test_training_tokenizes_each_training_query_once(
-        self, tiny_spec, tiny_stream, monkeypatch
-    ):
-        # mining reuses the features the training batches are built from
-        calls = self._count_tokenize(monkeypatch)
-        train_trajectory(tiny_stream, True, RunConfig(stream=tiny_spec))
-        queries = Counter(q for ds in tiny_stream for q, _ in ds.train_pairs)
+    def test_bench_tokenizes_each_training_query_once(self, tiny_spec, monkeypatch):
+        # FT+KD retrains tasks 2..T on the tables FT built
+        stream, calls = self._bench_tokenize_calls(tiny_spec, monkeypatch)
+        queries = Counter(q for ds in stream for q, _ in ds.train_pairs)
         assert {text: calls[text] for text in queries} == dict(queries)
+
+    def test_training_tokenizes_each_training_query_once(
+        self, tiny_spec, monkeypatch
+    ):
+        # mining, training and drift estimation read one table per task,
+        # which the task keeps: a second trajectory tokenizes nothing
+        stream = generate_task_stream(tiny_spec)
+        calls = self._count_tokenize(monkeypatch)
+        config = RunConfig(stream=tiny_spec)
+        train_trajectory(stream, True, config)
+        queries = Counter(q for ds in stream for q, _ in ds.train_pairs)
+        assert {text: calls[text] for text in queries} == dict(queries)
+        calls.clear()
+        train_trajectory(stream, True, config)
+        assert sum(calls.values()) == 0
 
 
 def _watch(monkeypatch, real, fake):
@@ -575,12 +607,14 @@ def _watch(monkeypatch, real, fake):
 
 class TestTrainingTables:
     def test_kd_task_builds_each_table_once_and_no_frozen_pass(
-        self, tiny_stream, tiny_config, monkeypatch
+        self, tiny_spec, tiny_config, monkeypatch
     ):
-        # several steps a task; task 2 distils toward checkpoint 1
+        # several steps a task; task 2 distils toward checkpoint 1. A fresh
+        # stream: a task keeps its training queries' table once built
+        stream = generate_task_stream(tiny_spec)
         config = replace(tiny_config, batch_size=8)
-        state = train_task(init_state(config, True, tiny_stream), tiny_stream[0], config)
-        ds, frozen = tiny_stream[1], state.params.W
+        state = train_task(init_state(config, True, stream), stream[0], config)
+        ds, frozen = stream[1], state.params.W
         events = []
         real_rows = qdc.encoder.feature_rows
         real_project = qdc.encoder._project
@@ -621,6 +655,32 @@ class TestTrainingTables:
         # the step loop builds no table and makes no frozen forward pass
         assert {kind for kind, _ in loop} == {"forward"}
         assert len(loop) >= 2 * -(-len(ds.train_pairs) // 8)
+
+    def test_kd_step_is_one_loss_call(self, tiny_stream, tiny_config, monkeypatch):
+        # distillation rides in the contrastive pass: a step makes one loss
+        # call, with targets on KD tasks, and never calls distill_loss
+        config = replace(tiny_config, batch_size=8)
+        with_targets, steps = [], []
+        real_loss, real_step = qdc.pipeline.contrastive_loss, qdc.pipeline.sgd_step
+
+        def recording_loss(*args, targets=None):
+            with_targets.append(targets is not None)
+            return real_loss(*args, targets=targets)
+
+        def recording_step(*args):
+            steps.append(len(with_targets))
+            return real_step(*args)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("training called distill_loss")
+
+        _watch(monkeypatch, qdc.encoder.distill_loss, forbidden)
+        monkeypatch.setattr(qdc.pipeline, "contrastive_loss", recording_loss)
+        monkeypatch.setattr(qdc.pipeline, "sgd_step", recording_step)
+        train_trajectory(tiny_stream, True, config)
+        first, second = (-(-len(ds.train_pairs) // 8) for ds in tiny_stream)
+        assert with_targets == [False] * first + [True] * second
+        assert steps == list(range(1, first + second + 1))
 
     def test_distillation_targets_only_on_kd_tasks(
         self, tiny_stream, tiny_config, monkeypatch
