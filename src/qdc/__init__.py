@@ -59,6 +59,7 @@ from .encoder import (
     save_snapshot,
     sgd_step,
     tokenize,
+    tokenize_rows,
 )
 from .errors import QdcError
 from .index import (

@@ -369,7 +369,7 @@ def _cmd_drift_report(args) -> int:
         params_new,
         params_old,
         [text for _, text in data.queries_test],
-        list(data.corpus),
+        data.corpus,
     )
     out_path = Path(args.out) if args.out else run_dir / "drift_report.csv"
     atomic_write_text(out_path, drift_report_csv(report))

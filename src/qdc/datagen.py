@@ -27,10 +27,10 @@ from .errors import (
     ParseError,
 )
 from .fileio import atomic_write
-from .index import DocRecord
+from .index import Corpus, DocRecord
 
 if TYPE_CHECKING:
-    from .encoder import FeatureRows, TokenFeatures
+    from .encoder import FeatureRows
 
 ZIPF_EXPONENT = 1.0
 # per-document share of stopword-pool tokens; the spread creates hub
@@ -66,14 +66,19 @@ class TaskDataset:
     train_pairs: list[tuple[str, str]]
     queries_test: list[tuple[str, str]]
     qrels: dict[tuple[str, str], int] = field(default_factory=dict)
-    # by vocab_size, filled by index.query_features and
+    # query tables by vocab_size, filled by index.eval_query_rows and
     # index.train_query_rows; they die with the task
-    _query_features: dict[int, list[TokenFeatures]] = field(
+    _test_queries: dict[int, FeatureRows] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
     _train_queries: dict[int, FeatureRows] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+
+    def __post_init__(self) -> None:
+        # the corpus keeps its own table (index.corpus_rows)
+        if not isinstance(self.corpus, Corpus):
+            object.__setattr__(self, "corpus", Corpus(self.corpus))
 
 
 def validate_dataset(dataset: TaskDataset) -> None:
@@ -124,9 +129,18 @@ def _task_vocab(spec: StreamSpec, task_id: int) -> list[str]:
     return shared + fresh
 
 
-def _zipf_probs(n: int) -> np.ndarray:
+def _zipf_cdf(n: int) -> np.ndarray:
+    """The Zipf pool's CDF, normalized as Generator.choice normalizes it."""
     weights = 1.0 / np.arange(1, n + 1, dtype=np.float64) ** ZIPF_EXPONENT
-    return weights / weights.sum()
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _zipf_draw(cdf: np.ndarray, size: int, rng: np.random.Generator):
+    # rng.choice(len(cdf), size, p=...) draws exactly this, but rebuilds
+    # the CDF on every call
+    return cdf.searchsorted(rng.random(size), side="right")
 
 
 def _query_token_ids(
@@ -174,26 +188,23 @@ def _query_token_ids(
 def _doc_token_ids(
     length: int,
     n_shared: int,
-    n_fresh: int,
-    shared_probs: np.ndarray | None,
-    fresh_probs: np.ndarray | None,
+    shared_cdf: np.ndarray | None,
+    fresh_cdf: np.ndarray | None,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Draw one document: a per-document stopword rate, then Zipf draws
     within the shared and fresh pools."""
-    if n_shared == 0:
-        return rng.choice(n_fresh, size=length, p=fresh_probs)
-    if n_fresh == 0:
-        return rng.choice(n_shared, size=length, p=shared_probs)
+    if fresh_cdf is None:
+        return _zipf_draw(shared_cdf, length, rng)
+    if shared_cdf is None:
+        return _zipf_draw(fresh_cdf, length, rng)
     lo, hi = DOC_SHARED_RATE
     rate = float(rng.uniform(lo, hi))
     from_shared = rng.random(length) < rate
     n_sh = int(from_shared.sum())
     ids = np.empty(length, dtype=np.int64)
-    ids[from_shared] = rng.choice(n_shared, size=n_sh, p=shared_probs)
-    ids[~from_shared] = n_shared + rng.choice(
-        n_fresh, size=length - n_sh, p=fresh_probs
-    )
+    ids[from_shared] = _zipf_draw(shared_cdf, n_sh, rng)
+    ids[~from_shared] = n_shared + _zipf_draw(fresh_cdf, length - n_sh, rng)
     return ids
 
 
@@ -213,8 +224,8 @@ def generate_task_stream(spec: StreamSpec) -> list[TaskDataset]:
     for task_id in range(1, spec.num_tasks + 1):
         vocab = _task_vocab(spec, task_id)
         n_fresh = len(vocab) - n_shared
-        shared_probs = _zipf_probs(n_shared) if n_shared else None
-        fresh_probs = _zipf_probs(n_fresh) if n_fresh else None
+        shared_cdf = _zipf_cdf(n_shared) if n_shared else None
+        fresh_cdf = _zipf_cdf(n_fresh) if n_fresh else None
         rng_docs = np.random.default_rng([spec.seed, task_id, 1])
         rng_train = np.random.default_rng([spec.seed, task_id, 2])
         rng_test = np.random.default_rng([spec.seed, task_id, 3])
@@ -224,9 +235,7 @@ def generate_task_stream(spec: StreamSpec) -> list[TaskDataset]:
         corpus: list[DocRecord] = []
         for i in range(spec.docs_per_task):
             length = int(rng_docs.integers(doc_lo, doc_hi + 1))
-            ids = _doc_token_ids(
-                length, n_shared, n_fresh, shared_probs, fresh_probs, rng_docs
-            )
+            ids = _doc_token_ids(length, n_shared, shared_cdf, fresh_cdf, rng_docs)
             doc_tokens.append(ids)
             corpus.append(
                 DocRecord(

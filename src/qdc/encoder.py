@@ -213,6 +213,47 @@ def feature_rows(feats_list) -> FeatureRows:
     return FeatureRows(indptr, ids, weights)
 
 
+# texts that tokenize_rows counts at a time. A run's token strings and
+# arrays hold one entry per token occurrence, about 1 MB for 256 documents
+# of the shipped stream; a run bounds them however large the population
+_TOKENIZE_RUN = 256
+
+
+def tokenize_rows(texts, vocab_size: int = DEFAULT_VOCAB) -> FeatureRows:
+    """The table of a list of texts, one row per text, in order.
+
+    Row i is tokenize(texts[i], vocab_size) as feature_rows tables it. Each
+    distinct token is hashed once, and a run of texts counts its (row, id)
+    pairs with one np.unique over row * vocab_size + id, so tokens that
+    hash to one id sum there.
+    """
+    # "" is no token; it stands for an empty text's reserved id 0
+    id_of = {"": 0}
+    sizes = [np.empty(0, dtype=np.int64)]
+    ids = [np.empty(0, dtype=np.int32)]
+    weights = [np.empty(0, dtype=np.float64)]
+    for lo in range(0, len(texts), _TOKENIZE_RUN):
+        tokens = [
+            _TOKEN_RE.findall(text.lower()) or [""]
+            for text in texts[lo : lo + _TOKENIZE_RUN]
+        ]
+        flat = list(chain.from_iterable(tokens))
+        for tok in set(flat).difference(id_of):
+            id_of[tok] = _token_id(tok, vocab_size)
+        n = len(tokens)
+        totals = np.fromiter(map(len, tokens), np.int64, n)
+        keys = np.repeat(np.arange(n, dtype=np.int64) * vocab_size, totals)
+        keys += np.fromiter(map(id_of.__getitem__, flat), np.int64, len(flat))
+        keys, counts = np.unique(keys, return_counts=True)
+        row = keys // vocab_size
+        sizes.append(np.bincount(row, minlength=n))
+        ids.append((keys - row * vocab_size).astype(np.int32))
+        weights.append(counts / totals[row])
+    indptr = np.zeros(len(texts) + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(sizes), out=indptr[1:])
+    return FeatureRows(indptr, np.concatenate(ids), np.concatenate(weights))
+
+
 # inputs per dense weight block. A block has one column per distinct token
 # id its inputs touch, so it holds at most _BLOCK_ROWS entries per nonzero:
 # its GEMM does at most _BLOCK_ROWS times the work of a sparse product,
@@ -220,10 +261,6 @@ def feature_rows(feats_list) -> FeatureRows:
 # vocabulary is large keep a block under _MAX_WEIGHTS entries (8 MB).
 _BLOCK_ROWS = 32
 _MAX_WEIGHTS = 1 << 20
-# blocks' worth of a list's inputs that encode_batch tables at a time, so
-# a large corpus never has a table of its own; a whole number of blocks,
-# so the blocks, and the output bits, do not depend on it
-_ENCODE_BLOCKS = 128
 
 
 def _block_rows(vocab_size: int) -> int:
@@ -282,25 +319,12 @@ class _EncodedBatch:
         self.norms = _normalize(self.units)
 
 
-def encode_batch(params: EncoderParams, feats_list) -> np.ndarray:
-    """Encode many inputs at once; rows follow the input order.
-
-    feats_list is a FeatureRows table or a list of features, which is
-    tabled a bounded run of inputs at a time.
-    """
+def encode_batch(params: EncoderParams, feats_list: FeatureRows) -> np.ndarray:
+    """Encode every row of a FeatureRows table; rows follow the table."""
     out = np.empty((len(feats_list), params.dim), dtype=np.float64)
-    if isinstance(feats_list, FeatureRows):
-        runs = [(0, feats_list)]
-    else:
-        size = _block_rows(params.vocab_size) * _ENCODE_BLOCKS
-        runs = (
-            (lo, feature_rows(feats_list[lo : lo + size]))
-            for lo in range(0, len(feats_list), size)
-        )
-    for lo, table in runs:
-        # one block at a time, so only one dense weight block is ever alive
-        blocks = _weight_blocks(table, np.arange(len(table)), params.vocab_size)
-        _project(params.W, blocks, out[lo : lo + len(table)])
+    # one block at a time, so only one dense weight block is ever alive
+    rows = np.arange(len(feats_list))
+    _project(params.W, _weight_blocks(feats_list, rows, params.vocab_size), out)
     if not params.linear_output:
         _normalize(out)
     return out

@@ -7,21 +7,14 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .encoder import (
-    EncoderParams,
-    FeatureRows,
-    TokenFeatures,
-    encode_batch,
-    feature_rows,
-    tokenize,
-)
+from .encoder import EncoderParams, FeatureRows, encode_batch, tokenize_rows
 from .errors import (
     CorruptIndexError,
     DimMismatchError,
@@ -44,10 +37,19 @@ class DocRecord:
     doc_id: str
     title: str
     text: str
-    # by vocab_size, filled by doc_features; a cache that dies with the record
-    _features: dict[int, TokenFeatures] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+
+
+class Corpus(list):
+    """A task's documents: a list that keeps their feature tables.
+
+    corpus_rows tables the documents once per vocab size and keeps the
+    table here, so every index build and mining pass over the corpus reads
+    that one table. Change no document of a corpus once it is tabled.
+    """
+
+    def __init__(self, docs=()) -> None:
+        super().__init__(docs)
+        self._rows: dict[int, FeatureRows] = {}
 
 
 def doc_encoding_text(doc: DocRecord) -> str:
@@ -55,41 +57,38 @@ def doc_encoding_text(doc: DocRecord) -> str:
     return doc.title + " " + doc.text
 
 
-def _once_per_vocab(cache: dict, vocab_size: int, make):
-    # features kept on the record they come from, one entry per vocab size
-    feats = cache.get(vocab_size)
-    if feats is None:
-        feats = cache[vocab_size] = make()
-    return feats
+def _once_per_vocab(cache: dict, vocab_size: int, make_texts) -> FeatureRows:
+    # one table per population and vocab size, kept by the population
+    table = cache.get(vocab_size)
+    if table is None:
+        table = cache[vocab_size] = tokenize_rows(make_texts(), vocab_size)
+    return table
 
 
-def doc_features(doc: DocRecord, vocab_size: int) -> TokenFeatures:
-    """The document's hashed features, tokenized once per record and vocab."""
+def corpus_rows(corpus, vocab_size: int) -> FeatureRows:
+    """The documents' table, one row per document; a Corpus keeps it."""
     return _once_per_vocab(
-        doc._features,
+        corpus._rows if isinstance(corpus, Corpus) else {},
         vocab_size,
-        lambda: tokenize(doc_encoding_text(doc), vocab_size),
+        lambda: [doc_encoding_text(doc) for doc in corpus],
     )
 
 
-def query_features(data: TaskDataset, vocab_size: int) -> list[TokenFeatures]:
-    """The test queries' hashed features, tokenized once per task and vocab."""
+def eval_query_rows(data: TaskDataset, vocab_size: int) -> FeatureRows:
+    """The test queries' table, one row per query; the task keeps it."""
     return _once_per_vocab(
-        data._query_features,
+        data._test_queries,
         vocab_size,
-        lambda: [tokenize(text, vocab_size) for _, text in data.queries_test],
+        lambda: [text for _, text in data.queries_test],
     )
 
 
 def train_query_rows(data: TaskDataset, vocab_size: int) -> FeatureRows:
-    """The training queries' table, one row per pair, tabled once per task
-    and vocab; only the table is kept, not the features."""
+    """The training queries' table, one row per pair; the task keeps it."""
     return _once_per_vocab(
         data._train_queries,
         vocab_size,
-        lambda: feature_rows(
-            [tokenize(query, vocab_size) for query, _ in data.train_pairs]
-        ),
+        lambda: [query for query, _ in data.train_pairs],
     )
 
 
@@ -122,8 +121,8 @@ def build_index(
         if doc_id in seen:
             raise DuplicateDocIdError(f"duplicate doc_id {doc_id!r}")
         seen.add(doc_id)
-    feats = [doc_features(d, params.vocab_size) for d in corpus]
-    rows = encode_batch(params, feats).astype(np.float32)
+    rows = encode_batch(params, corpus_rows(corpus, params.vocab_size))
+    rows = rows.astype(np.float32)
     return CorpusIndex(
         task_id=task_id,
         encoder_version=params.version,

@@ -11,13 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import EncoderParams, TokenFeatures, encode_batch, tokenize
+from .encoder import EncoderParams, FeatureRows, encode_batch, tokenize_rows
 from .errors import (
     EmptyPopulationError,
     IncompleteMatrixError,
     MissingQrelsError,
 )
-from .index import DocRecord, doc_encoding_text, doc_features
+from .index import DocRecord, corpus_rows, doc_encoding_text
 
 METRIC_NAMES = ("ndcg", "recall", "map")
 BUCKET_NAMES = ("short", "medium", "long")
@@ -151,7 +151,7 @@ def _population_drift(
     params_new: EncoderParams,
     params_old: EncoderParams,
     texts: list[str],
-    feats: list[TokenFeatures],
+    feats: FeatureRows,
 ) -> tuple[tuple[int, int], dict[str, float | None], dict[str, int]]:
     lengths = [len(text.split()) for text in texts]
     bounds = _tercile_bounds(lengths)
@@ -181,13 +181,13 @@ def drift_report(
     vocab = params_new.vocab_size
     q_texts = list(queries)
     q_bounds, q_drift, q_counts = _population_drift(
-        params_new, params_old, q_texts, [tokenize(t, vocab) for t in q_texts]
+        params_new, params_old, q_texts, tokenize_rows(q_texts, vocab)
     )
     c_bounds, c_drift, c_counts = _population_drift(
         params_new,
         params_old,
         [doc_encoding_text(doc) for doc in corpus],
-        [doc_features(doc, vocab) for doc in corpus],
+        corpus_rows(corpus, vocab),
     )
     return DriftLengthReport(
         query_bounds=q_bounds,

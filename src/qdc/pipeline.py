@@ -29,17 +29,19 @@ from .encoder import (
     FeatureRows,
     contrastive_loss,
     encode_batch,
-    feature_rows,
     init_params,
     sgd_step,
+    # unused here: perfbench/test_smoke.py checks that its tracer leaves no
+    # wrapper on this binding
     tokenize,
+    tokenize_rows,
 )
 from .errors import DataMismatchError, MissingIndexError
 from .index import (
     CorpusIndex,
     build_index,
-    doc_features,
-    query_features,
+    corpus_rows,
+    eval_query_rows,
     search_topk,
     train_query_rows,
 )
@@ -133,24 +135,20 @@ def mine_hard_negatives(
     corpus,
     h: int,
     queries: FeatureRows | None = None,
-    docs: FeatureRows | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(q, d+) -> the top-h most similar docs excluding every positive of q.
 
     Returns (negs, q_units, doc_units). Row i of negs holds pair i's
     negatives as corpus positions, best first, padded with -1 when the
     corpus has fewer than h other documents. q_units and doc_units are
-    params' embeddings of the pairs' queries and of the corpus. queries (one
-    row per pair) and docs (one per corpus document) are their feature
-    tables when the caller has them already.
+    params' embeddings of the pairs' queries and of the corpus. queries is
+    the pairs' queries' table (one row per pair) when the caller has it.
     """
     vocab = params.vocab_size
     if queries is None:
-        queries = feature_rows([tokenize(q, vocab) for q, _ in pairs])
-    if docs is None:
-        docs = feature_rows([doc_features(d, vocab) for d in corpus])
+        queries = tokenize_rows([q for q, _ in pairs], vocab)
     q_units = encode_batch(params, queries)
-    doc_units = encode_batch(params, docs)
+    doc_units = encode_batch(params, corpus_rows(corpus, vocab))
     negs = np.full((len(pairs), h), -1, dtype=np.intp)
     if h == 0 or not pairs:
         return negs, q_units, doc_units
@@ -233,15 +231,12 @@ def _train_params(
 
 
 def _prepare_rows(
-    data: TaskDataset, params: EncoderParams, h: int, queries, kd: bool
+    data: TaskDataset, params: EncoderParams, h: int, kd: bool
 ) -> _TaskRows:
-    """Tables of the task's training queries (given as a table or as
-    features) and of its corpus, and the negatives and distillation targets
-    mined with params."""
-    vocab = params.vocab_size
-    if not isinstance(queries, FeatureRows):
-        queries = feature_rows(queries)
-    docs = feature_rows([doc_features(d, vocab) for d in data.corpus])
+    """Tables of the task's training queries and of its corpus, and the
+    negatives and distillation targets mined with params."""
+    queries = train_query_rows(data, params.vocab_size)
+    docs = corpus_rows(data.corpus, params.vocab_size)
     position = {d.doc_id: j for j, d in enumerate(data.corpus)}
     pos = np.fromiter(
         (position[doc_id] for _, doc_id in data.train_pairs),
@@ -249,7 +244,7 @@ def _prepare_rows(
         len(data.train_pairs),
     )
     negs, q_units, doc_units = mine_hard_negatives(
-        params, data.train_pairs, data.corpus, h, queries, docs
+        params, data.train_pairs, data.corpus, h, queries
     )
     targets = (q_units, doc_units[pos]) if kd else None
     return _TaskRows(queries, docs, pos, negs, targets)
@@ -266,18 +261,17 @@ def train_task(
         )
     validate_dataset(data)
     prev = state.params
-    queries = train_query_rows(data, prev.vocab_size)
     params = _train_params(
         start=prev,
         version=t,
-        rows=_prepare_rows(
-            data, prev, config.hard_negatives, queries, kd=state.kd and t > 1
-        ),
+        rows=_prepare_rows(data, prev, config.hard_negatives, kd=state.kd and t > 1),
         shuffle_rng=derive_rng(config.seed, "shuffle", t),
         config=config,
     )
 
-    drift_queries = _drift_query_sample(queries, config, t)
+    drift_queries = _drift_query_sample(
+        train_query_rows(data, prev.vocab_size), config, t
+    )
     ledger = state.ledger
     if t > 1:
         single = estimate_drift(params, prev, drift_queries)
@@ -344,7 +338,7 @@ def _run(
 ) -> RetrievalRun:
     """Rank data's test queries, encoded by the current model."""
     params = state.params
-    embs = encode_batch(params, query_features(data, params.vocab_size))
+    embs = encode_batch(params, eval_query_rows(data, params.vocab_size))
     rankings = retrieve(
         params, index, data.corpus, state.ledger, embs, data.task_id, strategy, k
     )

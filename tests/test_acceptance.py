@@ -27,6 +27,7 @@ from qdc.drift import (
 from qdc.encoder import (
     EncoderParams,
     encode_batch,
+    feature_rows,
     grad_check,
     load_snapshot,
     save_snapshot,
@@ -215,7 +216,7 @@ def _translation_setup():
         qrels={(qid, corpus[j].doc_id): 1 for j, (qid, _) in enumerate(queries)},
     )
     index = build_index(old, corpus, 1)
-    feats = [tokenize(text, vocab) for _, text in queries]
+    feats = feature_rows([tokenize(text, vocab) for _, text in queries])
     ledger = append_record(DriftLedger(dim=dim), estimate_drift(new, old, feats))
     config = RunConfig(vocab_size=vocab, dim=dim)
 
@@ -307,9 +308,9 @@ def test_c08_single_cluster_reduction(bench_outcome, default_config, shipped_str
 
         multi_ledger = DriftLedger(dim=default_config.dim)
         for t in (2, 3):
-            queries = [
-                tokenize(q, vocab) for q, _ in shipped_stream[t - 1].train_pairs
-            ]
+            queries = feature_rows(
+                [tokenize(q, vocab) for q, _ in shipped_stream[t - 1].train_pairs]
+            )
             record = estimate_multi_drift(
                 checkpoints[t - 1].params,
                 checkpoints[t - 2].params,
@@ -337,10 +338,12 @@ def test_c09_reindex_equivalence(bench_outcome):
         final = trajectories[False][-1]
         for t, data in sorted(final.datasets.items()):
             rebuilt = build_index(final.params, data.corpus, t)
-            feats = [
-                tokenize(doc_encoding_text(d), final.params.vocab_size)
-                for d in data.corpus
-            ]
+            feats = feature_rows(
+                [
+                    tokenize(doc_encoding_text(d), final.params.vocab_size)
+                    for d in data.corpus
+                ]
+            )
             fresh = encode_batch(final.params, feats)
             worst = float(np.max(np.abs(rebuilt.rows.astype(np.float64) - fresh)))
             assert worst <= 1e-6, f"task {t}: max row error {worst:.2e}"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import replace
 
@@ -29,6 +30,51 @@ def _task_tokens(dataset):
     for _, text in dataset.queries_test:
         tokens.update(text.split())
     return tokens
+
+
+def _stream_digest(datasets) -> str:
+    """SHA-256 over every document, training pair, test query and judgment."""
+    h = hashlib.sha256()
+    for ds in datasets:
+        for doc in ds.corpus:
+            h.update(f"{doc.doc_id}\t{doc.title}\t{doc.text}\n".encode())
+        for query, doc_id in ds.train_pairs:
+            h.update(f"{query}\t{doc_id}\n".encode())
+        for query_id, text in ds.queries_test:
+            h.update(f"{query_id}\t{text}\n".encode())
+        for (query_id, doc_id), grade in sorted(ds.qrels.items()):
+            h.update(f"{query_id}\t{doc_id}\t{grade}\n".encode())
+    return h.hexdigest()
+
+
+# vocab_overlap 0 and 1 take the one-pool branches of the document draw
+_SMALL = dict(
+    docs_per_task=300,
+    train_pairs_per_task=80,
+    test_queries_per_task=40,
+    topic_vocab_size=300,
+    seed=7,
+)
+
+
+class TestStreamDigest:
+    """The generated text, pinned: a faster generator must draw the same."""
+
+    def test_shipped_stream(self, shipped_stream):
+        assert _stream_digest(shipped_stream) == (
+            "d0058a3b2484a97156085536e523c7bce04ba5e5a97caf8ab877ef2740d16857"
+        )
+
+    @pytest.mark.parametrize(
+        "overlap, digest",
+        [
+            (0.0, "7f3b5e60e14f1145297be482e208fdb5b2635d1d3521496f43489e4e41482b39"),
+            (1.0, "1d33e81871306348f5d35060f8911513306f0f7a97ba4ec959135bf0a02425e7"),
+        ],
+    )
+    def test_one_pool_streams(self, overlap, digest):
+        spec = StreamSpec(vocab_overlap=overlap, **_SMALL)
+        assert _stream_digest(generate_task_stream(spec)) == digest
 
 
 class TestGeneration:

@@ -29,8 +29,9 @@ from qdc.encoder import (
     TokenFeatures,
     encode,
     encode_batch,
+    feature_rows,
     init_params,
-    tokenize,
+    tokenize_rows,
 )
 from qdc.errors import (
     CorruptLedgerError,
@@ -73,7 +74,7 @@ class TestEstimateDrift:
     def test_identical_params_zero_drift(self):
         rng = np.random.default_rng(0)
         params = init_params(32, 8, 0.5, rng)
-        queries = [_rand_feats(rng, 32) for _ in range(5)]
+        queries = feature_rows([_rand_feats(rng, 32) for _ in range(5)])
         delta = estimate_drift(params, params, queries)
         np.testing.assert_array_equal(delta.values, np.zeros(8))
 
@@ -86,7 +87,9 @@ class TestEstimateDrift:
             W=w_old, linear_output=True, version=1,
         )
         new = replace(old, W=w_new, version=2)
-        delta = estimate_drift(new, old, [_feats((0, 1)), _feats((1, 1))])
+        delta = estimate_drift(
+            new, old, feature_rows([_feats((0, 1)), _feats((1, 1))])
+        )
         np.testing.assert_array_equal(delta.values, [0.5, 0.5])
         assert (delta.from_task, delta.to_task) == (1, 2)
 
@@ -95,7 +98,7 @@ class TestEstimateDrift:
         old = replace(init_params(64, 8, 0.5, rng), version=1)
         new = replace(init_params(64, 8, 0.5, rng), version=2)
         queries = [_rand_feats(rng, 64) for _ in range(100)]
-        delta = estimate_drift(new, old, queries)
+        delta = estimate_drift(new, old, feature_rows(queries))
         acc = np.zeros(8)
         for q in queries:
             acc = acc + (encode(new, q) - encode(old, q))
@@ -209,7 +212,7 @@ class TestCompensate:
         c = np.array([0.3, -0.2, 0.5])
         new = replace(old, W=old.W + np.outer(np.ones(6), c), version=2)
         queries = [_rand_feats(rng, 6) for _ in range(20)]
-        delta = estimate_drift(new, old, queries)
+        delta = estimate_drift(new, old, feature_rows(queries))
         assert np.max(np.abs(delta.values - c)) <= 1e-12
         for q in queries[:5]:
             recovered = compensate_query(encode(new, q), delta)
@@ -225,9 +228,9 @@ class TestCompensate:
         f1 = checkpoints[0].params
         final = checkpoints[-1]
         data = final.datasets[1]
-        feats = [
-            tokenize(text, f1.vocab_size) for _, text in data.queries_test
-        ]
+        feats = tokenize_rows(
+            [text for _, text in data.queries_test], f1.vocab_size
+        )
         true_units = encode_batch(f1, feats)
         new_units = encode_batch(final.params, feats)
         comp = np.stack(
@@ -250,7 +253,7 @@ class TestMultiDrift:
         rng = np.random.default_rng(seed)
         old = replace(init_params(vocab, dim, 0.5, rng), version=1)
         new = replace(init_params(vocab, dim, 0.5, rng), version=2)
-        queries = [_rand_feats(rng, vocab) for _ in range(30)]
+        queries = feature_rows([_rand_feats(rng, vocab) for _ in range(30)])
         return old, new, queries
 
     def test_k_one_reduces_to_single_vector(self):
@@ -273,7 +276,9 @@ class TestMultiDrift:
     def test_k_equals_n_gives_per_query_drift(self):
         # disjoint token sets keep the embeddings well separated
         old, new, _ = self._pair(seed=6)
-        queries = [_feats((i * 10, 1), (i * 10 + 3, 2)) for i in range(4)]
+        queries = feature_rows(
+            [_feats((i * 10, 1), (i * 10 + 3, 2)) for i in range(4)]
+        )
         record = estimate_multi_drift(new, old, queries, k=4, seed=1)
         new_units = encode_batch(new, queries)
         old_units = encode_batch(old, queries)
@@ -317,7 +322,7 @@ class TestMultiDrift:
     def test_too_few_queries_rejected(self):
         old, new, queries = self._pair()
         with pytest.raises(TooFewQueriesError):
-            estimate_multi_drift(new, old, queries[:3], k=5, seed=0)
+            estimate_multi_drift(new, old, queries.take(range(3)), k=5, seed=0)
 
     def test_query_on_centroid_uses_that_cluster(self):
         centroids = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
@@ -459,10 +464,10 @@ class TestTaskCentroids:
         final = train_trajectory(datasets, kd=False, config=config)[-1]
         correct = total = 0
         for data in datasets:
-            feats = [
-                tokenize(text, final.params.vocab_size)
-                for _, text in data.queries_test[:100]
-            ]
+            feats = tokenize_rows(
+                [text for _, text in data.queries_test[:100]],
+                final.params.vocab_size,
+            )
             units = encode_batch(final.params, feats)
             for row in units:
                 correct += int(predict_task_id(row, final.ledger) == data.task_id)

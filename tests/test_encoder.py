@@ -28,6 +28,7 @@ from qdc.encoder import (
     save_snapshot,
     sgd_step,
     tokenize,
+    tokenize_rows,
 )
 from qdc.errors import (
     CorruptSnapshotError,
@@ -214,7 +215,7 @@ class TestEncode:
         rng = np.random.default_rng(10)
         params = init_params(64, 8, 0.5, rng)
         feats = [_rand_feats(rng, 64) for _ in range(7)]
-        batch = encode_batch(params, feats)
+        batch = encode_batch(params, feature_rows(feats))
         for i, f in enumerate(feats):
             np.testing.assert_allclose(
                 batch[i], encode(params, f), rtol=0, atol=1e-12
@@ -227,7 +228,7 @@ class TestEncode:
         rng = np.random.default_rng(14)
         params = init_params(4096, 8, 0.5, rng)
         feats = [_rand_feats(rng, 4096) for _ in range(2500)]
-        batch = encode_batch(params, feats)
+        batch = encode_batch(params, feature_rows(feats))
         expected = np.array([encode(params, f) for f in feats])
         np.testing.assert_allclose(batch, expected, rtol=0, atol=1e-12)
 
@@ -240,7 +241,7 @@ class TestEncode:
             ]
         )
         np.testing.assert_allclose(
-            encode_batch(linear, feats), raw, rtol=0, atol=1e-12
+            encode_batch(linear, feature_rows(feats)), raw, rtol=0, atol=1e-12
         )
 
     def test_weight_blocks_bounded_and_tile_the_batch(self):
@@ -277,7 +278,7 @@ class TestEncode:
     def test_empty_batch_encodes_to_no_rows(self):
         rng = np.random.default_rng(15)
         params = init_params(16, 4, 0.5, rng)
-        assert encode_batch(params, []).shape == (0, 4)
+        assert encode_batch(params, feature_rows([])).shape == (0, 4)
 
     def test_linear_output_skips_normalization(self):
         rng = np.random.default_rng(13)
@@ -301,9 +302,13 @@ class TestEncode:
             W=np.eye(4), vocab_size=4, dim=4, temperature=0.5
         )
         with pytest.raises(ValueError):
-            encode_batch(params, [_feats((1, 1)), _feats((2, 1), (7, 1))])
+            encode_batch(
+                params, feature_rows([_feats((1, 1)), _feats((2, 1), (7, 1))])
+            )
         with pytest.raises(ValueError):
-            encode_batch(replace(params, linear_output=True), [_feats((4, 1))])
+            encode_batch(
+                replace(params, linear_output=True), feature_rows([_feats((4, 1))])
+            )
 
     def test_shape_mismatch_rejected_at_construction(self):
         with pytest.raises(ShapeMismatchError):
@@ -367,26 +372,43 @@ class TestFeatureRows:
         expected = np.array([encode(params, feats[int(j)]) for j in sel])
         np.testing.assert_allclose(units, expected, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("vocab", [64, 1 << 18])
-    def test_list_tabled_in_runs_encodes_bit_for_bit(self, monkeypatch, vocab):
-        # a list is tabled two blocks at a time here; a run is a whole
-        # number of blocks, so the blocks and every bit match one table
-        monkeypatch.setattr(encoder, "_ENCODE_BLOCKS", 2)
-        rng = np.random.default_rng(42)
-        params = init_params(vocab, 8, 0.5, rng)
-        feats = [_rand_feats(rng, vocab) for _ in range(150)]
-        tabled = []
-        real = encoder.feature_rows
 
-        def spy(feats_list):
-            tabled.append(len(feats_list))
-            return real(feats_list)
 
-        monkeypatch.setattr(encoder, "feature_rows", spy)
-        out = encode_batch(params, feats)
-        run = 2 * encoder._block_rows(vocab)
-        assert tabled == [min(run, 150 - lo) for lo in range(0, 150, run)]
-        assert np.array_equal(out, encode_batch(params, real(feats)))
+class TestTokenizeRows:
+    """tokenize_rows against feature_rows of per-text tokenize, bit for bit."""
+
+    @staticmethod
+    def _assert_equals_per_text(texts, vocab):
+        got = tokenize_rows(texts, vocab)
+        want = feature_rows([tokenize(text, vocab) for text in texts])
+        for name in ("indptr", "ids", "weights"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("vocab", [7, 97, DEFAULT_VOCAB])
+    def test_equals_per_text_tokenize(self, vocab):
+        # at vocab 7 the sixteen letters of the last text collide
+        texts = [
+            "",
+            "?!, ... --- __",
+            "beans beans beans magnesium beans",
+            "snake_case under__score _lead trail_",
+            "Été naïve ÉTÉ 東京 tokyo",
+            "Foo.BAR foo bar",
+            "a b c d e f g h i j k l m n o p",
+        ]
+        self._assert_equals_per_text(texts, vocab)
+
+    def test_empty_list(self):
+        self._assert_equals_per_text([], 97)
+
+    def test_runs_join_into_one_table(self):
+        run = encoder._TOKENIZE_RUN
+        texts = [f"w{i % 13} x{i % 5} w{i % 13}" for i in range(2 * run + 3)]
+        # empty texts at both ends and on both sides of a run boundary
+        for i in (0, run - 1, run, len(texts) - 1):
+            texts[i] = ""
+        self._assert_equals_per_text(texts, 97)
 
 
 def _fd_gradient(evaluate, params, touched, dim):

@@ -4,7 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qdc.encoder import encode, init_params, tokenize
+from qdc.datagen import TaskDataset
+from qdc.encoder import encode, init_params, tokenize, tokenize_rows
 from qdc.errors import (
     CorruptIndexError,
     DimMismatchError,
@@ -13,12 +14,13 @@ from qdc.errors import (
     ZeroVectorError,
 )
 from qdc.index import (
+    Corpus,
     CorpusIndex,
     DocRecord,
     _query_scores,
     build_index,
+    corpus_rows,
     doc_encoding_text,
-    doc_features,
     load_index,
     save_index,
     search_topk,
@@ -111,47 +113,68 @@ def test_rows_match_per_document_encode():
         assert np.max(np.abs(row.astype(np.float64) - fresh)) <= 1e-6
 
 
-class TestDocFeatures:
-    def test_equals_tokenizing_the_encoding_text(self):
-        doc = DocRecord("d1", "Title", "alpha beta beta")
-        assert doc_features(doc, VOCAB) == tokenize("Title alpha beta beta", VOCAB)
+def _same_table(a, b) -> bool:
+    return all(
+        np.array_equal(getattr(a, name), getattr(b, name))
+        for name in ("indptr", "ids", "weights")
+    )
 
-    def test_each_record_is_tokenized_once_per_vocab(self, monkeypatch):
+
+class TestCorpusRows:
+    def test_equals_tokenizing_the_encoding_texts(self):
+        docs = [DocRecord("d1", "Title", "alpha beta beta"), DocRecord("d2", "", "")]
+        want = tokenize_rows(["Title alpha beta beta", " "], VOCAB)
+        assert _same_table(corpus_rows(docs, VOCAB), want)
+        assert _same_table(corpus_rows(Corpus(docs), VOCAB), want)
+
+    def test_a_corpus_is_tabled_once_per_vocab(self, monkeypatch):
         import qdc.index
 
         seen = []
 
-        def counting(text, vocab_size):
-            seen.append((text, vocab_size))
-            return tokenize(text, vocab_size)
+        def counting(texts, vocab_size):
+            seen.append((list(texts), vocab_size))
+            return tokenize_rows(texts, vocab_size)
 
-        monkeypatch.setattr(qdc.index, "tokenize", counting)
-        doc = DocRecord("d1", "", "alpha beta")
-        first = doc_features(doc, VOCAB)
-        assert doc_features(doc, VOCAB) is first
-        doc_features(doc, 2 * VOCAB)
-        # an equal record keeps its own cache
-        doc_features(DocRecord("d1", "", "alpha beta"), VOCAB)
-        text = " alpha beta"
-        assert seen == [(text, VOCAB), (text, 2 * VOCAB), (text, VOCAB)]
+        monkeypatch.setattr(qdc.index, "tokenize_rows", counting)
+        docs = [DocRecord("d1", "", "alpha beta")]
+        corpus = Corpus(docs)
+        first = corpus_rows(corpus, VOCAB)
+        assert corpus_rows(corpus, VOCAB) is first
+        corpus_rows(corpus, 2 * VOCAB)
+        # an equal corpus keeps its own table; a plain list keeps none
+        corpus_rows(Corpus(docs), VOCAB)
+        corpus_rows(docs, VOCAB)
+        corpus_rows(docs, VOCAB)
+        texts = [" alpha beta"]
+        assert seen == [
+            (texts, VOCAB),
+            (texts, 2 * VOCAB),
+            (texts, VOCAB),
+            (texts, VOCAB),
+            (texts, VOCAB),
+        ]
 
-    def test_cache_changes_neither_equality_nor_repr(self):
-        a = DocRecord("d1", "t", "alpha beta")
-        b = DocRecord("d1", "t", "alpha beta")
-        before = repr(a)
-        doc_features(a, VOCAB)
-        assert a == b and hash(a) == hash(b)
-        assert repr(a) == before == repr(b)
-        assert "_features" not in repr(a)
+    def test_table_changes_neither_equality_nor_repr(self):
+        docs = [DocRecord("d1", "t", "alpha beta")]
+        corpus = Corpus(docs)
+        before = repr(corpus)
+        corpus_rows(corpus, VOCAB)
+        assert corpus == docs and repr(corpus) == before == repr(docs)
+        assert build_index(_params(), corpus, 1).rows.tobytes() == (
+            build_index(_params(), docs, 1).rows.tobytes()
+        )
 
-    def test_replace_starts_a_fresh_cache(self):
-        doc = DocRecord("d1", "t", "alpha beta")
-        doc_features(doc, VOCAB)
-        copy = replace(doc)
-        assert copy._features == {} and copy._features is not doc._features
-        changed = replace(doc, text="gamma")
-        assert doc_features(changed, VOCAB) == tokenize("t gamma", VOCAB)
-        assert doc_features(doc, VOCAB) == tokenize("t alpha beta", VOCAB)
+    def test_dataset_keeps_one_corpus_table(self):
+        docs = [DocRecord("d1", "t", "alpha beta")]
+        data = TaskDataset(task_id=1, corpus=docs, train_pairs=[], queries_test=[])
+        assert isinstance(data.corpus, Corpus) and data.corpus == docs
+        table = corpus_rows(data.corpus, VOCAB)
+        assert corpus_rows(replace(data).corpus, VOCAB) is table
+        changed = replace(data, corpus=[replace(docs[0], text="gamma")])
+        want = tokenize_rows(["t gamma"], VOCAB)
+        assert _same_table(corpus_rows(changed.corpus, VOCAB), want)
+        assert corpus_rows(data.corpus, VOCAB) is table
 
 
 def test_rebuild_is_bit_deterministic():

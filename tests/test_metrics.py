@@ -11,7 +11,7 @@ from qdc.errors import (
     IncompleteMatrixError,
     MissingQrelsError,
 )
-from qdc.index import DocRecord, doc_encoding_text, doc_features
+from qdc.index import Corpus, DocRecord, corpus_rows, doc_encoding_text
 from qdc.metrics import (
     MetricReport,
     compute_metrics,
@@ -290,26 +290,26 @@ class TestDriftReport:
                 else:
                     assert means[bucket] is None
 
-    def test_corpus_features_read_from_the_records(self, monkeypatch):
+    def test_corpus_table_read_from_the_corpus(self, monkeypatch):
         import qdc.index
         import qdc.metrics
 
         rng = np.random.default_rng(7)
         params = init_params(64, 8, 0.5, rng)
-        queries, corpus = self._populations()
-        for doc in corpus:
-            doc_features(doc, 64)
-        texts = []
-        real = qdc.metrics.tokenize
+        queries, docs = self._populations()
+        corpus = Corpus(docs)
+        corpus_rows(corpus, 64)
+        tabled = []
+        real = qdc.metrics.tokenize_rows
 
-        def counting(text, vocab_size):
-            texts.append(text)
-            return real(text, vocab_size)
+        def counting(texts, vocab_size):
+            tabled.append(list(texts))
+            return real(texts, vocab_size)
 
-        monkeypatch.setattr(qdc.metrics, "tokenize", counting)
-        monkeypatch.setattr(qdc.index, "tokenize", counting)
+        monkeypatch.setattr(qdc.metrics, "tokenize_rows", counting)
+        monkeypatch.setattr(qdc.index, "tokenize_rows", counting)
         drift_report(params, params, queries, corpus)
-        assert texts == list(queries)
+        assert tabled == [list(queries)]
 
     def test_empty_population_rejected(self):
         rng = np.random.default_rng(5)

@@ -14,6 +14,7 @@ from qdc.drift import (
     ledger_to_dict,
 )
 import qdc.encoder
+import qdc.index
 import qdc.pipeline
 from qdc.encoder import (
     EncoderParams,
@@ -65,7 +66,8 @@ def _mined_by_full_sort(params, pairs, corpus, h):
     """Hard negatives from one full lexsort of the corpus per query."""
     vocab = params.vocab_size
     doc_units = encode_batch(
-        params, [tokenize(doc_encoding_text(d), vocab) for d in corpus]
+        params,
+        feature_rows([tokenize(doc_encoding_text(d), vocab) for d in corpus]),
     )
     ids = np.asarray([d.doc_id for d in corpus])
     positives = {}
@@ -73,7 +75,7 @@ def _mined_by_full_sort(params, pairs, corpus, h):
         positives.setdefault(query, set()).add(doc_id)
     out = []
     for query, _ in pairs:
-        q_unit = encode_batch(params, [tokenize(query, vocab)])[0]
+        q_unit = encode_batch(params, feature_rows([tokenize(query, vocab)]))[0]
         order = np.lexsort((ids, -(doc_units @ q_unit)))
         out.append(
             [str(ids[j]) for j in order if str(ids[j]) not in positives[query]][:h]
@@ -104,8 +106,10 @@ class TestMineHardNegatives:
         ds = tiny_stream[0]
         params = init_state(tiny_config, False).params
         vocab = params.vocab_size
-        queries = [tokenize(q, vocab) for q, _ in ds.train_pairs]
-        docs = [tokenize(doc_encoding_text(d), vocab) for d in ds.corpus]
+        queries = feature_rows([tokenize(q, vocab) for q, _ in ds.train_pairs])
+        docs = feature_rows(
+            [tokenize(doc_encoding_text(d), vocab) for d in ds.corpus]
+        )
         for h in (0, 3):
             _, q_units, doc_units = mine_hard_negatives(
                 params, ds.train_pairs, ds.corpus, h
@@ -113,17 +117,12 @@ class TestMineHardNegatives:
             assert np.array_equal(q_units, encode_batch(params, queries))
             assert np.array_equal(doc_units, encode_batch(params, docs))
 
-    def test_takes_the_callers_tables(self, tiny_stream, tiny_config):
+    def test_takes_the_callers_table(self, tiny_stream, tiny_config):
         ds = tiny_stream[0]
         params = init_state(tiny_config, False).params
         vocab = params.vocab_size
         queries = feature_rows([tokenize(q, vocab) for q, _ in ds.train_pairs])
-        docs = feature_rows(
-            [tokenize(doc_encoding_text(d), vocab) for d in ds.corpus]
-        )
-        got = mine_hard_negatives(
-            params, ds.train_pairs, ds.corpus, 3, queries, docs
-        )
+        got = mine_hard_negatives(params, ds.train_pairs, ds.corpus, 3, queries)
         want = mine_hard_negatives(params, ds.train_pairs, ds.corpus, 3)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
@@ -238,8 +237,7 @@ class TestTrainTask:
         ds = tiny_stream[0]
         start = init_state(config, False).params
         vocab = start.vocab_size
-        qfeats = [tokenize(q, vocab) for q, _ in ds.train_pairs]
-        rows = qdc.pipeline._prepare_rows(ds, start, 2, qfeats, kd=True)
+        rows = qdc.pipeline._prepare_rows(ds, start, 2, kd=True)
         steps = []
 
         def recording_step(v, scale, grads, lr, wd):
@@ -263,7 +261,7 @@ class TestTrainTask:
         w = start.W
         rng = np.random.default_rng(1)
         for scale, w_step, g_v in steps:
-            order = rng.permutation(len(qfeats))
+            order = rng.permutation(len(ds.train_pairs))
             pos, negs = rows.pos[order], rows.negs[order]
             params = replace(start, W=w_step)
             g = contrastive_loss(
@@ -354,7 +352,7 @@ class TestTrainTask:
         pairs = tiny_stream[1].train_pairs
         chosen = np.sort(rng.choice(len(pairs), size=7, replace=False))
         vocab = config.vocab_size
-        sample = [tokenize(pairs[i][0], vocab) for i in chosen]
+        sample = feature_rows([tokenize(pairs[i][0], vocab) for i in chosen])
         expected = estimate_drift(second.params, first.params, sample)
         (record,) = second.ledger.records
         assert record.values.tobytes() == expected.values.tobytes()
@@ -389,10 +387,12 @@ class TestRetrieveEval:
         state = tiny_traj[-1]
         data = state.datasets[1]
         rebuilt = build_index(state.params, data.corpus, 1)
-        feats = [
-            tokenize(doc_encoding_text(d), state.params.vocab_size)
-            for d in data.corpus
-        ]
+        feats = feature_rows(
+            [
+                tokenize(doc_encoding_text(d), state.params.vocab_size)
+                for d in data.corpus
+            ]
+        )
         fresh = encode_batch(state.params, feats)
         assert np.max(np.abs(rebuilt.rows.astype(np.float64) - fresh)) <= 1e-6
 
@@ -456,7 +456,7 @@ class TestTranslationDrift:
             qrels={(qid, corpus[j].doc_id): 1 for j, (qid, _) in enumerate(queries)},
         )
         index = build_index(old, corpus, 1)
-        drift_feats = [tokenize(text, vocab) for _, text in queries]
+        drift_feats = feature_rows([tokenize(text, vocab) for _, text in queries])
         ledger = append_record(
             DriftLedger(dim=dim), estimate_drift(new, old, drift_feats)
         )
@@ -536,64 +536,66 @@ class TestEvaluateMatrix:
 
 
 class TestTokenizeOnce:
+    """Each text population is tabled once, by one tokenize_rows call."""
+
     @staticmethod
-    def _count_tokenize(monkeypatch):
-        calls = Counter()
-        real = qdc.encoder.tokenize
+    def _spy(monkeypatch):
+        """The texts of every tokenize_rows call, and the count of calls of
+        the per-text path (tokenize, feature_rows)."""
+        tabled, per_text = [], Counter()
+        real_rows = qdc.encoder.tokenize_rows
 
-        def counting(text, vocab_size):
-            calls[text] += 1
-            return real(text, vocab_size)
+        def tabling(texts, vocab_size):
+            tabled.append(tuple(texts))
+            return real_rows(texts, vocab_size)
 
-        for name, module in list(sys.modules.items()):
-            if name == "qdc" or name.startswith("qdc."):
-                for attr, value in list(vars(module).items()):
-                    if value is real:
-                        monkeypatch.setattr(module, attr, counting)
-        return calls
+        _watch(monkeypatch, real_rows, tabling)
+        for name in ("tokenize", "feature_rows"):
 
-    @classmethod
-    def _bench_tokenize_calls(cls, spec, monkeypatch):
-        # a fresh stream: the session fixture's records already hold features
-        stream = generate_task_stream(spec)
-        calls = cls._count_tokenize(monkeypatch)
-        config = RunConfig(stream=spec)
+            def counting(*args, _real=getattr(qdc.encoder, name), _name=name):
+                per_text[_name] += 1
+                return _real(*args)
+
+            _watch(monkeypatch, getattr(qdc.encoder, name), counting)
+        return tabled, per_text
+
+    def test_bench_tables_each_population_once(self, tiny_spec, monkeypatch):
+        # a fresh stream: the session fixture's tasks already hold tables
+        stream = generate_task_stream(tiny_spec)
+        tabled, per_text = self._spy(monkeypatch)
+        config = RunConfig(stream=tiny_spec)
         bench(init_state(config, False, stream), config)
-        return stream, calls
+        populations = []
+        for ds in stream:
+            populations.append(tuple(doc_encoding_text(d) for d in ds.corpus))
+            populations.append(tuple(q for q, _ in ds.train_pairs))
+            populations.append(tuple(text for _, text in ds.queries_test))
+        assert Counter(tabled) == Counter(populations)
+        assert not per_text
 
-    def test_bench_tokenizes_each_document_once(self, tiny_spec, monkeypatch):
-        stream, calls = self._bench_tokenize_calls(tiny_spec, monkeypatch)
-        docs = Counter(
-            doc_encoding_text(doc) for ds in stream for doc in ds.corpus
-        )
-        assert {text: calls[text] for text in docs} == dict(docs)
-
-    def test_bench_tokenizes_each_test_query_once(self, tiny_spec, monkeypatch):
-        # every evaluated cell of both trajectories reads the test queries
-        stream, calls = self._bench_tokenize_calls(tiny_spec, monkeypatch)
-        queries = Counter(text for ds in stream for _, text in ds.queries_test)
-        assert {text: calls[text] for text in queries} == dict(queries)
-
-    def test_bench_tokenizes_each_training_query_once(self, tiny_spec, monkeypatch):
-        # FT+KD retrains tasks 2..T on the tables FT built
-        stream, calls = self._bench_tokenize_calls(tiny_spec, monkeypatch)
-        queries = Counter(q for ds in stream for q, _ in ds.train_pairs)
-        assert {text: calls[text] for text in queries} == dict(queries)
-
-    def test_training_tokenizes_each_training_query_once(
+    def test_second_training_of_a_task_tables_nothing(
         self, tiny_spec, monkeypatch
     ):
-        # mining, training and drift estimation read one table per task,
-        # which the task keeps: a second trajectory tokenizes nothing
+        # bench's FT+KD branch trains task 2 again from FT's checkpoint 1
         stream = generate_task_stream(tiny_spec)
-        calls = self._count_tokenize(monkeypatch)
         config = RunConfig(stream=tiny_spec)
-        train_trajectory(stream, True, config)
-        queries = Counter(q for ds in stream for q, _ in ds.train_pairs)
-        assert {text: calls[text] for text in queries} == dict(queries)
-        calls.clear()
-        train_trajectory(stream, True, config)
-        assert sum(calls.values()) == 0
+        first = train_task(init_state(config, False, stream), stream[0], config)
+        train_task(first, stream[1], config)
+        tabled, per_text = self._spy(monkeypatch)
+        train_task(replace(first, kd=True), stream[1], config)
+        assert not tabled and not per_text
+
+    def test_second_index_build_tables_nothing(self, tiny_spec, monkeypatch):
+        # as the benchmark's REINDEX calls it: build_index on ds.corpus
+        ds = generate_task_stream(tiny_spec)[0]
+        params = init_state(RunConfig(stream=tiny_spec), False).params
+        tabled, per_text = self._spy(monkeypatch)
+        first = qdc.index.build_index(params, ds.corpus, 1)
+        assert tabled == [tuple(doc_encoding_text(d) for d in ds.corpus)]
+        tabled.clear()
+        second = qdc.index.build_index(params, ds.corpus, 1)
+        assert not tabled and not per_text
+        assert np.array_equal(first.rows, second.rows)
 
 
 def _watch(monkeypatch, real, fake):
@@ -616,14 +618,14 @@ class TestTrainingTables:
         state = train_task(init_state(config, True, stream), stream[0], config)
         ds, frozen = stream[1], state.params.W
         events = []
-        real_rows = qdc.encoder.feature_rows
+        real_rows = qdc.encoder.tokenize_rows
         real_project = qdc.encoder._project
         real_mine = qdc.pipeline.mine_hard_negatives
         real_train = qdc.pipeline._train_params
 
-        def tabling(feats_list):
-            events.append(("table", len(feats_list)))
-            return real_rows(feats_list)
+        def tabling(texts, vocab_size):
+            events.append(("table", len(texts)))
+            return real_rows(texts, vocab_size)
 
         def projecting(W, blocks, out):
             events.append(("frozen" if W is frozen else "forward", len(out)))
