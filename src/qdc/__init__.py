@@ -39,7 +39,6 @@ from .drift import (
     ledger_to_dict,
     lloyd_kmeans,
     load_ledger,
-    predict_task_id,
     save_ledger,
 )
 from .encoder import (
@@ -97,6 +96,6 @@ from .pipeline import (
     train_trajectory,
     zero_shot_run,
 )
-from .vecops import cosine_sim, l2_normalize, mean_embedding
+from .vecops import mean_embedding
 
 __version__ = "0.1.0"

@@ -241,7 +241,7 @@ def generate_task_stream(spec: StreamSpec) -> list[TaskDataset]:
                 DocRecord(
                     doc_id=f"t{task_id}-d{i:04d}",
                     title="",
-                    text=" ".join(vocab[int(j)] for j in ids),
+                    text=" ".join(map(vocab.__getitem__, ids.tolist())),
                 )
             )
 

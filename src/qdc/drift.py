@@ -3,12 +3,12 @@
 A transition t-1 -> t stores either one mean drift vector or k per-cluster
 drift vectors with their centroids. Compensation subtracts the appropriate
 vector from a new-model query embedding so it can search an old index
-without re-indexing. Task centroids support task-id prediction.
+without re-indexing.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,6 @@ from .errors import (
     EmptyQuerySetError,
     MissingTransitionError,
     MixedRecordKindError,
-    NoCentroidsError,
     TooFewQueriesError,
     ZeroVectorError,
 )
@@ -56,11 +55,10 @@ class MultiDriftRecord:
 
 @dataclass
 class DriftLedger:
-    """Contiguous per-transition records plus per-task query centroids."""
+    """Contiguous per-transition drift records."""
 
     dim: int
     records: list = field(default_factory=list)
-    task_centroids: dict[int, np.ndarray] = field(default_factory=dict)
 
     def record_for(self, from_task: int):
         for rec in self.records:
@@ -71,11 +69,7 @@ class DriftLedger:
         )
 
     def copy(self) -> "DriftLedger":
-        return DriftLedger(
-            dim=self.dim,
-            records=list(self.records),
-            task_centroids={t: c.copy() for t, c in self.task_centroids.items()},
-        )
+        return DriftLedger(dim=self.dim, records=list(self.records))
 
 
 def append_record(ledger: DriftLedger, record) -> DriftLedger:
@@ -288,53 +282,6 @@ def compensate_query_path(
     return emb
 
 
-def predict_task_id(q_emb: np.ndarray, ledger: DriftLedger) -> int:
-    """Task whose drift-updated centroid has the least cosine distance."""
-    if not ledger.task_centroids:
-        raise NoCentroidsError("no task centroids stored")
-    q = np.asarray(q_emb, dtype=np.float64)
-    qn = float(np.linalg.norm(q))
-    if qn < ZERO_NORM_EPS:
-        raise ZeroVectorError("zero query embedding")
-    best_task = -1
-    best_dist = np.inf
-    for task in sorted(ledger.task_centroids):
-        c = ledger.task_centroids[task]
-        if c.shape != q.shape:
-            raise DimMismatchError("centroid dim differs from query dim")
-        cn = float(np.linalg.norm(c))
-        if cn < ZERO_NORM_EPS:
-            raise ZeroVectorError(f"task {task} centroid is zero")
-        dist = 1.0 - float(np.dot(q, c) / (qn * cn))
-        if dist < best_dist:
-            best_task = task
-            best_dist = dist
-    return best_task
-
-
-def update_task_centroids(ledger: DriftLedger, delta: DriftVector) -> DriftLedger:
-    """Shift every stored task centroid by delta (Appendix-style upkeep)."""
-    if delta.values.shape != (ledger.dim,):
-        raise DimMismatchError("drift dim differs from ledger dim")
-    out = ledger.copy()
-    out.task_centroids = {
-        task: c + delta.values for task, c in out.task_centroids.items()
-    }
-    return out
-
-
-def set_task_centroid(
-    ledger: DriftLedger, task_id: int, centroid: np.ndarray
-) -> DriftLedger:
-    """Store (or replace) one task's query centroid."""
-    c = np.asarray(centroid, dtype=np.float64)
-    if c.shape != (ledger.dim,):
-        raise DimMismatchError("centroid dim differs from ledger dim")
-    out = ledger.copy()
-    out.task_centroids[task_id] = c
-    return out
-
-
 def ledger_to_dict(ledger: DriftLedger) -> dict:
     records = []
     for rec in ledger.records:
@@ -357,17 +304,12 @@ def ledger_to_dict(ledger: DriftLedger) -> dict:
                     "vectors": [[float(x) for x in row] for row in rec.vectors],
                 }
             )
-    return {
-        "dim": ledger.dim,
-        "records": records,
-        "task_centroids": {
-            str(task): [float(x) for x in c]
-            for task, c in sorted(ledger.task_centroids.items())
-        },
-    }
+    return {"dim": ledger.dim, "records": records}
 
 
 def ledger_from_dict(payload: dict) -> DriftLedger:
+    """Parse dim and records; any other key, such as the per-task query
+    centroids that older ledgers stored, is ignored."""
     try:
         dim = int(payload["dim"])
         records = []
@@ -402,15 +344,6 @@ def ledger_from_dict(payload: dict) -> DriftLedger:
                 )
             else:
                 raise CorruptLedgerError(f"unknown record kind {raw['kind']!r}")
-        raw_centroids = payload.get("task_centroids", {})
-        if not isinstance(raw_centroids, dict):
-            raise CorruptLedgerError("task_centroids is not an object")
-        centroids = {}
-        for key, values in raw_centroids.items():
-            c = np.asarray(values, dtype=np.float64)
-            if c.shape != (dim,):
-                raise CorruptLedgerError("centroid dim mismatch")
-            centroids[int(key)] = c
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptLedgerError(f"malformed ledger payload: {exc}") from exc
     for prev, cur in zip(records, records[1:]):
@@ -419,7 +352,7 @@ def ledger_from_dict(payload: dict) -> DriftLedger:
     for rec in records:
         if rec.to_task != rec.from_task + 1:
             raise CorruptLedgerError("stored record spans multiple transitions")
-    return DriftLedger(dim=dim, records=records, task_centroids=centroids)
+    return DriftLedger(dim=dim, records=records)
 
 
 def save_ledger(ledger: DriftLedger, path) -> None:
@@ -449,9 +382,6 @@ __all__ = [
     "estimate_multi_drift",
     "kmeans_pp_init",
     "lloyd_kmeans",
-    "predict_task_id",
-    "update_task_centroids",
-    "set_task_centroid",
     "ledger_to_dict",
     "ledger_from_dict",
     "save_ledger",

@@ -62,10 +62,6 @@ class TooFewQueriesError(QdcError):
     """Clustered drift estimation asked for more clusters than queries."""
 
 
-class NoCentroidsError(QdcError):
-    """Task-id prediction with no stored task centroids."""
-
-
 class CorruptLedgerError(QdcError):
     """Drift ledger file failed structural validation."""
 

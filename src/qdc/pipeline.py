@@ -21,8 +21,6 @@ from .drift import (
     compensate_query_path,
     estimate_drift,
     estimate_multi_drift,
-    set_task_centroid,
-    update_task_centroids,
 )
 from .encoder import (
     EncoderParams,
@@ -253,7 +251,7 @@ def _prepare_rows(
 def train_task(
     state: ContinualState, data: TaskDataset, config: RunConfig
 ) -> ContinualState:
-    """Train f_t from f_{t-1}, index C_t, record drift and the task centroid."""
+    """Train f_t from f_{t-1}, index C_t and record the drift t-1 -> t."""
     t = state.trained_through + 1
     if data.task_id != t:
         raise DataMismatchError(
@@ -269,14 +267,13 @@ def train_task(
         config=config,
     )
 
-    drift_queries = _drift_query_sample(
-        train_query_rows(data, prev.vocab_size), config, t
-    )
     ledger = state.ledger
     if t > 1:
-        single = estimate_drift(params, prev, drift_queries)
+        drift_queries = _drift_query_sample(
+            train_query_rows(data, prev.vocab_size), config, t
+        )
         if config.multi_k == 1:
-            record = single
+            record = estimate_drift(params, prev, drift_queries)
         else:
             record = estimate_multi_drift(
                 params,
@@ -286,9 +283,6 @@ def train_task(
                 derive_seed(config.seed, "kmeans", t),
             )
         ledger = append_record(ledger, record)
-        ledger = update_task_centroids(ledger, single)
-    centroid = encode_batch(params, drift_queries).mean(axis=0)
-    ledger = set_task_centroid(ledger, t, centroid)
 
     indexes = dict(state.indexes)
     indexes[t] = build_index(params, data.corpus, t)

@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimMismatchError, EmptyListError, ZeroVectorError
+from .errors import DimMismatchError, EmptyListError
 
 ZERO_NORM_EPS = 1e-12
 
@@ -20,28 +20,6 @@ def _as_vector(v) -> np.ndarray:
     if arr.ndim != 1:
         raise DimMismatchError(f"expected 1-d vector, got shape {arr.shape}")
     return arr
-
-
-def l2_normalize(v) -> np.ndarray:
-    """Scale v to unit L2 norm. Raises ZeroVectorError below 1e-12."""
-    arr = _as_vector(v)
-    norm = float(np.linalg.norm(arr))
-    if norm < ZERO_NORM_EPS:
-        raise ZeroVectorError(f"cannot normalize vector with norm {norm}")
-    return arr / norm
-
-
-def cosine_sim(a, b) -> float:
-    """Cosine similarity a.b / (|a||b|); both inputs must be nonzero."""
-    va = _as_vector(a)
-    vb = _as_vector(b)
-    if va.shape != vb.shape:
-        raise DimMismatchError(f"dims differ: {va.shape[0]} vs {vb.shape[0]}")
-    na = float(np.linalg.norm(va))
-    nb = float(np.linalg.norm(vb))
-    if na < ZERO_NORM_EPS or nb < ZERO_NORM_EPS:
-        raise ZeroVectorError("cosine similarity of a zero vector")
-    return float(np.dot(va, vb) / (na * nb))
 
 
 def mean_embedding(vs: Sequence) -> np.ndarray:

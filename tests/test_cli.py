@@ -145,6 +145,12 @@ class TestBench:
         metrics = (bench_run / "metrics.csv").read_text().splitlines()
         assert len(metrics) == 1 + len(METHODS) * tiny_spec.num_tasks**2 * 3
 
+    def test_ledgers_hold_dim_and_records_only(self, bench_run, tiny_spec):
+        ledgers = json.loads((bench_run / "ledger.json").read_text())
+        for payload in ledgers.values():
+            assert sorted(payload) == ["dim", "records"]
+            assert len(payload["records"]) == tiny_spec.num_tasks - 1
+
     def test_no_temp_file_left_behind(self, bench_run):
         # every artifact is written to a temp sibling and renamed into place
         assert sorted(bench_run.rglob(".*")) == []
@@ -313,6 +319,33 @@ class TestLedgerMismatchRejected:
         assert captured.err.startswith("error:")
         expected = "in place of [1->2" if kind == "short" else "dim 4"
         assert expected in captured.err and "ledger.json" in captured.err
+
+
+class TestOlderLedgerAccepted:
+    @pytest.mark.parametrize("args", [["eval"], _RETRIEVE_OLD, ["drift-report"]])
+    def test_same_output(self, bench_run, tmp_path, args, capsys):
+        # run directories written before the task centroids were retired
+        # store them in each trajectory's ledger; loading ignores them
+        run = tmp_path / "older"
+        shutil.copytree(bench_run, run)
+        path = run / "ledger.json"
+        stored = json.loads(path.read_text(encoding="utf-8"))
+        for payload in stored.values():
+            payload["task_centroids"] = {
+                str(t): [0.5] * payload["dim"]
+                for t in range(1, len(payload["records"]) + 2)
+            }
+        path.write_text(json.dumps(stored), encoding="utf-8")
+        assert dispatch([args[0], "--run", str(bench_run)] + args[1:]) == 0
+        want = capsys.readouterr()
+        assert dispatch([args[0], "--run", str(run)] + args[1:]) == 0
+        got = capsys.readouterr()
+        assert got.out.replace(str(run), str(bench_run)) == want.out != ""
+        assert got.err == want.err
+        # drift-report writes its CSV into the run directory
+        written, expected = _tree_bytes(run), _tree_bytes(bench_run)
+        assert written.pop("ledger.json") != expected.pop("ledger.json")
+        assert written == expected
 
 
 class TestRetrieve:

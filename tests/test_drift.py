@@ -20,10 +20,7 @@ from qdc.drift import (
     ledger_to_dict,
     lloyd_kmeans,
     load_ledger,
-    predict_task_id,
     save_ledger,
-    set_task_centroid,
-    update_task_centroids,
 )
 from qdc.encoder import (
     TokenFeatures,
@@ -39,7 +36,6 @@ from qdc.errors import (
     EmptyQuerySetError,
     MissingTransitionError,
     MixedRecordKindError,
-    NoCentroidsError,
     TooFewQueriesError,
     ZeroVectorError,
 )
@@ -378,103 +374,6 @@ class TestCompensatePath:
         )
 
 
-class TestTaskCentroids:
-    def _ledger(self):
-        ledger = DriftLedger(dim=2)
-        ledger = set_task_centroid(ledger, 1, np.array([1.0, 0.0]))
-        return set_task_centroid(ledger, 2, np.array([0.0, 1.0]))
-
-    def test_single_task_always_wins(self):
-        ledger = set_task_centroid(DriftLedger(dim=2), 1, np.array([0.2, 0.1]))
-        assert predict_task_id(np.array([-1.0, 3.0]), ledger) == 1
-
-    def test_exact_centroid_match(self):
-        assert predict_task_id(np.array([0.0, 1.0]), self._ledger()) == 2
-
-    def test_scaling_invariance(self):
-        ledger = self._ledger()
-        q = np.array([0.7, 0.6])
-        assert predict_task_id(q, ledger) == predict_task_id(17.0 * q, ledger)
-
-    def test_no_centroids_rejected(self):
-        with pytest.raises(NoCentroidsError):
-            predict_task_id(np.array([1.0, 0.0]), DriftLedger(dim=2))
-
-    def test_zero_query_rejected(self):
-        with pytest.raises(ZeroVectorError):
-            predict_task_id(np.array([0.0, 0.0]), self._ledger())
-
-    def test_dim_mismatch_rejected(self):
-        with pytest.raises(DimMismatchError):
-            predict_task_id(np.array([1.0, 0.0, 0.0]), self._ledger())
-
-    def test_update_with_zero_delta_is_identity(self):
-        ledger = self._ledger()
-        updated = update_task_centroids(ledger, _vec([0.0, 0.0], 1, 2))
-        for task in (1, 2):
-            np.testing.assert_array_equal(
-                updated.task_centroids[task], ledger.task_centroids[task]
-            )
-
-    def test_update_has_additive_inverse(self):
-        ledger = self._ledger()
-        delta = _vec([0.3, -0.4], 1, 2)
-        back = update_task_centroids(
-            update_task_centroids(ledger, delta), _vec([-0.3, 0.4], 1, 2)
-        )
-        for task in (1, 2):
-            np.testing.assert_allclose(
-                back.task_centroids[task], ledger.task_centroids[task],
-                rtol=0, atol=1e-12,
-            )
-
-    def test_sequential_updates_equal_summed_update(self):
-        ledger = self._ledger()
-        d12 = _vec([0.1, 0.2], 1, 2)
-        d23 = _vec([-0.05, 0.3], 2, 3)
-        stepped = update_task_centroids(update_task_centroids(ledger, d12), d23)
-        summed = update_task_centroids(
-            ledger, _vec(d12.values + d23.values, 1, 3)
-        )
-        for task in (1, 2):
-            np.testing.assert_allclose(
-                stepped.task_centroids[task], summed.task_centroids[task],
-                rtol=0, atol=1e-12,
-            )
-
-    def test_dim_checked_on_set_and_update(self):
-        ledger = self._ledger()
-        with pytest.raises(DimMismatchError):
-            set_task_centroid(ledger, 3, np.ones(3))
-        with pytest.raises(DimMismatchError):
-            update_task_centroids(ledger, _vec([1.0, 0.0, 0.0], 1, 2))
-
-    def test_disjoint_vocabulary_accuracy(self, default_config):
-        """Held-out task identification on a zero-overlap stream.
-
-        Threshold recorded from the shipped generator at seed 42
-        (measured accuracy 0.993).
-        """
-        from qdc.datagen import StreamSpec, generate_task_stream
-        from qdc.pipeline import train_trajectory
-
-        spec = StreamSpec(vocab_overlap=0.0, seed=42)
-        config = replace(default_config, stream=spec)
-        datasets = generate_task_stream(spec)
-        final = train_trajectory(datasets, kd=False, config=config)[-1]
-        correct = total = 0
-        for data in datasets:
-            feats = tokenize_rows(
-                [text for _, text in data.queries_test[:100]],
-                final.params.vocab_size,
-            )
-            units = encode_batch(final.params, feats)
-            for row in units:
-                correct += int(predict_task_id(row, final.ledger) == data.task_id)
-                total += 1
-        assert correct / total >= 0.9
-
-
 class TestLedgerPersistence:
     def _ledger(self):
         rng = np.random.default_rng(12)
@@ -488,8 +387,7 @@ class TestLedgerPersistence:
                 from_task=2, to_task=3,
             ),
         )
-        ledger = set_task_centroid(ledger, 1, rng.normal(size=3))
-        return set_task_centroid(ledger, 2, rng.normal(size=3))
+        return ledger
 
     def test_round_trip_exact(self, tmp_path):
         ledger = self._ledger()
@@ -506,16 +404,46 @@ class TestLedgerPersistence:
         np.testing.assert_array_equal(
             loaded.records[1].vectors, ledger.records[1].vectors
         )
-        assert sorted(loaded.task_centroids) == [1, 2]
-        for task in (1, 2):
-            np.testing.assert_array_equal(
-                loaded.task_centroids[task], ledger.task_centroids[task]
-            )
 
     def test_dict_round_trip(self):
         ledger = self._ledger()
         again = ledger_from_dict(ledger_to_dict(ledger))
         assert ledger_to_dict(again) == ledger_to_dict(ledger)
+
+    def test_dict_holds_dim_and_records_only(self):
+        for ledger in (DriftLedger(dim=3), self._ledger()):
+            assert sorted(ledger_to_dict(ledger)) == ["dim", "records"]
+
+    @pytest.mark.parametrize(
+        "centroids",
+        [
+            {},
+            {"1": [0.1, 0.2, 0.3], "2": [-0.4, 0.5, 0.6]},
+            [[0.1, 0.2, 0.3]],
+            {"1": [0.1]},
+        ],
+        ids=["empty", "vectors", "list", "wrong-dim"],
+    )
+    def test_older_payload_with_task_centroids_loads(self, centroids):
+        # ledgers written before the task centroids were retired carry a
+        # task_centroids key; it is ignored, whatever it holds
+        payload = ledger_to_dict(self._ledger())
+        loaded = ledger_from_dict(dict(payload, task_centroids=centroids))
+        assert ledger_to_dict(loaded) == ledger_to_dict(ledger_from_dict(payload))
+
+    def test_other_extra_keys_ignored(self):
+        payload = ledger_to_dict(self._ledger())
+        loaded = ledger_from_dict(dict(payload, note="x", version=[1, 2]))
+        assert ledger_to_dict(loaded) == payload
+
+    def test_copy_is_independent(self):
+        ledger = DriftLedger(dim=3)
+        ledger = append_record(ledger, _vec([0.1, 0.2, 0.3], 1, 2))
+        dup = ledger.copy()
+        assert dup.dim == 3
+        assert [r is s for r, s in zip(dup.records, ledger.records)] == [True]
+        dup.records.append(_vec([0.0, 0.0, 1.0], 2, 3))
+        assert len(ledger.records) == 1
 
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "ledger.json"
@@ -531,7 +459,6 @@ class TestLedgerPersistence:
         payload = {
             "dim": 2,
             "records": [{"from": 1, "to": 2, "kind": "spline", "vector": [0, 0]}],
-            "task_centroids": {},
         }
         with pytest.raises(CorruptLedgerError):
             ledger_from_dict(payload)
@@ -540,7 +467,6 @@ class TestLedgerPersistence:
         payload = {
             "dim": 2,
             "records": [{"from": 1, "to": 2, "kind": "single", "vector": [0.0]}],
-            "task_centroids": {},
         }
         with pytest.raises(CorruptLedgerError):
             ledger_from_dict(payload)
@@ -552,7 +478,6 @@ class TestLedgerPersistence:
                 {"from": 1, "to": 2, "kind": "single", "vector": [0.1]},
                 {"from": 3, "to": 4, "kind": "single", "vector": [0.1]},
             ],
-            "task_centroids": {},
         }
         with pytest.raises(CorruptLedgerError):
             ledger_from_dict(payload)
@@ -561,16 +486,6 @@ class TestLedgerPersistence:
         payload = {
             "dim": 1,
             "records": [{"from": 1, "to": 3, "kind": "single", "vector": [0.1]}],
-            "task_centroids": {},
-        }
-        with pytest.raises(CorruptLedgerError):
-            ledger_from_dict(payload)
-
-    def test_centroid_dim_mismatch_rejected(self):
-        payload = {
-            "dim": 2,
-            "records": [],
-            "task_centroids": {"1": [0.1]},
         }
         with pytest.raises(CorruptLedgerError):
             ledger_from_dict(payload)
@@ -590,12 +505,6 @@ class TestLedgerPersistence:
                     "vectors": vectors,
                 }
             ],
-            "task_centroids": {},
         }
-        with pytest.raises(CorruptLedgerError):
-            ledger_from_dict(payload)
-
-    def test_task_centroids_list_rejected(self):
-        payload = {"dim": 2, "records": [], "task_centroids": [[0.1, 0.2]]}
         with pytest.raises(CorruptLedgerError):
             ledger_from_dict(payload)

@@ -359,8 +359,7 @@ class TestTrainTask:
 
     def test_ledger_records_one_transition_per_later_task(self, tiny_traj):
         final = tiny_traj[-1]
-        assert [r.from_task for r in final.ledger.records] == [1]
-        assert sorted(final.ledger.task_centroids) == [1, 2]
+        assert [(r.from_task, r.to_task) for r in final.ledger.records] == [(1, 2)]
 
 
 class TestRetrieveEval:

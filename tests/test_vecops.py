@@ -1,78 +1,8 @@
 import numpy as np
 import pytest
 
-from qdc.errors import DimMismatchError, EmptyListError, ZeroVectorError
-from qdc.vecops import cosine_sim, l2_normalize, mean_embedding
-
-
-def test_l2_normalize_hand_value():
-    out = l2_normalize([3.0, 4.0])
-    np.testing.assert_allclose(out, [0.6, 0.8], rtol=0, atol=1e-15)
-
-
-def test_l2_normalize_unit_input_unchanged():
-    np.testing.assert_array_equal(l2_normalize([1.0, 0.0]), [1.0, 0.0])
-
-
-def test_l2_normalize_zero_vector_rejected():
-    with pytest.raises(ZeroVectorError):
-        l2_normalize([0.0, 0.0])
-
-
-def test_l2_normalize_rejects_matrices():
-    with pytest.raises(DimMismatchError):
-        l2_normalize(np.ones((2, 2)))
-
-
-def test_l2_normalize_idempotent():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        v = rng.normal(size=8) * rng.uniform(0.1, 100.0)
-        once = l2_normalize(v)
-        twice = l2_normalize(once)
-        np.testing.assert_allclose(twice, once, rtol=0, atol=1e-12)
-
-
-def test_cosine_identical_unit_vectors():
-    assert cosine_sim([1.0, 0.0], [1.0, 0.0]) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_cosine_orthogonal():
-    assert cosine_sim([1.0, 0.0], [0.0, 1.0]) == 0.0
-
-
-def test_cosine_hand_value():
-    assert cosine_sim([1.0, 1.0], [1.0, 0.0]) == pytest.approx(
-        0.70710678, abs=1e-8
-    )
-
-
-def test_cosine_scale_invariance():
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        a = rng.normal(size=6)
-        b = rng.normal(size=6)
-        alpha = float(rng.uniform(1e-3, 1e3))
-        assert cosine_sim(alpha * a, b) == pytest.approx(
-            cosine_sim(a, b), abs=1e-12
-        )
-
-
-def test_cosine_self_similarity_is_one():
-    rng = np.random.default_rng(12)
-    for _ in range(50):
-        a = rng.normal(size=5)
-        assert cosine_sim(a, a) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_cosine_zero_vector_rejected():
-    with pytest.raises(ZeroVectorError):
-        cosine_sim([0.0, 0.0], [1.0, 0.0])
-
-
-def test_cosine_dim_mismatch():
-    with pytest.raises(DimMismatchError):
-        cosine_sim([1.0, 0.0], [1.0, 0.0, 0.0])
+from qdc.errors import DimMismatchError, EmptyListError
+from qdc.vecops import _as_vector, mean_embedding, top_order
 
 
 def test_mean_embedding_two_vectors():
@@ -109,3 +39,68 @@ def test_mean_embedding_empty_rejected():
 def test_mean_embedding_mixed_dims_rejected():
     with pytest.raises(DimMismatchError):
         mean_embedding([np.zeros(2) + 1, np.ones(3)])
+
+
+def test_mean_embedding_rejects_matrices():
+    with pytest.raises(DimMismatchError):
+        mean_embedding([np.ones((2, 2))])
+
+
+def test_mean_embedding_accepts_lists():
+    np.testing.assert_array_equal(mean_embedding([[1, 2], [3, 4]]), [2.0, 3.0])
+
+
+def test_mean_embedding_leaves_inputs_unchanged():
+    vs = [np.array([1.0, 2.0]), np.array([3.0, 4.0])]
+    mean_embedding(vs)
+    np.testing.assert_array_equal(vs[0], [1.0, 2.0])
+    np.testing.assert_array_equal(vs[1], [3.0, 4.0])
+
+
+def test_as_vector_converts_to_float64():
+    out = _as_vector([1, 2, 3])
+    assert out.dtype == np.float64
+    np.testing.assert_array_equal(out, [1.0, 2.0, 3.0])
+
+
+def test_as_vector_rejects_scalar():
+    with pytest.raises(DimMismatchError):
+        _as_vector(3.0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 39, 40, 55])
+def test_top_order_matches_full_lexsort(k):
+    rng = np.random.default_rng(3)
+    # few distinct scores force ties, also across the k-th position
+    scores = rng.integers(0, 6, size=40).astype(np.float64)
+    ids = rng.permutation(1000)[:40]
+    expected = np.lexsort((ids, -scores))[:k]
+    np.testing.assert_array_equal(top_order(scores, ids, k), expected)
+
+
+def test_top_order_descending_scores():
+    scores = np.array([0.1, 0.9, -0.3, 0.5])
+    ids = np.arange(4)
+    np.testing.assert_array_equal(top_order(scores, ids, 3), [1, 3, 0])
+
+
+def test_top_order_ties_break_by_ascending_id():
+    scores = np.zeros(4)
+    ids = np.array([5, 2, 9, 1])
+    np.testing.assert_array_equal(top_order(scores, ids, 2), [3, 1])
+
+
+def test_top_order_ties_at_cut_keep_lowest_ids():
+    scores = np.array([3.0, 1.0, 2.0, 2.0, 2.0])
+    ids = np.array([10, 11, 14, 12, 13])
+    np.testing.assert_array_equal(top_order(scores, ids, 2), [0, 3])
+
+
+def test_top_order_k_beyond_n_returns_every_position():
+    scores = np.array([0.2, 0.4, 0.3])
+    np.testing.assert_array_equal(top_order(scores, np.arange(3), 10), [1, 2, 0])
+
+
+def test_top_order_empty_scores():
+    out = top_order(np.array([]), np.array([], dtype=np.int64), 5)
+    assert len(out) == 0
