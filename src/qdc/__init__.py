@@ -38,8 +38,6 @@ from .drift import (
     ledger_from_dict,
     ledger_to_dict,
     lloyd_kmeans,
-    load_ledger,
-    save_ledger,
 )
 from .encoder import (
     EncoderParams,
@@ -90,7 +88,6 @@ from .pipeline import (
     old_task_average,
     retrieve,
     retrieve_eval,
-    run_continual,
     train_from,
     train_task,
     train_trajectory,

@@ -38,7 +38,6 @@ from .pipeline import (
     ContinualState,
     bench,
     comparison_to_csv,
-    evaluate_matrix,
     evaluate_methods,
     init_state,
     render_comparison_table,
@@ -112,10 +111,38 @@ def _write_json(path: Path, payload: dict) -> None:
     atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+def _write_run(
+    config: RunConfig,
+    f0,
+    trajectories: dict[bool, list[ContinualState]],
+    results,
+) -> None:
+    """out_dir/run_id: the config, each trajectory's snapshots (from f0)
+    and indexes, their final ledgers, and the metric reports."""
+    run_dir = Path(config.out_dir) / config.run_id
+    run_dir.mkdir(parents=True, exist_ok=True)
+    save_config(config, run_dir / "config.json")
+    ledgers = {}
+    for kd, checkpoints in trajectories.items():
+        slug = _slug(kd)
+        _write_trajectory(run_dir, slug, f0, checkpoints)
+        ledgers[slug] = ledger_to_dict(checkpoints[-1].ledger)
+    _write_json(run_dir / "ledger.json", ledgers)
+    atomic_write_text(run_dir / "metrics.csv", results_to_csv(results))
+    atomic_write_text(run_dir / "comparison.csv", comparison_to_csv(results))
+    atomic_write_text(run_dir / "table.txt", render_report(results))
+    print(render_comparison_table(results), end="")
+    print(f"artifacts in {run_dir}")
+
+
 def _load_run_ledgers(run_dir: Path) -> dict:
-    payload = json.loads((run_dir / "ledger.json").read_text(encoding="utf-8"))
+    path = run_dir / "ledger.json"
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CorruptLedgerError(f"ledger map is not UTF-8 JSON: {path}") from exc
     if not isinstance(payload, dict):
-        raise CorruptLedgerError(f"ledger map is not an object: {run_dir}")
+        raise CorruptLedgerError(f"ledger map is not an object: {path}")
     return payload
 
 
@@ -199,28 +226,15 @@ def _cmd_gen_data(args) -> int:
 def _cmd_train(args) -> int:
     config = _resolve_config(args, reseed_stream=True)
     method = config.method
-    kd, strategy = parse_method(method)
+    kd, _ = parse_method(method)
     run_id = config.run_id or (
         f"train-{method.lower().replace('+', '-')}-s{config.seed}"
     )
     config = replace(config, run_id=run_id)
-    start = init_state(config, kd, _load_datasets(config))
-    checkpoints = train_from(start, config)
-    result = evaluate_matrix(checkpoints, strategy, config.k, method)
-
-    run_dir = Path(config.out_dir) / run_id
-    run_dir.mkdir(parents=True, exist_ok=True)
-    save_config(config, run_dir / "config.json")
-    slug = _slug(kd)
-    _write_trajectory(run_dir, slug, start.params, checkpoints)
-    _write_json(
-        run_dir / "ledger.json",
-        {slug: ledger_to_dict(checkpoints[-1].ledger)},
-    )
-    atomic_write_text(run_dir / "metrics.csv", results_to_csv([result]))
-    atomic_write_text(run_dir / "table.txt", render_report([result]))
-    print(render_comparison_table([result]), end="")
-    print(f"artifacts in {run_dir}")
+    start = init_state(config, _load_datasets(config))
+    trajectories = {kd: train_from(start, config, kd)}
+    results = evaluate_methods(trajectories, [method], config.k)
+    _write_run(config, start.params, trajectories, results)
     return 0
 
 
@@ -228,30 +242,15 @@ def _cmd_bench(args) -> int:
     config = _resolve_config(args, reseed_stream=True)
     run_id = config.run_id or f"bench-s{config.seed}"
     config = replace(config, run_id=run_id)
-    start = init_state(config, False, _load_datasets(config))
+    start = init_state(config, _load_datasets(config))
     results, trajectories = bench(start, config)
-
-    run_dir = Path(config.out_dir) / run_id
-    run_dir.mkdir(parents=True, exist_ok=True)
-    save_config(config, run_dir / "config.json")
-    ledgers = {}
-    for kd, checkpoints in trajectories.items():
-        slug = _slug(kd)
-        _write_trajectory(run_dir, slug, start.params, checkpoints)
-        ledgers[slug] = ledger_to_dict(checkpoints[-1].ledger)
-    _write_json(run_dir / "ledger.json", ledgers)
-    atomic_write_text(run_dir / "metrics.csv", results_to_csv(results))
-    atomic_write_text(run_dir / "comparison.csv", comparison_to_csv(results))
-    atomic_write_text(run_dir / "table.txt", render_report(results))
-    print(render_comparison_table(results), end="")
-    print(f"artifacts in {run_dir}")
+    _write_run(config, start.params, trajectories, results)
     return 0
 
 
 def _reconstruct_states(
-    run_dir: Path, slug: str, config: RunConfig, datasets: list[TaskDataset]
+    run_dir: Path, slug: str, datasets: list[TaskDataset]
 ) -> list[ContinualState]:
-    kd = slug == "ft_kd"
     by_id = {ds.task_id: ds for ds in datasets}
     num_tasks = len(datasets)
     snaps = {
@@ -264,20 +263,15 @@ def _reconstruct_states(
         t: _load_run_index(run_dir, slug, t, snaps[t].dim)
         for t in range(1, num_tasks + 1)
     }
-    states = []
-    for t in range(1, num_tasks + 1):
-        states.append(
-            ContinualState(
-                config=config,
-                kd=kd,
-                params=snaps[t],
-                indexes={tp: indexes[tp] for tp in range(1, t + 1)},
-                ledger=ledger,
-                datasets=by_id,
-                trained_through=t,
-            )
+    return [
+        ContinualState(
+            params=snaps[t],
+            indexes={tp: indexes[tp] for tp in range(1, t + 1)},
+            ledger=ledger,
+            datasets=by_id,
         )
-    return states
+        for t in range(1, num_tasks + 1)
+    ]
 
 
 def _cmd_eval(args) -> int:
@@ -298,7 +292,7 @@ def _cmd_eval(args) -> int:
         if slug not in stored:
             raise ConfigError(f"run has no {slug} trajectory for {method}")
         if kd not in trajectories:
-            trajectories[kd] = _reconstruct_states(run_dir, slug, config, datasets)
+            trajectories[kd] = _reconstruct_states(run_dir, slug, datasets)
     results = evaluate_methods(trajectories, methods, config.k)
     print(results_to_csv(results), end="")
     return 0

@@ -157,8 +157,8 @@ def config_from_dict(payload: dict) -> RunConfig:
 def load_config(path) -> RunConfig:
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {path}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"config is not UTF-8 JSON: {path}") from exc
     return config_from_dict(payload)
 
 

@@ -7,9 +7,7 @@ without re-indexing.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -23,7 +21,6 @@ from .errors import (
     TooFewQueriesError,
     ZeroVectorError,
 )
-from .fileio import atomic_write_text
 from .vecops import ZERO_NORM_EPS, mean_embedding
 
 KMEANS_MAX_ITER = 100
@@ -355,20 +352,6 @@ def ledger_from_dict(payload: dict) -> DriftLedger:
     return DriftLedger(dim=dim, records=records)
 
 
-def save_ledger(ledger: DriftLedger, path) -> None:
-    """JSON dump; float64 values survive the round trip exactly."""
-    text = json.dumps(ledger_to_dict(ledger), sort_keys=True, indent=2)
-    atomic_write_text(path, text + "\n")
-
-
-def load_ledger(path) -> DriftLedger:
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise CorruptLedgerError(f"ledger is not valid JSON: {path}") from exc
-    return ledger_from_dict(payload)
-
-
 __all__ = [
     "DriftVector",
     "MultiDriftRecord",
@@ -384,6 +367,4 @@ __all__ = [
     "lloyd_kmeans",
     "ledger_to_dict",
     "ledger_from_dict",
-    "save_ledger",
-    "load_ledger",
 ]

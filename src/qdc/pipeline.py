@@ -58,11 +58,9 @@ _SCALE_FLOOR = 1e-3
 
 @dataclass(frozen=True)
 class RetrievalRun:
-    """Ranked lists for one (checkpoint, evaluated task) cell."""
+    """Ranked lists for one evaluated task."""
 
     task: int
-    checkpoint: int
-    k: int
     results: dict[str, list[tuple[str, float]]]
 
 
@@ -88,20 +86,23 @@ def old_task_average(result: RunResult, metric: str = "ndcg") -> float:
     return float(np.mean(values))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContinualState:
-    """Frozen pipeline state after training task trained_through."""
+    """One checkpoint: f_t, the indexes of tasks 1..t, the drift recorded
+    up to t, and the datasets of every task. States compare by identity, so
+    trajectories that share a checkpoint share its evaluation."""
 
-    config: RunConfig
-    kd: bool
     params: EncoderParams
     indexes: dict[int, CorpusIndex]
     ledger: DriftLedger
     datasets: dict[int, TaskDataset]
-    trained_through: int = 0
+
+    @property
+    def trained_through(self) -> int:
+        return self.params.version
 
 
-def init_state(config: RunConfig, kd: bool, datasets=()) -> ContinualState:
+def init_state(config: RunConfig, datasets=()) -> ContinualState:
     """Fresh state holding the shared pre-trained stand-in f_0 and the
     datasets of tasks 1..T."""
     if sorted(ds.task_id for ds in datasets) != list(range(1, len(datasets) + 1)):
@@ -112,18 +113,13 @@ def init_state(config: RunConfig, kd: bool, datasets=()) -> ContinualState:
         config.temperature,
         derive_rng(config.seed, "init"),
     )
-    registered = {}
     for ds in datasets:
         validate_dataset(ds)
-        registered[ds.task_id] = ds
     return ContinualState(
-        config=config,
-        kd=kd,
         params=params,
         indexes={},
         ledger=DriftLedger(dim=config.dim),
-        datasets=registered,
-        trained_through=0,
+        datasets={ds.task_id: ds for ds in datasets},
     )
 
 
@@ -249,20 +245,20 @@ def _prepare_rows(
 
 
 def train_task(
-    state: ContinualState, data: TaskDataset, config: RunConfig
+    state: ContinualState, config: RunConfig, kd: bool = False
 ) -> ContinualState:
-    """Train f_t from f_{t-1}, index C_t and record the drift t-1 -> t."""
+    """Train f_t from f_{t-1} on state's dataset of task t, distilling
+    toward f_{t-1} when kd and t > 1; index C_t and record the drift
+    t-1 -> t."""
     t = state.trained_through + 1
-    if data.task_id != t:
-        raise DataMismatchError(
-            f"expected task {t}, received task {data.task_id}"
-        )
-    validate_dataset(data)
+    if t not in state.datasets:
+        raise DataMismatchError(f"no dataset registered for task {t}")
+    data = state.datasets[t]
     prev = state.params
     params = _train_params(
         start=prev,
         version=t,
-        rows=_prepare_rows(data, prev, config.hard_negatives, kd=state.kd and t > 1),
+        rows=_prepare_rows(data, prev, config.hard_negatives, kd=kd and t > 1),
         shuffle_rng=derive_rng(config.seed, "shuffle", t),
         config=config,
     )
@@ -286,16 +282,7 @@ def train_task(
 
     indexes = dict(state.indexes)
     indexes[t] = build_index(params, data.corpus, t)
-    datasets = dict(state.datasets)
-    datasets[t] = data
-    return replace(
-        state,
-        params=params,
-        indexes=indexes,
-        ledger=ledger,
-        datasets=datasets,
-        trained_through=t,
-    )
+    return ContinualState(params, indexes, ledger, state.datasets)
 
 
 def retrieve(
@@ -337,9 +324,7 @@ def _run(
         params, index, data.corpus, state.ledger, embs, data.task_id, strategy, k
     )
     results = dict(zip([query_id for query_id, _ in data.queries_test], rankings))
-    return RetrievalRun(
-        task=data.task_id, checkpoint=state.trained_through, k=k, results=results
-    )
+    return RetrievalRun(task=data.task_id, results=results)
 
 
 def retrieve_eval(
@@ -361,14 +346,17 @@ def train_trajectory(
     datasets: list[TaskDataset], kd: bool, config: RunConfig
 ) -> list[ContinualState]:
     """All checkpoint states, one per task, trained in task order."""
-    return train_from(init_state(config, kd, datasets), config)
+    return train_from(init_state(config, datasets), config, kd)
 
 
-def train_from(state: ContinualState, config: RunConfig) -> list[ContinualState]:
-    """Checkpoint states after each of state's registered tasks, in order."""
+def train_from(
+    state: ContinualState, config: RunConfig, kd: bool = False
+) -> list[ContinualState]:
+    """Checkpoint states after each registered task that state has not
+    trained yet, in order."""
     checkpoints = []
-    for t in sorted(state.datasets):
-        state = train_task(state, state.datasets[t], config)
+    while state.trained_through < len(state.datasets):
+        state = train_task(state, config, kd)
         checkpoints.append(state)
     return checkpoints
 
@@ -399,13 +387,13 @@ def evaluate_methods(
 def _evaluate(
     jobs: list[tuple[str, str, list[ContinualState]]], k: int
 ) -> list[RunResult]:
-    """Matrices for (method, strategy, checkpoints) jobs, one trajectory per
-    kd flag.
+    """Matrices for (method, strategy, checkpoints) jobs.
 
     Strategies differ only on old tasks (t' < t), so each cell is evaluated
-    once per key (kd, t, t', strategy), where the diagonal and future
-    (zero-shot) cells leave the strategy out and a trajectory's strategies
-    share them.
+    once per key (checkpoint, t', strategy), where the diagonal and future
+    (zero-shot) cells leave the strategy out and strategies share them.
+    Checkpoints are keyed by identity, so trajectories that share one
+    evaluate its cells once.
     """
     memo: dict[tuple, MetricReport] = {}
     results = []
@@ -414,8 +402,7 @@ def _evaluate(
         cells = {}
         for t, state in enumerate(checkpoints, start=1):
             for t_prime in range(1, num_tasks + 1):
-                old = strategy if t_prime < t else None
-                key = (state.kd, t, t_prime, old)
+                key = (state, t_prime, strategy if t_prime < t else None)
                 if key not in memo:
                     data = state.datasets[t_prime]
                     if t_prime <= t:
@@ -430,15 +417,6 @@ def _evaluate(
     return results
 
 
-def run_continual(
-    datasets: list[TaskDataset], method: str, config: RunConfig
-) -> RunResult:
-    """Train one trajectory and evaluate the full matrix for one method."""
-    kd, strategy = parse_method(method)
-    checkpoints = train_trajectory(datasets, kd, config)
-    return evaluate_matrix(checkpoints, strategy, config.k, method)
-
-
 def bench(
     start: ContinualState, config: RunConfig
 ) -> tuple[list[RunResult], dict[bool, list[ContinualState]]]:
@@ -446,12 +424,13 @@ def bench(
 
     Both trajectories train from start, an untrained state (init_state)
     with every task's dataset. Task 1 trains without distillation, so the
-    KD trajectory branches from the FT trajectory's first checkpoint.
+    KD trajectory starts from the FT trajectory's first checkpoint, the
+    same object.
     """
-    ft = train_from(replace(start, kd=False), config)
-    kd = [replace(state, kd=True) for state in ft[:1]]
-    for t in range(2, len(ft) + 1):
-        kd.append(train_task(kd[-1], kd[-1].datasets[t], config))
+    ft = train_from(start, config)
+    kd = ft[:1]
+    while len(kd) < len(ft):
+        kd.append(train_task(kd[-1], config, kd=True))
     trajectories = {False: ft, True: kd}
     return evaluate_methods(trajectories, METHODS, config.k), trajectories
 

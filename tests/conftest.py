@@ -27,7 +27,7 @@ def shipped_stream(default_config):
 def bench_outcome(default_config, shipped_stream):
     """(results, trajectories, wall seconds) for the shipped benchmark."""
     began = time.perf_counter()
-    start = init_state(default_config, False, shipped_stream)
+    start = init_state(default_config, shipped_stream)
     results, trajectories = bench(start, default_config)
     elapsed = time.perf_counter() - began
     return results, trajectories, elapsed

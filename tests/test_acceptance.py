@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from qdc.cli import dispatch
-from qdc.config import RunConfig, derive_seed
+from qdc.config import derive_seed
 from qdc.datagen import TaskDataset
 from qdc.drift import (
     DriftLedger,
@@ -218,18 +218,15 @@ def _translation_setup():
     index = build_index(old, corpus, 1)
     feats = feature_rows([tokenize(text, vocab) for _, text in queries])
     ledger = append_record(DriftLedger(dim=dim), estimate_drift(new, old, feats))
-    config = RunConfig(vocab_size=vocab, dim=dim)
 
-    def make_state(params, trained_through, ldg):
+    def make_state(params, ldg):
         return ContinualState(
-            config=config, kd=False, params=params,
-            indexes={1: index}, ledger=ldg,
-            datasets={1: data}, trained_through=trained_through,
+            params=params, indexes={1: index}, ledger=ldg, datasets={1: data},
         )
 
     return (
-        make_state(old, 1, DriftLedger(dim=dim)),
-        make_state(new, 2, ledger),
+        make_state(old, DriftLedger(dim=dim)),
+        make_state(new, ledger),
         shift,
     )
 

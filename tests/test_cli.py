@@ -131,6 +131,24 @@ class TestTrain:
         assert len(metrics) == 1 + tiny_spec.num_tasks**2 * 3
         assert (run_dir / "table.txt").read_text().startswith("final checkpoint")
 
+    def test_matches_bench_on_its_trajectory(
+        self, cfg_path, bench_run, tmp_path, capsys
+    ):
+        # train and bench write through one writer; train's one trajectory
+        # and its comparison row are bench's, byte for byte
+        root = tmp_path / "out"
+        args = ["train", "--config", cfg_path, "--out", str(root)]
+        assert dispatch(args + ["--method", "FT+KD+QDC"]) == 0
+        run_dir = root / "train-ft-kd-qdc-s7"
+        trained, benched = _tree_bytes(run_dir), _tree_bytes(bench_run)
+        for name in ("snapshots/ft_kd", "indexes/ft_kd"):
+            mine = {f: b for f, b in trained.items() if f.startswith(name)}
+            assert mine and all(benched[f] == b for f, b in mine.items())
+        header, *rows = (run_dir / "comparison.csv").read_text().splitlines()
+        bench_lines = (bench_run / "comparison.csv").read_text().splitlines()
+        assert header == bench_lines[0]
+        assert rows == [r for r in bench_lines if r.startswith("FT+KD+QDC,")]
+
 
 class TestBench:
     def test_artifact_layout(self, bench_run, tiny_spec):
@@ -319,6 +337,45 @@ class TestLedgerMismatchRejected:
         assert captured.err.startswith("error:")
         expected = "in place of [1->2" if kind == "short" else "dim 4"
         assert expected in captured.err and "ledger.json" in captured.err
+
+
+def _truncated(data: bytes) -> bytes:
+    return data[: len(data) // 2]
+
+
+def _not_utf8(data: bytes) -> bytes:
+    return b"\xff" + data
+
+
+class TestCorruptJsonRejected:
+    @pytest.mark.parametrize(
+        "name, corrupt",
+        [
+            ("ledger.json", _truncated),
+            ("ledger.json", _not_utf8),
+            ("config.json", _truncated),
+            ("config.json", _not_utf8),
+        ],
+        ids=["ledger-truncated", "ledger-not-utf8", "config-truncated", "config-not-utf8"],
+    )
+    @pytest.mark.parametrize(
+        "args",
+        [["eval"], _RETRIEVE_OLD, ["drift-report"]],
+        ids=["eval", "retrieve", "drift-report"],
+    )
+    def test_exits_one_with_one_error_line(
+        self, bench_run, tmp_path, name, corrupt, args, capsys
+    ):
+        run = tmp_path / "corrupt"
+        shutil.copytree(bench_run, run)
+        path = run / name
+        path.write_bytes(corrupt(path.read_bytes()))
+        assert dispatch([args[0], "--run", str(run)] + args[1:]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert len(captured.err.splitlines()) == 1
+        assert name in captured.err
 
 
 class TestOlderLedgerAccepted:

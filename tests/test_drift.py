@@ -19,8 +19,6 @@ from qdc.drift import (
     ledger_from_dict,
     ledger_to_dict,
     lloyd_kmeans,
-    load_ledger,
-    save_ledger,
 )
 from qdc.encoder import (
     TokenFeatures,
@@ -389,21 +387,19 @@ class TestLedgerPersistence:
         )
         return ledger
 
-    def test_round_trip_exact(self, tmp_path):
+    def test_round_trip_exact(self):
+        # through JSON text, as a run directory's ledger.json stores it
         ledger = self._ledger()
-        path = tmp_path / "ledger.json"
-        save_ledger(ledger, path)
-        loaded = load_ledger(path)
+        loaded = ledger_from_dict(json.loads(json.dumps(ledger_to_dict(ledger))))
         assert loaded.dim == 3
-        np.testing.assert_array_equal(
-            loaded.records[0].values, ledger.records[0].values
-        )
-        np.testing.assert_array_equal(
-            loaded.records[1].centroids, ledger.records[1].centroids
-        )
-        np.testing.assert_array_equal(
-            loaded.records[1].vectors, ledger.records[1].vectors
-        )
+        pairs = [
+            (loaded.records[0].values, ledger.records[0].values),
+            (loaded.records[1].centroids, ledger.records[1].centroids),
+            (loaded.records[1].vectors, ledger.records[1].vectors),
+        ]
+        for got, want in pairs:
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
     def test_dict_round_trip(self):
         ledger = self._ledger()
@@ -444,12 +440,6 @@ class TestLedgerPersistence:
         assert [r is s for r, s in zip(dup.records, ledger.records)] == [True]
         dup.records.append(_vec([0.0, 0.0, 1.0], 2, 3))
         assert len(ledger.records) == 1
-
-    def test_invalid_json_rejected(self, tmp_path):
-        path = tmp_path / "ledger.json"
-        path.write_text("{nope", encoding="utf-8")
-        with pytest.raises(CorruptLedgerError):
-            load_ledger(path)
 
     def test_non_object_payload_rejected(self):
         with pytest.raises(CorruptLedgerError):

@@ -6,7 +6,8 @@ import pytest
 
 import qdc.fileio
 from qdc.config import RunConfig, save_config
-from qdc.drift import DriftLedger, save_ledger
+from qdc.cli import _write_json
+from qdc.drift import DriftLedger, ledger_to_dict
 from qdc.encoder import init_params, save_snapshot
 from qdc.fileio import atomic_write, atomic_write_text
 from qdc.index import CorpusIndex, save_index
@@ -51,7 +52,9 @@ WRITERS = {
         init_params(8, 4, 0.5, np.random.default_rng(v)), path
     ),
     "index": lambda path, v: save_index(_index(v), path),
-    "ledger": lambda path, v: save_ledger(DriftLedger(dim=v), path),
+    "ledger": lambda path, v: _write_json(
+        path, {"ft": ledger_to_dict(DriftLedger(dim=v))}
+    ),
     "config": lambda path, v: save_config(RunConfig(seed=v), path),
     "csv": lambda path, v: atomic_write_text(path, f"metric,value\nndcg,{v}\n"),
 }

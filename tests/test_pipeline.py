@@ -41,7 +41,6 @@ from qdc.pipeline import (
     render_report,
     results_to_csv,
     retrieve_eval,
-    run_continual,
     train_task,
     train_trajectory,
     zero_shot_run,
@@ -93,18 +92,18 @@ def _mined_ids(params, pairs, corpus, h):
 class TestMineHardNegatives:
     def test_h_zero_yields_no_negatives(self, tiny_stream, tiny_config):
         ds = tiny_stream[0]
-        state = init_state(tiny_config, False)
+        state = init_state(tiny_config)
         negs, _, _ = mine_hard_negatives(state.params, ds.train_pairs, ds.corpus, 0)
         assert negs.shape == (len(ds.train_pairs), 0)
 
     def test_no_pairs_yield_no_negatives(self, tiny_stream, tiny_config):
-        params = init_state(tiny_config, False).params
+        params = init_state(tiny_config).params
         negs, q_units, _ = mine_hard_negatives(params, [], tiny_stream[0].corpus, 3)
         assert negs.shape == (0, 3) and q_units.shape == (0, tiny_config.dim)
 
     def test_returns_the_embeddings_it_scored(self, tiny_stream, tiny_config):
         ds = tiny_stream[0]
-        params = init_state(tiny_config, False).params
+        params = init_state(tiny_config).params
         vocab = params.vocab_size
         queries = feature_rows([tokenize(q, vocab) for q, _ in ds.train_pairs])
         docs = feature_rows(
@@ -119,7 +118,7 @@ class TestMineHardNegatives:
 
     def test_takes_the_callers_table(self, tiny_stream, tiny_config):
         ds = tiny_stream[0]
-        params = init_state(tiny_config, False).params
+        params = init_state(tiny_config).params
         vocab = params.vocab_size
         queries = feature_rows([tokenize(q, vocab) for q, _ in ds.train_pairs])
         got = mine_hard_negatives(params, ds.train_pairs, ds.corpus, 3, queries)
@@ -130,7 +129,7 @@ class TestMineHardNegatives:
     def test_small_corpus_capped_and_gold_free(self, tiny_config):
         corpus = [_doc(f"d{i}", f"tok{i} tok{i} other") for i in range(3)]
         pairs = [(f"tok{i}", f"d{i}") for i in range(3)]
-        state = init_state(tiny_config, False)
+        state = init_state(tiny_config)
         negs, _, _ = mine_hard_negatives(state.params, pairs, corpus, 7)
         for i, row in enumerate(negs.tolist()):
             # the two other documents, then padding
@@ -140,14 +139,14 @@ class TestMineHardNegatives:
     def test_excludes_every_positive_of_the_same_query(self, tiny_config):
         corpus = [_doc(f"d{i}", f"tok{i} shared") for i in range(4)]
         pairs = [("ask shared", "d0"), ("ask shared", "d1")]
-        state = init_state(tiny_config, False)
+        state = init_state(tiny_config)
         for neg in _mined_ids(state.params, pairs, corpus, 4):
             assert set(neg) <= {"d2", "d3"}
 
     def test_matches_brute_force_oracle(self, tiny_stream, tiny_config):
         ds = tiny_stream[0]
         pairs = ds.train_pairs[:6]
-        state = init_state(tiny_config, False)
+        state = init_state(tiny_config)
         got = _mined_ids(state.params, pairs, ds.corpus, 3)
         assert got == _mined_by_full_sort(state.params, pairs, ds.corpus, 3)
 
@@ -158,7 +157,7 @@ class TestMineHardNegatives:
         # four queries a block
         monkeypatch.setattr(qdc.pipeline, "_MINE_SCORES", 4 * len(ds.corpus) + 3)
         assert len(ds.train_pairs) > 3 * 4
-        params = init_state(tiny_config, False).params
+        params = init_state(tiny_config).params
         got = _mined_ids(params, ds.train_pairs, ds.corpus, 3)
         assert got == _mined_by_full_sort(params, ds.train_pairs, ds.corpus, 3)
 
@@ -178,7 +177,7 @@ class TestMineHardNegatives:
             ("beta alpha", tied[29]),
             ("alpha", ids[40]),
         ]
-        params = init_state(tiny_config, False).params
+        params = init_state(tiny_config).params
         got = _mined_ids(params, pairs, corpus, h)
         assert got == _mined_by_full_sort(params, pairs, corpus, h)
         assert tied[0] not in got[0] and tied[h % 30] not in got[1]
@@ -186,7 +185,7 @@ class TestMineHardNegatives:
     def test_h_plus_positives_beyond_corpus_size(self, tiny_config):
         corpus = [_doc(f"d{i}", "shared" if i < 2 else f"tok{i}") for i in range(4)]
         pairs = [("shared", "d0"), ("shared", "d1"), ("tok3", "d3")]
-        params = init_state(tiny_config, False).params
+        params = init_state(tiny_config).params
         got = _mined_ids(params, pairs, corpus, 3)
         assert got == _mined_by_full_sort(params, pairs, corpus, 3)
         assert [len(neg) for neg in got] == [2, 2, 3]
@@ -198,8 +197,8 @@ class TestTrainTask:
     def test_single_batch_matches_manual_steps(self, tiny_stream, tiny_config):
         ds = tiny_stream[0]
         assert len(ds.train_pairs) <= tiny_config.batch_size
-        state0 = init_state(tiny_config, False, tiny_stream)
-        state1 = train_task(state0, ds, tiny_config)
+        state0 = init_state(tiny_config, tiny_stream)
+        state1 = train_task(state0, tiny_config)
 
         # fresh tables of freshly tokenized features
         vocab = state0.params.vocab_size
@@ -235,7 +234,7 @@ class TestTrainTask:
         monkeypatch.setattr(qdc.pipeline, "_SCALE_FLOOR", 0.5)
         config = replace(tiny_config, epochs=60, lr=0.5, wd=0.1)
         ds = tiny_stream[0]
-        start = init_state(config, False).params
+        start = init_state(config).params
         vocab = start.vocab_size
         rows = qdc.pipeline._prepare_rows(ds, start, 2, kd=True)
         steps = []
@@ -316,8 +315,8 @@ class TestTrainTask:
     ):
         config = RunConfig(stream=tiny_spec, lr=0.0, wd=0.0)
         ds = tiny_stream[0]
-        state0 = init_state(config, False, tiny_stream)
-        state1 = train_task(state0, ds, config)
+        state0 = init_state(config, tiny_stream)
+        state1 = train_task(state0, config)
         assert np.array_equal(state1.params.W, state0.params.W)
         assert state1.params.version == 1
         plain = retrieve_eval(state1, 1, "plain", config.k)
@@ -333,9 +332,13 @@ class TestTrainTask:
                 assert np.array_equal(ra.values, rb.values)
 
     def test_out_of_order_task_rejected(self, tiny_stream, tiny_config):
-        state = init_state(tiny_config, False, tiny_stream)
+        # the next task is t = trained_through + 1, whose dataset the state
+        # must hold
         with pytest.raises(DataMismatchError):
-            train_task(state, tiny_stream[1], tiny_config)
+            train_task(init_state(tiny_config), tiny_config)
+        first = train_task(init_state(tiny_config, tiny_stream[:1]), tiny_config)
+        with pytest.raises(DataMismatchError):
+            train_task(first, tiny_config)
 
     def test_non_contiguous_trajectory_rejected(self, tiny_stream, tiny_config):
         with pytest.raises(DataMismatchError):
@@ -459,22 +462,18 @@ class TestTranslationDrift:
         ledger = append_record(
             DriftLedger(dim=dim), estimate_drift(new, old, drift_feats)
         )
-        config = RunConfig(vocab_size=vocab, dim=dim)
 
-        def state(params, trained_through, ledger):
+        def state(params, ledger):
             return ContinualState(
-                config=config,
-                kd=False,
                 params=params,
                 indexes={1: index},
                 ledger=ledger,
                 datasets={1: data},
-                trained_through=trained_through,
             )
 
         return (
-            state(old, 1, DriftLedger(dim=dim)),
-            state(new, 2, ledger),
+            state(old, DriftLedger(dim=dim)),
+            state(new, ledger),
             shift,
         )
 
@@ -517,8 +516,10 @@ class TestEvaluateMatrix:
         assert np.array_equal(got.ap, want.ap)
 
     def test_training_is_strategy_independent(self, tiny_stream, tiny_config):
-        ft = run_continual(tiny_stream, "FT", tiny_config)
-        qdc = run_continual(tiny_stream, "FT+QDC", tiny_config)
+        checkpoints = train_trajectory(tiny_stream, False, tiny_config)
+        ft = evaluate_matrix(checkpoints, "plain", tiny_config.k, "FT")
+        checkpoints = train_trajectory(tiny_stream, False, tiny_config)
+        qdc = evaluate_matrix(checkpoints, "qdc", tiny_config.k, "FT+QDC")
         for t in (1, 2):
             assert ft.score(t, t) == qdc.score(t, t)
 
@@ -563,7 +564,7 @@ class TestTokenizeOnce:
         stream = generate_task_stream(tiny_spec)
         tabled, per_text = self._spy(monkeypatch)
         config = RunConfig(stream=tiny_spec)
-        bench(init_state(config, False, stream), config)
+        bench(init_state(config, stream), config)
         populations = []
         for ds in stream:
             populations.append(tuple(doc_encoding_text(d) for d in ds.corpus))
@@ -578,16 +579,16 @@ class TestTokenizeOnce:
         # bench's FT+KD branch trains task 2 again from FT's checkpoint 1
         stream = generate_task_stream(tiny_spec)
         config = RunConfig(stream=tiny_spec)
-        first = train_task(init_state(config, False, stream), stream[0], config)
-        train_task(first, stream[1], config)
+        first = train_task(init_state(config, stream), config)
+        train_task(first, config)
         tabled, per_text = self._spy(monkeypatch)
-        train_task(replace(first, kd=True), stream[1], config)
+        train_task(first, config, kd=True)
         assert not tabled and not per_text
 
     def test_second_index_build_tables_nothing(self, tiny_spec, monkeypatch):
         # as the benchmark's REINDEX calls it: build_index on ds.corpus
         ds = generate_task_stream(tiny_spec)[0]
-        params = init_state(RunConfig(stream=tiny_spec), False).params
+        params = init_state(RunConfig(stream=tiny_spec)).params
         tabled, per_text = self._spy(monkeypatch)
         first = qdc.index.build_index(params, ds.corpus, 1)
         assert tabled == [tuple(doc_encoding_text(d) for d in ds.corpus)]
@@ -614,7 +615,7 @@ class TestTrainingTables:
         # stream: a task keeps its training queries' table once built
         stream = generate_task_stream(tiny_spec)
         config = replace(tiny_config, batch_size=8)
-        state = train_task(init_state(config, True, stream), stream[0], config)
+        state = train_task(init_state(config, stream), config, kd=True)
         ds, frozen = stream[1], state.params.W
         events = []
         real_rows = qdc.encoder.tokenize_rows
@@ -644,7 +645,7 @@ class TestTrainingTables:
         monkeypatch.setattr(qdc.encoder, "_project", projecting)
         _watch(monkeypatch, real_mine, mining)
         monkeypatch.setattr(qdc.pipeline, "_train_params", training)
-        train_task(state, ds, config)
+        train_task(state, config, kd=True)
 
         mined = events.index(("mined", 0))
         loop = events[mined + 1 : events.index(("trained", 0))]
@@ -711,8 +712,9 @@ class TestBenchCallCounts:
     def test_bench_does_each_distinct_step_once(
         self, tiny_spec, monkeypatch, num_tasks
     ):
-        # FT+KD branches from FT's first checkpoint, and the diagonal and
-        # future cells of a trajectory are evaluated once for all strategies
+        # FT+KD starts from FT's first checkpoint, the same object, whose
+        # cells are evaluated once; the diagonal and future cells of a
+        # checkpoint are evaluated once for all strategies
         spec = replace(tiny_spec, num_tasks=num_tasks)
         stream = generate_task_stream(spec)
         (queries,) = {len(ds.queries_test) for ds in stream}
@@ -726,13 +728,13 @@ class TestBenchCallCounts:
 
             monkeypatch.setattr(qdc.pipeline, name, counting)
         config = RunConfig(stream=spec)
-        bench(init_state(config, False, stream), config)
+        _, trajectories = bench(init_state(config, stream), config)
+        assert trajectories[True][0] is trajectories[False][0]
         T = num_tasks
-        cells = T + 2 * T * (T - 1)  # per trajectory
         assert calls == {
             "train_task": 2 * T - 1,
-            "build_index": 2 * T - 1 + 2 * T * (T - 1),
-            "search_topk": 2 * cells * queries,
+            "build_index": T + 2 * T * (T - 1),
+            "search_topk": (T + 4 * T * (T - 1)) * queries,
         }
 
 
@@ -745,7 +747,7 @@ class TestBenchEquivalence:
         stream = generate_task_stream(spec)
         # several batches a task, so distillation moves FT+KD away from FT
         config = RunConfig(stream=spec, batch_size=8)
-        results, trajectories = bench(init_state(config, False, stream), config)
+        results, trajectories = bench(init_state(config, stream), config)
         independent = {
             kd: train_trajectory(stream, kd, config) for kd in (False, True)
         }
@@ -769,7 +771,6 @@ class TestBenchEquivalence:
         assert [s.trained_through for s in branched] == [1, 2, 3]
         assert [s.trained_through for s in full] == [1, 2, 3]
         for a, b in zip(branched, full):
-            assert a.kd and b.kd
             assert a.params.version == b.params.version
             assert np.array_equal(a.params.W, b.params.W)
             assert a.indexes.keys() == b.indexes.keys()
@@ -784,7 +785,7 @@ class TestSingleTaskStream:
         spec = replace(tiny_spec, num_tasks=1)
         config = RunConfig(stream=spec)
         results, _ = bench(
-            init_state(config, False, generate_task_stream(spec)), config
+            init_state(config, generate_task_stream(spec)), config
         )
         assert [r.method for r in results] == list(METHODS)
         scores = {r.method: r.score(1, 1) for r in results}
