@@ -43,7 +43,6 @@ from .encoder import (
     EncoderParams,
     FeatureRows,
     RowGrad,
-    TokenFeatures,
     contrastive_loss,
     distill_loss,
     encode,

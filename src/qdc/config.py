@@ -6,6 +6,7 @@ seed_chain(root, *tags), so one knob reproduces a full run.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -114,42 +115,77 @@ def config_to_dict(config: RunConfig) -> dict:
     return payload
 
 
+# the JSON types a field's annotation admits, and what cli._load_datasets
+# reads of a datasets entry
+_JSON_TYPES = {
+    "int": int,
+    "float": (int, float),
+    "str": str,
+    "str | None": (str, type(None)),
+}
+_DATASET_FIELDS = {
+    "corpus": "str",
+    "queries": "str",
+    "qrels": "str",
+    "pairs": "str | None",
+    "task_id": "int",
+}
+
+
+def _fits(value, kind: str) -> bool:
+    """Whether a JSON value fits a field annotated kind; a bool is no
+    number, and a float must be finite."""
+    if kind == "tuple[int, int]":
+        return isinstance(value, list) and len(value) == 2 and all(
+            _fits(v, "int") for v in value
+        )
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+        return False
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+def _check_fields(kinds: dict[str, str], payload: dict, where: str) -> None:
+    """Reject keys outside kinds and values their field does not take."""
+    unknown = set(payload) - set(kinds)
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+    for name, value in payload.items():
+        if not _fits(value, kinds[name]):
+            raise ConfigError(
+                f"{where} field {name} must be {kinds[name]}, got {value!r}"
+            )
+
+
 def config_from_dict(payload: dict) -> RunConfig:
     if not isinstance(payload, dict):
         raise ConfigError("config must be a JSON object")
     payload = dict(payload)
     stream_payload = payload.pop("stream", None)
     datasets = payload.pop("datasets", None)
-
-    known = {f.name for f in fields(RunConfig)} - {"stream", "datasets"}
-    unknown = set(payload) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    _check_fields({f.name: f.type for f in fields(RunConfig)}, payload, "config")
 
     stream = StreamSpec()
     if stream_payload is not None:
         if not isinstance(stream_payload, dict):
             raise ConfigError("stream must be a JSON object")
-        stream_known = {f.name for f in fields(StreamSpec)}
-        stream_unknown = set(stream_payload) - stream_known
-        if stream_unknown:
-            raise ConfigError(f"unknown stream keys: {sorted(stream_unknown)}")
+        kinds = {f.name: f.type for f in fields(StreamSpec)}
+        _check_fields(kinds, stream_payload, "stream")
         stream_payload = dict(stream_payload)
         for key in ("doc_len_range", "query_len_range"):
             if key in stream_payload:
-                lo, hi = stream_payload[key]
-                stream_payload[key] = (int(lo), int(hi))
+                stream_payload[key] = tuple(stream_payload[key])
         stream = StreamSpec(**stream_payload)
 
     if datasets is not None:
-        if not isinstance(datasets, list):
+        if not isinstance(datasets, list) or not all(
+            isinstance(d, dict) for d in datasets
+        ):
             raise ConfigError("datasets must be a list of path objects")
+        for i, entry in enumerate(datasets, start=1):
+            _check_fields(_DATASET_FIELDS, entry, f"datasets entry {i}")
         datasets = tuple(dict(d) for d in datasets)
 
-    try:
-        config = RunConfig(stream=stream, datasets=datasets, **payload)
-    except TypeError as exc:
-        raise ConfigError(f"bad config field: {exc}") from exc
+    config = RunConfig(stream=stream, datasets=datasets, **payload)
     config.validate()
     return config
 

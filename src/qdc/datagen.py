@@ -289,40 +289,29 @@ def export_stream(datasets: list[TaskDataset], out_dir) -> None:
     for ds in datasets:
         task_dir = root / f"task{ds.task_id}"
         task_dir.mkdir(parents=True, exist_ok=True)
-        with atomic_write(task_dir / "corpus.jsonl", "w") as fh:
-            for doc in ds.corpus:
-                fh.write(
-                    json.dumps(
-                        {"_id": doc.doc_id, "title": doc.title, "text": doc.text},
-                        sort_keys=True,
-                        ensure_ascii=False,
-                    )
-                    + "\n"
-                )
-        with atomic_write(task_dir / "queries.jsonl", "w") as fh:
-            for query_id, text in ds.queries_test:
-                fh.write(
-                    json.dumps(
-                        {"_id": query_id, "text": text},
-                        sort_keys=True,
-                        ensure_ascii=False,
-                    )
-                    + "\n"
-                )
+        _write_jsonl(
+            task_dir / "corpus.jsonl",
+            ({"_id": d.doc_id, "title": d.title, "text": d.text} for d in ds.corpus),
+        )
+        _write_jsonl(
+            task_dir / "queries.jsonl",
+            ({"_id": qid, "text": text} for qid, text in ds.queries_test),
+        )
         with atomic_write(task_dir / "qrels.tsv", "w") as fh:
             fh.write("query-id\tcorpus-id\tscore\n")
             for (query_id, doc_id), grade in sorted(ds.qrels.items()):
                 fh.write(f"{query_id}\t{doc_id}\t{grade}\n")
-        with atomic_write(task_dir / "pairs.jsonl", "w") as fh:
-            for query, doc_id in ds.train_pairs:
-                fh.write(
-                    json.dumps(
-                        {"query": query, "doc_id": doc_id},
-                        sort_keys=True,
-                        ensure_ascii=False,
-                    )
-                    + "\n"
-                )
+        _write_jsonl(
+            task_dir / "pairs.jsonl",
+            ({"query": q, "doc_id": doc_id} for q, doc_id in ds.train_pairs),
+        )
+
+
+def _write_jsonl(path, rows) -> None:
+    """One sorted-key JSON object per line, non-ASCII kept as UTF-8."""
+    with atomic_write(path, "w") as fh:
+        for row in rows:
+            fh.write(json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n")
 
 
 def _read_jsonl(path, required: tuple[str, ...]) -> list[dict]:

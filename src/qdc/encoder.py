@@ -52,52 +52,28 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
-@dataclass(frozen=True)
-class TokenFeatures:
-    """Hashed sparse bag of tokens: unique ascending ids with counts."""
-
-    indices: tuple[int, ...]
-    counts: tuple[int, ...]
-    total: int
-
-    def __post_init__(self) -> None:
-        if len(self.indices) != len(self.counts) or not self.indices:
-            raise ValueError("indices and counts must be non-empty and aligned")
-        if any(c < 1 for c in self.counts):
-            raise ValueError("counts must be >= 1")
-        if any(a >= b for a, b in zip(self.indices, self.indices[1:])):
-            raise ValueError("indices must be strictly increasing")
-        if self.indices[0] < 0:
-            raise ValueError("indices must be non-negative")
-        if self.total != sum(self.counts):
-            raise ValueError("total must equal sum of counts")
-
-
 @lru_cache(maxsize=1 << 16)
 def _token_id(token: str, vocab_size: int) -> int:
     # a text stream reuses a few thousand distinct tokens millions of times
     return fnv1a64(token.encode("utf-8")) % vocab_size
 
 
-def tokenize(text: str, vocab_size: int = DEFAULT_VOCAB) -> TokenFeatures:
-    """Lowercase, split on non-alphanumeric runs, hash FNV-1a mod vocab.
+def tokenize(text: str, vocab_size: int = DEFAULT_VOCAB) -> FeatureRows:
+    """The text's one-row table: lowercase, split on non-alphanumeric runs,
+    hash FNV-1a mod vocab, weigh each id by its count over the token total.
 
-    Empty text maps to the reserved id 0 with count 1 so every input stays
+    Empty text maps to the reserved id 0 with weight 1 so every input stays
     encodable.
     """
     tokens = _TOKEN_RE.findall(text.lower())
     if not tokens:
-        return TokenFeatures(indices=(0,), counts=(1,), total=1)
+        return _one_row([0], [1.0])
     counts: dict[int, int] = {}
     for tok, n in Counter(tokens).items():
         idx = _token_id(tok, vocab_size)
         counts[idx] = counts.get(idx, 0) + n
-    indices = tuple(sorted(counts))
-    return TokenFeatures(
-        indices=indices,
-        counts=tuple(counts[i] for i in indices),
-        total=len(tokens),
-    )
+    ids = sorted(counts)
+    return _one_row(ids, np.array([counts[i] for i in ids]) / len(tokens))
 
 
 @dataclass(frozen=True)
@@ -138,17 +114,15 @@ def init_params(
     )
 
 
-def _raw(params: EncoderParams, feats: TokenFeatures) -> np.ndarray:
-    idx = np.asarray(feats.indices, dtype=np.intp)
-    cnt = np.asarray(feats.counts, dtype=np.float64)
-    if int(idx[-1]) >= params.vocab_size:
-        raise ValueError(f"token id {int(idx[-1])} >= vocab {params.vocab_size}")
-    return (cnt @ params.W[idx]) / feats.total
-
-
-def encode(params: EncoderParams, feats: TokenFeatures) -> np.ndarray:
-    """Mean-pooled projection of hashed counts, L2-normalized."""
-    raw = _raw(params, feats)
+def encode(params: EncoderParams, feats: FeatureRows) -> np.ndarray:
+    """The embedding of a one-row table: its weights times its rows of W,
+    L2-normalized."""
+    if len(feats) != 1:
+        raise ValueError(f"encode takes one row, got a table of {len(feats)}")
+    ids = feats.ids
+    if int(ids[-1]) >= params.vocab_size:
+        raise ValueError(f"token id {int(ids[-1])} >= vocab {params.vocab_size}")
+    raw = feats.weights @ params.W[ids]
     if params.linear_output:
         return raw
     norm = float(np.linalg.norm(raw))
@@ -195,22 +169,26 @@ def _entry_positions(starts, lengths, offsets) -> np.ndarray:
     return np.arange(len(shift)) + shift
 
 
-def feature_rows(feats_list) -> FeatureRows:
-    """The table of a list of features, one row per item, in order."""
-    n = len(feats_list)
-    lengths = np.fromiter((len(f.indices) for f in feats_list), np.int64, n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(lengths, out=indptr[1:])
-    m = int(indptr[-1])
-    ids = np.fromiter(
-        chain.from_iterable(f.indices for f in feats_list), np.int32, m
+def _one_row(ids, weights) -> FeatureRows:
+    """The table of one input: ascending token ids and their weights."""
+    return FeatureRows(
+        np.array([0, len(ids)], dtype=np.int64),
+        np.asarray(ids, dtype=np.int32),
+        np.asarray(weights, dtype=np.float64),
     )
-    weights = np.fromiter(
-        chain.from_iterable(f.counts for f in feats_list), np.float64, m
+
+
+def feature_rows(tables) -> FeatureRows:
+    """One table of the given tables' rows, stacked in order."""
+    tables = list(tables)
+    offsets = np.cumsum([0] + [len(t.ids) for t in tables], dtype=np.int64)
+    return FeatureRows(
+        np.concatenate(
+            [offsets[:1]] + [t.indptr[1:] + o for t, o in zip(tables, offsets)]
+        ),
+        np.concatenate([np.empty(0, dtype=np.int32)] + [t.ids for t in tables]),
+        np.concatenate([np.empty(0)] + [t.weights for t in tables]),
     )
-    totals = np.fromiter((f.total for f in feats_list), np.float64, n)
-    weights /= np.repeat(totals, lengths)
-    return FeatureRows(indptr, ids, weights)
 
 
 # texts that tokenize_rows counts at a time. A run's token strings and
@@ -222,7 +200,7 @@ _TOKENIZE_RUN = 256
 def tokenize_rows(texts, vocab_size: int = DEFAULT_VOCAB) -> FeatureRows:
     """The table of a list of texts, one row per text, in order.
 
-    Row i is tokenize(texts[i], vocab_size) as feature_rows tables it. Each
+    Row i is tokenize(texts[i], vocab_size), bit for bit. Each
     distinct token is hashed once, and a run of texts counts its (row, id)
     pairs with one np.unique over row * vocab_size + id, so tokens that
     hash to one id sum there.
@@ -551,15 +529,11 @@ def sgd_step(
     return new_scale
 
 
-def _random_feats(rng: np.random.Generator, vocab_size: int) -> TokenFeatures:
+def _random_feats(rng: np.random.Generator, vocab_size: int) -> FeatureRows:
     m = int(rng.integers(3, 9))
     idx = np.sort(rng.choice(vocab_size, size=m, replace=False))
     cnt = rng.integers(1, 4, size=m)
-    return TokenFeatures(
-        indices=tuple(int(i) for i in idx),
-        counts=tuple(int(c) for c in cnt),
-        total=int(cnt.sum()),
-    )
+    return _one_row(idx, cnt / cnt.sum())
 
 
 def grad_check(loss_kind: str, seed: int, max_coords: int = 256) -> float:
@@ -597,7 +571,7 @@ def grad_check(loss_kind: str, seed: int, max_coords: int = 256) -> float:
         # share one positive row, and query 3's first hard negative is a
         # row of its own that holds pair 2's positive features
         feats = [d for _, d in batch] + negs
-        feats[n + 3 * h] = replace(feats[2])
+        feats[n + 3 * h] = feats[2]
         docs = feature_rows(feats)
         pos_rows = np.array([0, 0, 2, 3])
         neg_rows = n + np.arange(n * h).reshape(n, h)
@@ -619,7 +593,7 @@ def grad_check(loss_kind: str, seed: int, max_coords: int = 256) -> float:
             return distill_loss(p, queries, docs, q_rows, q_rows, q_old, d_old)
 
         used = [f for pair in batch for f in pair]
-    touched = {i for f in used for i in f.indices}
+    touched = {i for f in used for i in f.ids.tolist()}
 
     analytic = evaluate(params)[1].dense(vocab)
     coords = [(r, c) for r in sorted(touched) for c in range(dim)]

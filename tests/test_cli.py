@@ -1,6 +1,7 @@
 import json
 import shutil
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -376,6 +377,66 @@ class TestCorruptJsonRejected:
         assert captured.err.startswith("error:")
         assert len(captured.err.splitlines()) == 1
         assert name in captured.err
+
+
+# config values of the wrong JSON type or shape, or not finite
+_MISTYPED = [
+    {"seed": "x"},
+    {"lr": None},
+    {"lr": float("nan")},
+    {"epochs": True},
+    {"k": 2.5},
+    {"stream": {"num_tasks": "3"}},
+    {"stream": {"doc_len_range": 5}},
+    {"stream": {"doc_len_range": [1, 2, 3]}},
+    {"datasets": [5]},
+    {"datasets": [{"corpus": 5, "queries": "q.jsonl", "qrels": "r.tsv"}]},
+    {"datasets": [{"corpus": "c", "queries": "q", "qrels": "r", "task_id": "x"}]},
+]
+
+
+class TestMistypedConfigRejected:
+    @pytest.mark.parametrize("payload", _MISTYPED, ids=json.dumps)
+    @pytest.mark.parametrize("command", ["gen-data", "bench", "eval"])
+    def test_exits_one_with_one_error_line(
+        self, bench_run, cfg_path, tmp_path, payload, command, capsys
+    ):
+        # the field goes into a working config: the run's, or the tiny one;
+        # eval reads the run's config before any other file
+        if command == "eval":
+            run = tmp_path / "mistyped"
+            run.mkdir()
+            path = Path(shutil.copy(bench_run / "config.json", run))
+            args = ["eval", "--run", str(run)]
+        else:
+            path = Path(shutil.copy(cfg_path, tmp_path / "config.json"))
+            args = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+        config = json.loads(path.read_text(encoding="utf-8"))
+        (key, value), = payload.items()
+        if key == "stream":
+            config["stream"].update(value)
+            (key, _), = value.items()
+        else:
+            config[key] = value
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert dispatch(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+        assert key in captured.err and "must be" in captured.err
+
+    def test_unknown_dataset_key_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        entry = {"corpus": "c", "queries": "q", "qrels": "r", "qrel": "r"}
+        path.write_text(json.dumps({"datasets": [entry]}), encoding="utf-8")
+        assert dispatch(["bench", "--config", str(path)]) == 1
+        assert "unknown datasets entry 1 keys: ['qrel']" in capsys.readouterr().err
+
+    def test_an_integer_fills_a_float_field(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"lr": 1, "stream": {"vocab_overlap": 0}}', encoding="utf-8")
+        config = load_config(path)
+        assert config.lr == 1 and config.stream.vocab_overlap == 0
 
 
 class TestOlderLedgerAccepted:

@@ -58,11 +58,23 @@ _SMALL = dict(
 
 
 class TestStreamDigest:
-    """The generated text, pinned: a faster generator must draw the same."""
+    """The generated text and its exported files, pinned: a faster
+    generator must draw the same, and a simpler writer write the same."""
 
     def test_shipped_stream(self, shipped_stream):
         assert _stream_digest(shipped_stream) == (
             "d0058a3b2484a97156085536e523c7bce04ba5e5a97caf8ab877ef2740d16857"
+        )
+
+    def test_exported_files(self, shipped_stream, tmp_path):
+        # the bytes `qdc gen-data --seed 42` writes, file by file in order
+        export_stream(shipped_stream, tmp_path)
+        h = hashlib.sha256()
+        for path in sorted(p for p in tmp_path.rglob("*") if p.is_file()):
+            h.update(f"{path.relative_to(tmp_path).as_posix()}\n".encode())
+            h.update(path.read_bytes())
+        assert h.hexdigest() == (
+            "58178172c89b3eaac5bc26dec818f41be2c80a0a44c5969227f33b9517b0c3da"
         )
 
     @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from qdc import encoder
 from qdc.drift import (
     DriftLedger,
     DriftVector,
@@ -21,7 +22,6 @@ from qdc.drift import (
     lloyd_kmeans,
 )
 from qdc.encoder import (
-    TokenFeatures,
     encode,
     encode_batch,
     feature_rows,
@@ -40,20 +40,16 @@ from qdc.errors import (
 
 
 def _feats(*pairs):
-    indices = tuple(i for i, _ in pairs)
-    counts = tuple(c for _, c in pairs)
-    return TokenFeatures(indices=indices, counts=counts, total=sum(counts))
+    """The one-row table of (id, count) pairs given in ascending id order."""
+    ids, counts = zip(*pairs)
+    return encoder._one_row(ids, np.array(counts) / sum(counts))
 
 
 def _rand_feats(rng, vocab):
     m = int(rng.integers(2, 6))
     idx = np.sort(rng.choice(vocab, size=m, replace=False))
     cnt = rng.integers(1, 4, size=m)
-    return TokenFeatures(
-        indices=tuple(int(i) for i in idx),
-        counts=tuple(int(c) for c in cnt),
-        total=int(cnt.sum()),
-    )
+    return encoder._one_row(idx, cnt / cnt.sum())
 
 
 def _vec(values, from_task, to_task):
@@ -109,7 +105,7 @@ class TestEstimateDrift:
         a = init_params(16, 4, 0.5, rng)
         b = init_params(16, 8, 0.5, rng)
         with pytest.raises(DimMismatchError):
-            estimate_drift(a, b, [_feats((1, 1))])
+            estimate_drift(a, b, _feats((1, 1)))
 
 
 class TestLedgerRecords:

@@ -14,7 +14,6 @@ from qdc.encoder import (
     EncoderParams,
     FeatureRows,
     RowGrad,
-    TokenFeatures,
     contrastive_loss,
     distill_loss,
     encode,
@@ -48,21 +47,22 @@ def _fnv64_reference(data: bytes) -> int:
     return h
 
 
-def _feats(*pairs) -> TokenFeatures:
-    indices = tuple(i for i, _ in pairs)
-    counts = tuple(c for _, c in pairs)
-    return TokenFeatures(indices=indices, counts=counts, total=sum(counts))
+def _feats(*pairs) -> FeatureRows:
+    """The one-row table of (id, count) pairs given in ascending id order."""
+    ids, counts = zip(*pairs)
+    return encoder._one_row(ids, np.array(counts) / sum(counts))
 
 
 def _rand_feats(rng, vocab):
     m = int(rng.integers(2, 6))
     idx = np.sort(rng.choice(vocab, size=m, replace=False))
     cnt = rng.integers(1, 4, size=m)
-    return TokenFeatures(
-        indices=tuple(int(i) for i in idx),
-        counts=tuple(int(c) for c in cnt),
-        total=int(cnt.sum()),
-    )
+    return encoder._one_row(idx, cnt / cnt.sum())
+
+
+def _value(table):
+    """A one-row table's value: its ids and weights as bytes."""
+    return table.ids.tobytes(), table.weights.tobytes()
 
 
 def _tables(batch, hard_negs=None):
@@ -70,13 +70,18 @@ def _tables(batch, hard_negs=None):
     per pair and a docs table with one row per distinct document value, as
     a corpus holds each document once; hard_negs pad with -1."""
     hard_negs = hard_negs if hard_negs is not None else [[] for _ in batch]
-    slot = {}
-    pos = [slot.setdefault(d, len(slot)) for _, d in batch]
+    first = {}
+
+    def slot(f):
+        return first.setdefault(_value(f), (len(first), f))[0]
+
+    pos = [slot(d) for _, d in batch]
     negs = np.full((len(hard_negs), max(map(len, hard_negs), default=0)), -1)
     for i, per in enumerate(hard_negs):
-        negs[i, : len(per)] = [slot.setdefault(f, len(slot)) for f in per]
+        negs[i, : len(per)] = [slot(f) for f in per]
     queries = feature_rows([q for q, _ in batch])
-    return queries, feature_rows(list(slot)), np.arange(len(batch)), pos, negs
+    docs = feature_rows([f for _, f in first.values()])
+    return queries, docs, np.arange(len(batch)), pos, negs
 
 
 def _contrastive(params, batch, hard_negs=None):
@@ -106,15 +111,25 @@ def _encoded(params, feats):
     return encoder._EncodedBatch(params, feature_rows(feats), np.arange(len(feats)))
 
 
+def _assert_same_table(got, want):
+    """Bit for bit, dtypes included."""
+    for name in ("indptr", "ids", "weights"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
 class TestTokenize:
     def test_empty_text_reserved_token(self):
-        assert tokenize("") == TokenFeatures(indices=(0,), counts=(1,), total=1)
+        feats = tokenize("")
+        assert feats.indptr.tolist() == [0, 1]
+        assert feats.ids.tolist() == [0] and feats.weights.tolist() == [1.0]
 
     def test_repeated_token_counted_once(self):
-        feats = tokenize("hello hello")
-        assert len(feats.indices) == 1
-        assert feats.counts == (2,)
-        assert feats.total == 2
+        # one id per distinct token, weighed by its count over the total
+        feats = tokenize("hello hello world")
+        assert len(feats) == 1 and len(feats.ids) == 2
+        hello = _fnv64_reference(b"hello") % DEFAULT_VOCAB
+        assert feats.weights[feats.ids.tolist().index(hello)] == 2 / 3
 
     def test_ids_match_fnv_reference(self):
         feats = tokenize("Magnesium, beans!", vocab_size=DEFAULT_VOCAB)
@@ -122,9 +137,8 @@ class TestTokenize:
             _fnv64_reference(w.encode()) % DEFAULT_VOCAB
             for w in ("magnesium", "beans")
         )
-        assert list(feats.indices) == expected
-        assert feats.counts == (1, 1)
-        assert feats.total == 2
+        assert feats.ids.tolist() == expected
+        assert feats.weights.tolist() == [1 / 2, 1 / 2]
 
     def test_fnv_helper_agrees_with_reference(self):
         for word in ("a", "the", "magnesium", "w1x0000", "été"):
@@ -137,43 +151,14 @@ class TestTokenize:
             n = int(rng.integers(1, 12))
             text = " ".join(f"tok{int(rng.integers(0, 1_000_000))}" for _ in range(n))
             feats = tokenize(text, vocab_size=97)
-            assert all(0 <= i < 97 for i in feats.indices)
-            assert feats.total == n
+            assert all(0 <= i < 97 for i in feats.ids.tolist())
+            # the weights are counts over a total of n tokens
+            counts = np.rint(feats.weights * n)
+            np.testing.assert_allclose(feats.weights, counts / n, rtol=0, atol=1e-15)
+            assert counts.min() >= 1 and counts.sum() == n
 
     def test_punctuation_and_case_folding(self):
-        assert tokenize("Foo.BAR foo bar") == tokenize("foo bar foo bar")
-
-
-class TestTokenFeaturesInvariants:
-    def test_rejects_unsorted_indices(self):
-        with pytest.raises(ValueError):
-            TokenFeatures(indices=(3, 1), counts=(1, 1), total=2)
-
-    def test_rejects_zero_count(self):
-        with pytest.raises(ValueError):
-            TokenFeatures(indices=(1,), counts=(0,), total=0)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            TokenFeatures(indices=(), counts=(), total=0)
-
-    def test_rejects_total_mismatch(self):
-        with pytest.raises(ValueError):
-            TokenFeatures(indices=(1, 2), counts=(1, 1), total=3)
-
-    def test_rejects_negative_index(self):
-        with pytest.raises(ValueError):
-            TokenFeatures(indices=(-1,), counts=(1,), total=1)
-
-    def test_equal_values_hash_equal(self):
-        # equality and hash follow the field values alone
-        f = _feats((1, 2), (4, 1))
-        g = _feats((1, 2), (4, 1))
-        assert f is not g and f == g
-        assert hash(f) == hash(g) == hash(((1, 4), (2, 1), 3))
-        assert hash(f) == hash(f)
-        assert {f: 0}[g] == 0
-        assert f != _feats((1, 2), (4, 2))
+        _assert_same_table(tokenize("Foo.BAR foo bar"), tokenize("foo bar foo bar"))
 
 
 class TestEncode:
@@ -194,10 +179,13 @@ class TestEncode:
     def test_matches_matrix_product_oracle(self):
         rng = np.random.default_rng(0)
         params = init_params(32, 8, 0.5, rng)
-        feats = tokenize("drift compensation query embedding drift", 32)
-        idx = np.asarray(feats.indices)
-        cnt = np.asarray(feats.counts, dtype=np.float64)
-        raw = (cnt @ params.W[idx]) / feats.total
+        text = "drift compensation query embedding drift"
+        feats = tokenize(text, 32)
+        # dense hashed counts over the whole vocabulary, then one product
+        cnt = np.zeros(32)
+        for w in text.split():
+            cnt[_fnv64_reference(w.encode()) % 32] += 1.0
+        raw = (cnt @ params.W) / 5
         expected = raw / np.linalg.norm(raw)
         np.testing.assert_allclose(
             encode(params, feats), expected, rtol=0, atol=1e-12
@@ -233,13 +221,7 @@ class TestEncode:
         np.testing.assert_allclose(batch, expected, rtol=0, atol=1e-12)
 
         linear = replace(params, linear_output=True)
-        raw = np.array(
-            [
-                np.asarray(f.counts, dtype=np.float64) @ params.W[list(f.indices)]
-                / f.total
-                for f in feats
-            ]
-        )
+        raw = np.array([f.weights @ params.W[f.ids] for f in feats])
         np.testing.assert_allclose(
             encode_batch(linear, feature_rows(feats)), raw, rtol=0, atol=1e-12
         )
@@ -251,13 +233,11 @@ class TestEncode:
         feats = []
         for _ in range(1000):
             idx = np.sort(rng.choice(DEFAULT_VOCAB, int(rng.integers(40, 81)), False))
-            feats.append(
-                TokenFeatures(tuple(int(i) for i in idx), (1,) * len(idx), len(idx))
-            )
+            feats.append(_feats(*[(i, 1) for i in idx]))
         lo = 0
         table, sel = feature_rows(feats), np.arange(len(feats))
         for start, rows, x in encoder._weight_blocks(table, sel, DEFAULT_VOCAB):
-            nonzeros = sum(len(f.indices) for f in feats[start : start + len(x)])
+            nonzeros = sum(len(f.ids) for f in feats[start : start + len(x)])
             assert start == lo and x.shape[1] == len(rows)
             assert x.size <= min(_MAX_WEIGHTS, _BLOCK_ROWS * nonzeros)
             lo += len(x)
@@ -296,6 +276,16 @@ class TestEncode:
         )
         with pytest.raises(ValueError):
             encode(params, _feats((7, 1)))
+
+    def test_table_of_several_rows_rejected(self):
+        # a second row would add its weights into the first's embedding
+        params = EncoderParams(
+            W=np.eye(4), vocab_size=4, dim=4, temperature=0.5
+        )
+        with pytest.raises(ValueError):
+            encode(params, feature_rows([_feats((1, 1)), _feats((2, 1))]))
+        with pytest.raises(ValueError):
+            encode(params, feature_rows([]))
 
     def test_batch_token_id_out_of_vocab_rejected(self):
         params = EncoderParams(
@@ -338,9 +328,7 @@ class TestFeatureRows:
         feats = [_rand_feats(rng, 64) for _ in range(6)]
         got = feature_rows(feats).take(rows)
         want = feature_rows([feats[i] for i in rows])
-        for name in ("indptr", "ids", "weights"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        _assert_same_table(got, want)
 
     @pytest.mark.parametrize(
         "sel",
@@ -365,9 +353,9 @@ class TestFeatureRows:
             for i, row in enumerate(x):
                 f = feats[int(sel[lo + i])]
                 dense = np.zeros(vocab)
-                dense[list(f.indices)] = np.asarray(f.counts) / f.total
+                dense[f.ids] = f.weights
                 assert np.array_equal(row, dense[rows])
-                assert set(f.indices) <= set(rows.tolist())
+                assert set(f.ids.tolist()) <= set(rows.tolist())
         units = encoder._EncodedBatch(params, feature_rows(feats), sel).units
         expected = np.array([encode(params, feats[int(j)]) for j in sel])
         np.testing.assert_allclose(units, expected, rtol=0, atol=1e-12)
@@ -375,15 +363,14 @@ class TestFeatureRows:
 
 
 class TestTokenizeRows:
-    """tokenize_rows against feature_rows of per-text tokenize, bit for bit."""
+    """tokenize_rows against per-text tokenize, bit for bit."""
 
     @staticmethod
     def _assert_equals_per_text(texts, vocab):
         got = tokenize_rows(texts, vocab)
-        want = feature_rows([tokenize(text, vocab) for text in texts])
-        for name in ("indptr", "ids", "weights"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+        _assert_same_table(got, feature_rows([tokenize(t, vocab) for t in texts]))
+        for text in texts:
+            _assert_same_table(tokenize(text, vocab), tokenize_rows([text], vocab))
 
     @pytest.mark.parametrize("vocab", [7, 97, DEFAULT_VOCAB])
     def test_equals_per_text_tokenize(self, vocab):
@@ -480,10 +467,10 @@ class TestContrastiveLoss:
 
         touched = set()
         for q, d in batch:
-            touched.update(q.indices)
-            touched.update(d.indices)
+            touched.update(q.ids.tolist())
+            touched.update(d.ids.tolist())
         for per in negs:
-            touched.update(per[0].indices)
+            touched.update(per[0].ids.tolist())
         analytic = evaluate(params)[1].dense(16)
         numeric = _fd_gradient(evaluate, params, touched, 4)
         assert _max_rel_error(analytic, numeric) <= 1e-4
@@ -501,11 +488,11 @@ class TestContrastiveLoss:
 
         touched = set()
         for q, d in batch:
-            touched.update(q.indices)
-            touched.update(d.indices)
+            touched.update(q.ids.tolist())
+            touched.update(d.ids.tolist())
         for per in negs:
             for f in per:
-                touched.update(f.indices)
+                touched.update(f.ids.tolist())
         analytic = evaluate(params)[1].dense(16)
         numeric = _fd_gradient(evaluate, params, touched, 4)
         assert _max_rel_error(analytic, numeric) <= 1e-4
@@ -531,8 +518,8 @@ class TestContrastiveLoss:
         np.testing.assert_allclose(
             analytic, whole[1].dense(16), rtol=0, atol=1e-12
         )
-        touched = {i for pair in batch for f in pair for i in f.indices}
-        touched.update(i for per in negs for f in per for i in f.indices)
+        touched = {i for pair in batch for f in pair for i in f.ids.tolist()}
+        touched.update(i for per in negs for f in per for i in f.ids.tolist())
         numeric = _fd_gradient(evaluate, params, touched, 4)
         assert _max_rel_error(analytic, numeric) <= 1e-4
 
@@ -624,7 +611,12 @@ def _repeated_docs_instance(rng, vocab, neg_counts, fresh):
     distinct object.
     """
     n = len(neg_counts)
-    again = replace if fresh else (lambda f: f)
+
+    def again(f):
+        if not fresh:
+            return f
+        return FeatureRows(f.indptr.copy(), f.ids.copy(), f.weights.copy())
+
     batch = [(_rand_feats(rng, vocab), _rand_feats(rng, vocab)) for _ in range(n)]
     batch[1] = (batch[1][0], again(batch[0][1]))
     shared = _rand_feats(rng, vocab)
@@ -680,7 +672,15 @@ class TestContrastiveDistinctDocuments:
         fresh = _repeated_docs_instance(
             np.random.default_rng(33), 24, (2, 3, 1, 2), fresh=True
         )
-        assert fresh == shared
+
+        def values(instance):
+            batch, negs = instance
+            return [[_value(f) for f in pair] for pair in batch], [
+                [_value(f) for f in per] for per in negs
+            ]
+
+        assert values(fresh) == values(shared)
+        assert fresh[0][1][1] is not fresh[0][0][1]
         loss_a, grads_a = _contrastive(params, *shared)
         loss_b, grads_b = _contrastive(params, *fresh)
         assert np.array_equal(loss_a, loss_b)
@@ -813,8 +813,8 @@ class TestDistillLoss:
 
         touched = set()
         for q, d in batch:
-            touched.update(q.indices)
-            touched.update(d.indices)
+            touched.update(q.ids.tolist())
+            touched.update(d.ids.tolist())
         analytic = evaluate(new)[1].dense(16)
         numeric = _fd_gradient(evaluate, new, touched, 4)
         assert _max_rel_error(analytic, numeric) <= 1e-4
@@ -831,8 +831,8 @@ class TestDistillLoss:
 
         touched = set()
         for q, d in batch:
-            touched.update(q.indices)
-            touched.update(d.indices)
+            touched.update(q.ids.tolist())
+            touched.update(d.ids.tolist())
         analytic = evaluate(params)[1].dense(16)
         numeric = _fd_gradient(evaluate, params, touched, 4)
         assert _max_rel_error(analytic, numeric) <= 1e-4
@@ -891,7 +891,7 @@ class TestFusedDistillation:
         touched = {
             i
             for f in [f for pair in batch for f in pair] + sum(negs, [])
-            for i in f.indices
+            for i in f.ids.tolist()
         }
         analytic = evaluate(new)[1].dense(16)
         numeric = _fd_gradient(evaluate, new, touched, 4)
@@ -976,10 +976,10 @@ class TestMergeGrads:
         params = init_params(64, 4, 0.5, rng)
         batch = [(_rand_feats(rng, 64), _rand_feats(rng, 64)) for _ in range(3)]
         negs = [[_rand_feats(rng, 64)] for _ in range(3)]
-        ids = {i for pair in batch for f in pair for i in f.indices}
+        ids = {i for pair in batch for f in pair for i in f.ids.tolist()}
         _, grads = _distill(params, init_params(64, 4, 0.5, rng), batch)
         assert grads.rows.tolist() == sorted(ids)
-        ids.update(i for per in negs for f in per for i in f.indices)
+        ids.update(i for per in negs for f in per for i in f.ids.tolist())
         _, grads = _contrastive(params, batch, negs)
         assert grads.rows.tolist() == sorted(ids)
         assert grads.values.shape == (len(ids), 4)
