@@ -327,7 +327,7 @@ def _cmd_retrieve(args) -> int:
     if strategy == "reindex" and task != checkpoint:
         corpus = _dataset_for(_load_datasets(config), task).corpus
     emb = encode(params, tokenize(args.query, params.vocab_size))
-    (ranking,) = retrieve(params, index, corpus, ledger, [emb], task, strategy, k)
+    (ranking,) = retrieve(params, index, corpus, ledger, emb[None], task, strategy, k)
     for rank, (doc_id, score) in enumerate(ranking, start=1):
         print(f"{rank}\t{doc_id}\t{score:.6f}")
     return 0
@@ -461,11 +461,12 @@ def dispatch(argv=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except QdcError as exc:
+    except (QdcError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError as exc:
+        # a size no allocation can meet, such as a dim of 10^12
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -127,14 +127,15 @@ def accumulate_drift(ledger: DriftLedger, t_prime: int, t: int) -> DriftVector:
 
 
 def compensate_query(q_emb: np.ndarray, delta: DriftVector) -> np.ndarray:
-    """q - delta, not re-normalized (cosine search is scale invariant)."""
+    """q - delta for one query or each row of an (n, d) query matrix, not
+    re-normalized (cosine search is scale invariant)."""
     q = np.asarray(q_emb, dtype=np.float64)
-    if q.shape != delta.values.shape:
+    if q.ndim > 2 or q.shape[-1:] != delta.values.shape:
         raise DimMismatchError(
             f"query shape {q.shape} vs drift {delta.values.shape}"
         )
     out = q - delta.values
-    if float(np.linalg.norm(out)) < ZERO_NORM_EPS:
+    if (np.linalg.norm(out, axis=-1) < ZERO_NORM_EPS).any():
         raise ZeroVectorError("compensated query is numerically zero")
     return out
 
@@ -261,16 +262,21 @@ def compensate_query_multi(
 def compensate_query_path(
     ledger: DriftLedger, q_emb: np.ndarray, t_prime: int, t: int
 ) -> np.ndarray:
-    """Map a f_t query embedding back into the f_t_prime space.
+    """Map a f_t query embedding, or each row of an (n, d) matrix of them,
+    back into the f_t_prime space.
 
     When every transition in range holds a single vector this is the
-    accumulated subtraction; otherwise hops run newest to oldest, assigning
-    the partially compensated embedding at each hop.
+    accumulated subtraction, made once for all rows; otherwise hops run
+    newest to oldest, assigning the partially compensated embedding at each
+    hop, one row at a time.
     """
     records = [ledger.record_for(j) for j in range(t_prime, t)]
     if all(isinstance(r, DriftVector) for r in records):
         return compensate_query(q_emb, accumulate_drift(ledger, t_prime, t))
     emb = np.asarray(q_emb, dtype=np.float64)
+    if emb.ndim == 2:
+        out = [compensate_query_path(ledger, row, t_prime, t) for row in emb]
+        return np.array(out).reshape(emb.shape)
     for rec in reversed(records):
         if isinstance(rec, MultiDriftRecord):
             emb = compensate_query_multi(emb, rec)

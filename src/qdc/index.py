@@ -2,6 +2,11 @@
 
 Search is exact brute force over cosine similarity. Rows are stored float32;
 scoring runs in float64. Ties break by ascending doc_id for determinism.
+search_rows ranks a matrix of queries, scoring each block of them with one
+matrix product (exact flat search, as FAISS's flat index does); search_topk
+ranks one query. Both rank by the same rule. A block's scores may differ
+from search_topk's in their last bits, as the product sums in another
+order; a one-row matrix gets search_topk's scores to the bit.
 """
 from __future__ import annotations
 
@@ -29,6 +34,9 @@ if TYPE_CHECKING:
     from .datagen import TaskDataset
 
 INDEX_MAGIC = b"QDCIDX01"
+# scores search_rows computes at a time: a block of queries against every
+# row, 512 KB at most unless one query's scores alone take more
+_SEARCH_SCORES = 1 << 16
 _INDEX_HEADER = struct.Struct("<IIII")  # task_id, encoder_version, N, d
 
 
@@ -103,10 +111,13 @@ class CorpusIndex:
     doc_ids: list[str]
 
     @cached_property
-    def _scoring(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # float64 rows, their norms and the ids, built on the first search
+    def _scoring(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        # float64 rows, their norms, the ids and each id's rank in ascending
+        # (doc_id, position) order, built on the first search
         rows64 = self.rows.astype(np.float64)
-        return rows64, np.linalg.norm(rows64, axis=1), np.asarray(self.doc_ids)
+        ids = np.asarray(self.doc_ids)
+        rank = np.argsort(np.argsort(ids, kind="stable"))
+        return rows64, np.linalg.norm(rows64, axis=1), ids, rank
 
 
 def build_index(
@@ -133,7 +144,7 @@ def build_index(
 
 
 def _query_scores(index: CorpusIndex, q: np.ndarray) -> np.ndarray:
-    rows64, norms, _ = index._scoring
+    rows64, norms, _, _ = index._scoring
     arr = np.asarray(q, dtype=np.float64)
     if arr.shape != (index.dim,):
         raise DimMismatchError(f"query shape {arr.shape} vs dim {index.dim}")
@@ -150,9 +161,40 @@ def search_topk(
     if k < 1:
         raise ValueError("k must be >= 1")
     scores = _query_scores(index, q)
-    _, _, ids_arr = index._scoring
+    _, _, ids_arr, _ = index._scoring
     order = top_order(scores, ids_arr, k)
     return [(str(ids_arr[i]), float(scores[i])) for i in order]
+
+
+def search_rows(
+    index: CorpusIndex, queries: np.ndarray, k: int
+) -> list[list[tuple[str, float]]]:
+    """search_topk for each row of an (n, d) query matrix, in row order.
+
+    Each block of queries is scored with one matrix product, its rows
+    normalized as search_topk normalizes one query, and each row is ranked
+    by top_order.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    rows64, norms, _, rank = index._scoring
+    arr = np.asarray(queries, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[1] != index.dim:
+        raise DimMismatchError(f"queries shape {arr.shape} vs dim {index.dim}")
+    # one dot a row, as np.linalg.norm computes a single query's norm
+    qn = np.sqrt([row @ row for row in arr])
+    if (qn < ZERO_NORM_EPS).any():
+        raise ZeroVectorError("cannot search with a zero query embedding")
+    doc_ids = index.doc_ids
+    step = max(1, _SEARCH_SCORES // len(doc_ids))
+    rankings = []
+    for lo in range(0, len(arr), step):
+        scores = (arr[lo : lo + step] / qn[lo : lo + step, None]) @ rows64.T
+        scores /= norms
+        for row in scores:
+            top = top_order(row, rank, k)
+            rankings.append(list(zip([doc_ids[i] for i in top], row[top].tolist())))
+    return rankings
 
 
 def save_index(index: CorpusIndex, path) -> None:

@@ -40,7 +40,7 @@ from .index import (
     build_index,
     corpus_rows,
     eval_query_rows,
-    search_topk,
+    search_rows,
     train_query_rows,
 )
 from .metrics import METRIC_NAMES, MetricReport, compute_metrics, performance_drop
@@ -290,17 +290,19 @@ def retrieve(
     index: CorpusIndex | None,
     corpus,
     ledger: DriftLedger,
-    query_embs,
+    query_embs: np.ndarray,
     t_prime: int,
     strategy: str,
     k: int,
 ) -> list[list[tuple[str, float]]]:
-    """One ranking per query against task t_prime at checkpoint params.version.
+    """One ranking per row of the (n, d) query_embs against task t_prime at
+    checkpoint params.version.
 
     query_embs come from params. Only old tasks (t_prime != t) differ
     between strategies: reindex rebuilds the index from corpus with params,
-    qdc maps each query back along the ledger's drift path, and plain
-    searches the stored index as it is.
+    qdc maps the queries back along the ledger's drift path, and plain
+    searches the stored index as it is. The whole matrix is ranked at once
+    (index.search_rows).
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -308,38 +310,65 @@ def retrieve(
     if strategy == "reindex" and t_prime != t:
         index = build_index(params, corpus, t_prime)
     elif strategy == "qdc" and t_prime < t:
-        query_embs = [
-            compensate_query_path(ledger, emb, t_prime, t) for emb in query_embs
-        ]
-    return [search_topk(index, emb, k) for emb in query_embs]
+        query_embs = compensate_query_path(ledger, query_embs, t_prime, t)
+    return search_rows(index, query_embs, k)
+
+
+def _eval_query_embs(params: EncoderParams, data: TaskDataset) -> np.ndarray:
+    """data's test queries encoded by params, one row per query."""
+    return encode_batch(params, eval_query_rows(data, params.vocab_size))
 
 
 def _run(
-    state: ContinualState, data: TaskDataset, index, strategy: str, k: int
+    state: ContinualState,
+    data: TaskDataset,
+    index,
+    strategy: str,
+    k: int,
+    query_embs: np.ndarray | None,
 ) -> RetrievalRun:
     """Rank data's test queries, encoded by the current model."""
     params = state.params
-    embs = encode_batch(params, eval_query_rows(data, params.vocab_size))
+    if query_embs is None:
+        query_embs = _eval_query_embs(params, data)
     rankings = retrieve(
-        params, index, data.corpus, state.ledger, embs, data.task_id, strategy, k
+        params, index, data.corpus, state.ledger, query_embs, data.task_id, strategy, k
     )
     results = dict(zip([query_id for query_id, _ in data.queries_test], rankings))
     return RetrievalRun(task=data.task_id, results=results)
 
 
 def retrieve_eval(
-    state: ContinualState, t_prime: int, strategy: str, k: int
+    state: ContinualState,
+    t_prime: int,
+    strategy: str,
+    k: int,
+    query_embs: np.ndarray | None = None,
 ) -> RetrievalRun:
-    """Evaluate task t_prime at the current checkpoint with one strategy."""
+    """Evaluate task t_prime at the current checkpoint with one strategy.
+
+    query_embs, when given, are the task's test queries as the checkpoint's
+    model encodes them; they are encoded here otherwise.
+    """
     if t_prime not in state.indexes:
         raise MissingIndexError(f"no index for task {t_prime}")
     data = state.datasets[t_prime]
-    return _run(state, data, state.indexes[t_prime], strategy, k)
+    return _run(state, data, state.indexes[t_prime], strategy, k, query_embs)
 
 
-def zero_shot_run(state: ContinualState, data: TaskDataset, k: int) -> RetrievalRun:
-    """Future-task evaluation: current model on both queries and index."""
-    return _run(state, data, state.indexes.get(data.task_id), "reindex", k)
+def zero_shot_run(
+    state: ContinualState,
+    data: TaskDataset,
+    k: int,
+    query_embs: np.ndarray | None = None,
+) -> RetrievalRun:
+    """Future-task evaluation: current model on both queries and index.
+
+    query_embs, when given, are data's test queries as the checkpoint's
+    model encodes them; they are encoded here otherwise.
+    """
+    index = state.indexes.get(data.task_id)
+    return _run(state, data, index, "reindex", k, query_embs)
 
 
 def train_trajectory(
@@ -393,9 +422,11 @@ def _evaluate(
     once per key (checkpoint, t', strategy), where the diagonal and future
     (zero-shot) cells leave the strategy out and strategies share them.
     Checkpoints are keyed by identity, so trajectories that share one
-    evaluate its cells once.
+    evaluate its cells once, and a checkpoint encodes each task's test
+    queries once for all its cells.
     """
     memo: dict[tuple, MetricReport] = {}
+    embs: dict[tuple, np.ndarray] = {}
     results = []
     for method, strategy, checkpoints in jobs:
         num_tasks = len(checkpoints)
@@ -405,10 +436,14 @@ def _evaluate(
                 key = (state, t_prime, strategy if t_prime < t else None)
                 if key not in memo:
                     data = state.datasets[t_prime]
+                    queries = embs.get((state, t_prime))
+                    if queries is None:
+                        queries = _eval_query_embs(state.params, data)
+                        embs[state, t_prime] = queries
                     if t_prime <= t:
-                        run = retrieve_eval(state, t_prime, strategy, k)
+                        run = retrieve_eval(state, t_prime, strategy, k, queries)
                     else:
-                        run = zero_shot_run(state, data, k)
+                        run = zero_shot_run(state, data, k, queries)
                     memo[key] = compute_metrics(run, data.qrels, k)
                 cells[(t, t_prime)] = memo[key]
         results.append(

@@ -78,6 +78,29 @@ class TestParsing:
         assert dispatch(["bench", "--config", str(bad)]) == 1
         assert "lr * wd" in capsys.readouterr().err
 
+    def test_unallocatable_size_exits_one_with_one_error_line(
+        self, tmp_path, capsys
+    ):
+        # a 32768 x 10^12 weight matrix: numpy refuses it at once, reserving
+        # nothing
+        bad = tmp_path / "huge.json"
+        payload = {
+            "dim": 10**12,
+            "stream": {
+                "num_tasks": 1,
+                "docs_per_task": 20,
+                "train_pairs_per_task": 10,
+                "test_queries_per_task": 5,
+            },
+        }
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        out = tmp_path / "out"
+        assert dispatch(["bench", "--config", str(bad), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: Unable to allocate")
+        assert captured.out == ""
+
 
 class TestGenData:
     def test_writes_beir_layout(self, cfg_path, tiny_spec, tmp_path, capsys):

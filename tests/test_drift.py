@@ -367,6 +367,66 @@ class TestCompensatePath:
             compensate_query_path(ledger, q, 1, 3), expected, rtol=0, atol=1e-15
         )
 
+    @staticmethod
+    def _ledger(rng, kinds):
+        """One record per kind ("single" or "multi"), transitions 1, 2, ..."""
+        ledger = DriftLedger(dim=4)
+        for j, kind in enumerate(kinds, start=1):
+            if kind == "single":
+                record = _vec(rng.normal(size=4) * 0.1, j, j + 1)
+            else:
+                record = MultiDriftRecord(
+                    centroids=rng.normal(size=(3, 4)),
+                    vectors=rng.normal(size=(3, 4)) * 0.1,
+                    from_task=j,
+                    to_task=j + 1,
+                )
+            ledger = append_record(ledger, record)
+        return ledger
+
+    @pytest.mark.parametrize(
+        "kinds",
+        [
+            ("single",),
+            ("single", "single", "single"),
+            ("multi",),
+            ("single", "multi", "single"),
+            ("multi", "multi"),
+        ],
+    )
+    def test_matrix_rows_equal_per_vector_calls(self, kinds):
+        rng = np.random.default_rng(len(kinds))
+        ledger = self._ledger(rng, kinds)
+        queries = rng.normal(size=(9, 4))
+        t = len(kinds) + 1
+        for t_prime in range(1, t + 1):
+            out = compensate_query_path(ledger, queries, t_prime, t)
+            assert out.shape == queries.shape
+            for q, row in zip(queries, out):
+                want = compensate_query_path(ledger, q, t_prime, t)
+                assert row.tobytes() == want.tobytes()
+
+    def test_matrix_leaves_queries_unchanged(self):
+        rng = np.random.default_rng(10)
+        queries = rng.normal(size=(5, 4))
+        before = queries.copy()
+        for kinds in (("single", "single"), ("multi", "single")):
+            compensate_query_path(self._ledger(rng, kinds), queries, 1, 3)
+        np.testing.assert_array_equal(queries, before)
+
+    def test_matrix_with_a_row_mapped_to_zero_rejected(self):
+        rng = np.random.default_rng(11)
+        ledger = self._ledger(rng, ("single",))
+        queries = rng.normal(size=(4, 4))
+        queries[2] = ledger.record_for(1).values
+        with pytest.raises(ZeroVectorError):
+            compensate_query_path(ledger, queries, 1, 2)
+
+    def test_matrix_dim_mismatch_rejected(self):
+        ledger = self._ledger(np.random.default_rng(12), ("single",))
+        with pytest.raises(DimMismatchError):
+            compensate_query_path(ledger, np.ones((3, 5)), 1, 2)
+
 
 class TestLedgerPersistence:
     def _ledger(self):

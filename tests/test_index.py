@@ -4,6 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import qdc.index
+
 from qdc.datagen import TaskDataset
 from qdc.encoder import encode, init_params, tokenize, tokenize_rows
 from qdc.errors import (
@@ -23,6 +25,7 @@ from qdc.index import (
     doc_encoding_text,
     load_index,
     save_index,
+    search_rows,
     search_topk,
 )
 
@@ -283,6 +286,155 @@ class TestSearch:
             q = rng.normal(size=DIM)
             k = int(rng.integers(1, n + 3))
             assert search_topk(index, q, k) == _full_sort(index, q, k)
+
+
+def _exact_index(rng, n, distinct):
+    """n rows drawn from a few distinct small-integer rows, each possibly
+    doubled, ids in shuffled order. Against _exact_queries every product
+    and sum is exact, so rows with equal cosines (duplicates and multiples)
+    tie bit for bit however the scores are computed."""
+    pool = rng.integers(-2, 3, size=(distinct, DIM))
+    pool[~pool.any(axis=1), 0] = 1
+    rows = pool[rng.integers(0, distinct, n)] * rng.integers(1, 3, size=(n, 1))
+    return CorpusIndex(
+        task_id=1, encoder_version=1, dim=DIM, rows=rows.astype(np.float32),
+        doc_ids=[f"doc{i:05d}" for i in rng.permutation(n)],
+    )
+
+
+def _exact_queries(rng, m):
+    """m queries of 1 or 4 entries of +-1: norms 1 and 2, exact halves."""
+    queries = np.zeros((m, DIM))
+    for q in queries:
+        on = rng.choice(DIM, size=int(rng.choice([1, 4])), replace=False)
+        q[on] = rng.choice([-1.0, 1.0], size=len(on))
+    return queries
+
+
+def _random_index(rng, n, duplicates=False):
+    rows = rng.normal(size=(n, DIM))
+    if duplicates:
+        rows = rows[rng.integers(0, max(1, n // 4), n)]
+    return CorpusIndex(
+        task_id=1, encoder_version=1, dim=DIM, rows=rows.astype(np.float32),
+        doc_ids=[f"doc{i:05d}" for i in rng.permutation(n)],
+    )
+
+
+def _scores_close_to_search_topk(index, q, ranking):
+    exact = _query_scores(index, q)
+    position = {doc_id: i for i, doc_id in enumerate(index.doc_ids)}
+    np.testing.assert_allclose(
+        [score for _, score in ranking],
+        [exact[position[doc_id]] for doc_id, _ in ranking],
+        rtol=0,
+        atol=1e-15,
+    )
+
+
+class TestSearchRows:
+    """search_rows against search_topk, the single-query oracle."""
+
+    @staticmethod
+    def _assert_equals_search_topk(index, queries, k):
+        got = search_rows(index, queries, k)
+        assert got == [search_topk(index, q, k) for q in queries]
+
+    def test_exact_ties_match_search_topk(self):
+        # duplicate and doubled rows tie exactly, and k often cuts a tie
+        rng = np.random.default_rng(21)
+        for _ in range(80):
+            n = int(rng.integers(1, 90))
+            index = _exact_index(rng, n, int(rng.integers(1, 6)))
+            k = int(rng.integers(1, n + 3))
+            queries = _exact_queries(rng, int(rng.integers(1, 12)))
+            self._assert_equals_search_topk(index, queries, k)
+
+    @pytest.mark.parametrize("k", [1, 10, 59, 60, 61, 200])
+    def test_k_cutting_a_tied_block_matches_search_topk(self, k):
+        # rows 10..59 of _tied_index tie for e_0; axis queries score each
+        # row by one of its entries, exactly
+        index = _tied_index(np.random.default_rng(k), 10, 50, 40)
+        queries = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+        self._assert_equals_search_topk(index, queries, k)
+
+    def test_queries_span_several_blocks(self):
+        rng = np.random.default_rng(22)
+        n = 3000
+        index = _exact_index(rng, n, 12)
+        queries = _exact_queries(rng, 70)
+        assert qdc.index._SEARCH_SCORES // n < len(queries) // 3
+        self._assert_equals_search_topk(index, queries, 10)
+
+    @pytest.mark.parametrize("n", [1, 40, 3000])
+    def test_random_queries_match_search_topk(self, n):
+        # untied scores: the same ids, scores within the last bits
+        rng = np.random.default_rng(n)
+        index = _random_index(rng, n)
+        queries = rng.normal(size=(70, DIM))
+        for q, ranking in zip(queries, search_rows(index, queries, 10)):
+            want = search_topk(index, q, 10)
+            assert [doc_id for doc_id, _ in ranking] == [d for d, _ in want]
+            _scores_close_to_search_topk(index, q, ranking)
+
+    def test_built_index_matches_search_topk(self):
+        rng = np.random.default_rng(23)
+        index = build_index(_params(4), _random_corpus(rng, 120), task_id=1)
+        queries = rng.normal(size=(30, DIM))
+        for q, ranking in zip(queries, search_rows(index, queries, 7)):
+            want = search_topk(index, q, 7)
+            assert [doc_id for doc_id, _ in ranking] == [d for d, _ in want]
+            _scores_close_to_search_topk(index, q, ranking)
+
+    def test_duplicate_rows_tie_by_doc_id(self):
+        # a single query's matrix-vector product can score two equal rows a
+        # last bit apart; the block's scores of equal rows are equal, so
+        # its ranking is the (-score, doc_id) order of its own scores, and
+        # each score is within the last bits of search_topk's
+        rng = np.random.default_rng(29)
+        for _ in range(30):
+            n = int(rng.integers(2, 90))
+            index = _random_index(rng, n, duplicates=True)
+            queries = rng.normal(size=(int(rng.integers(1, 8)), DIM))
+            k = int(rng.integers(1, n + 1))
+            full = search_rows(index, queries, n)
+            for q, ranking, every in zip(queries, search_rows(index, queries, k), full):
+                assert every == sorted(every, key=lambda hit: (-hit[1], hit[0]))
+                assert ranking == every[:k]
+                _scores_close_to_search_topk(index, q, every)
+
+    def test_one_row_equals_search_topk_bit_for_bit(self):
+        rng = np.random.default_rng(24)
+        for _ in range(30):
+            n = int(rng.integers(1, 200))
+            index = _random_index(rng, n, duplicates=bool(rng.integers(2)))
+            k = int(rng.integers(1, n + 3))
+            for q in rng.normal(size=(3, DIM)):
+                assert search_rows(index, q[None], k) == [search_topk(index, q, k)]
+
+    def test_no_queries_no_rankings(self):
+        index = _random_index(np.random.default_rng(25), 5)
+        assert search_rows(index, np.empty((0, DIM)), 3) == []
+
+    def test_zero_query_rejected(self):
+        index = _random_index(np.random.default_rng(26), 5)
+        queries = np.ones((3, DIM))
+        queries[1] = 0.0
+        with pytest.raises(ZeroVectorError):
+            search_rows(index, queries, 3)
+
+    @pytest.mark.parametrize(
+        "shape", [(2, DIM + 1), (2, DIM - 1), (DIM,), (1, 1, DIM)]
+    )
+    def test_query_dim_mismatch_rejected(self, shape):
+        index = _random_index(np.random.default_rng(27), 5)
+        with pytest.raises(DimMismatchError):
+            search_rows(index, np.ones(shape), 3)
+
+    def test_k_below_one_rejected(self):
+        index = _random_index(np.random.default_rng(28), 5)
+        with pytest.raises(ValueError):
+            search_rows(index, np.ones((2, DIM)), 0)
 
 
 class TestPersistence:

@@ -1,3 +1,4 @@
+import hashlib
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -26,7 +27,7 @@ from qdc.encoder import (
     tokenize,
 )
 from qdc.errors import DataMismatchError, MissingIndexError
-from qdc.index import DocRecord, build_index, doc_encoding_text, search_topk
+from qdc.index import DocRecord, build_index, doc_encoding_text, eval_query_rows
 from qdc.metrics import compute_metrics
 from qdc.pipeline import (
     ContinualState,
@@ -714,12 +715,13 @@ class TestBenchCallCounts:
     ):
         # FT+KD starts from FT's first checkpoint, the same object, whose
         # cells are evaluated once; the diagonal and future cells of a
-        # checkpoint are evaluated once for all strategies
+        # checkpoint are evaluated once for all strategies; each cell is
+        # one block search, and each checkpoint encodes a task's test
+        # queries once for all its cells
         spec = replace(tiny_spec, num_tasks=num_tasks)
         stream = generate_task_stream(spec)
-        (queries,) = {len(ds.queries_test) for ds in stream}
         calls = Counter()
-        for name in ("train_task", "build_index", "search_topk"):
+        for name in ("train_task", "build_index", "search_rows"):
             real = getattr(qdc.pipeline, name)
 
             def counting(*args, _real=real, _name=name, **kwargs):
@@ -727,15 +729,45 @@ class TestBenchCallCounts:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(qdc.pipeline, name, counting)
+        encoded = []
+        real_encode = qdc.pipeline.encode_batch
+
+        def recording(params, table):
+            encoded.append(table)
+            return real_encode(params, table)
+
+        monkeypatch.setattr(qdc.pipeline, "encode_batch", recording)
         config = RunConfig(stream=spec)
         _, trajectories = bench(init_state(config, stream), config)
         assert trajectories[True][0] is trajectories[False][0]
+        test_tables = [eval_query_rows(ds, config.vocab_size) for ds in stream]
+        calls["test query encodes"] = sum(
+            any(table is test for test in test_tables) for table in encoded
+        )
         T = num_tasks
         assert calls == {
             "train_task": 2 * T - 1,
             "build_index": T + 2 * T * (T - 1),
-            "search_topk": (T + 4 * T * (T - 1)) * queries,
+            "search_rows": T + 4 * T * (T - 1),
+            "test query encodes": (2 * T - 1) * T,
         }
+
+
+class TestBenchDigest:
+    """The shipped benchmark's metric matrix and comparison, pinned: a
+    faster evaluation must rank every cell the same."""
+
+    def test_metrics_csv(self, bench_outcome):
+        results, _, _ = bench_outcome
+        assert hashlib.sha256(results_to_csv(results).encode()).hexdigest() == (
+            "59e338b16b1c9f877d7dfb266638dd3ceb2d12dbc60910b0c9ad563b3f529503"
+        )
+
+    def test_comparison_csv(self, bench_outcome):
+        results, _, _ = bench_outcome
+        assert hashlib.sha256(comparison_to_csv(results).encode()).hexdigest() == (
+            "21191bc71ee437f97901d1f2774502f5f04d29edec3820407d52444734d48ccc"
+        )
 
 
 class TestBenchEquivalence:
