@@ -1,12 +1,14 @@
 """Per-task corpus indexes: build, persist, load, exact top-k search.
 
-Search is exact brute force over cosine similarity. Rows are stored float32;
-scoring runs in float64. Ties break by ascending doc_id for determinism.
-search_rows ranks a matrix of queries, scoring each block of them with one
-matrix product (exact flat search, as FAISS's flat index does); search_topk
-ranks one query. Both rank by the same rule. A block's scores may differ
-from search_topk's in their last bits, as the product sums in another
-order; a one-row matrix gets search_topk's scores to the bit.
+Search is exact brute force over cosine similarity, ties by ascending
+doc_id. Rows are stored float32. A search runs in two stages, as FAISS
+refines a compressed scan with exact distances (Johnson et al.,
+arXiv:1702.08734): a float32 scan of the unit rows keeps every row that can
+be in the top k, and only those candidates are scored exactly, in float64,
+with one fixed-order dot product a row. A row's exact score therefore does
+not depend on which other rows or queries it is scored with: identical rows
+tie bit for bit, and search_rows, which scans a block of queries with one
+matrix product, gives search_topk's rankings and scores to the bit.
 """
 from __future__ import annotations
 
@@ -28,14 +30,17 @@ from .errors import (
     ZeroVectorError,
 )
 from .fileio import atomic_write
-from .vecops import ZERO_NORM_EPS, top_order
+from .vecops import ZERO_NORM_EPS, id_rank, top_order
 
 if TYPE_CHECKING:
     from .datagen import TaskDataset
 
 INDEX_MAGIC = b"QDCIDX01"
-# scores search_rows computes at a time: a block of queries against every
-# row, 512 KB at most unless one query's scores alone take more
+# float32 scan scores computed at a time: a block of queries against every
+# row, 256 KB at most unless one query's scores alone take more. The exact
+# stage copies each candidate row and its query in float64, 16 * dim bytes
+# a candidate: about k candidates a query, and one per score only when
+# every row ties.
 _SEARCH_SCORES = 1 << 16
 _INDEX_HEADER = struct.Struct("<IIII")  # task_id, encoder_version, N, d
 
@@ -111,13 +116,13 @@ class CorpusIndex:
     doc_ids: list[str]
 
     @cached_property
-    def _scoring(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        # float64 rows, their norms, the ids and each id's rank in ascending
-        # (doc_id, position) order, built on the first search
+    def _scoring(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # the float32 unit rows the scan reads, the float64 norms the exact
+        # scores divide by and each doc id's rank, built on the first search
         rows64 = self.rows.astype(np.float64)
-        ids = np.asarray(self.doc_ids)
-        rank = np.argsort(np.argsort(ids, kind="stable"))
-        return rows64, np.linalg.norm(rows64, axis=1), ids, rank
+        norms = np.linalg.norm(rows64, axis=1)
+        rows64 /= norms[:, None]
+        return rows64.astype(np.float32), norms, id_rank(self.doc_ids)
 
 
 def build_index(
@@ -143,27 +148,36 @@ def build_index(
     )
 
 
-def _query_scores(index: CorpusIndex, q: np.ndarray) -> np.ndarray:
-    rows64, norms, _, _ = index._scoring
-    arr = np.asarray(q, dtype=np.float64)
-    if arr.shape != (index.dim,):
-        raise DimMismatchError(f"query shape {arr.shape} vs dim {index.dim}")
-    qn = float(np.linalg.norm(arr))
-    if qn < ZERO_NORM_EPS:
-        raise ZeroVectorError("cannot search with a zero query embedding")
-    return (rows64 @ (arr / qn)) / norms
+def _scan_margin(dim: int) -> np.float32:
+    """How far below the k-th best scan score a row of the exact top k can
+    scan, for queries and rows of dim entries.
+
+    With u = 2^-24 and gamma_n = nu / (1 - nu), a row's float32 scan score
+    is within eps = gamma_{d+4} of its exact score. Rounding the unit query
+    and the unit row to float32 costs at most u each; a d-term float32 dot,
+    summed in any order with or without FMA, at most gamma_d (underflow
+    adds at most d * 2^-149); and the exact score, a float64 dot over the
+    row's norm, lies within (d+2) * 2^-53 of its real value: under
+    gamma_{d+3} in all. The k rows scanning at or above the k-th best scan
+    score K all score at least K - eps exactly, so the k-th best exact
+    score does too, and a row of the exact top k scans at least K - 2 eps.
+    Twice the gap gamma_{d+4} - gamma_{d+3} > u covers rounding 2 eps and
+    the cut K - 2 eps to float32 while eps <= 1/4; past that every row is
+    kept.
+    """
+    n = (dim + 4) * 2.0**-24
+    # eps = n / (1 - n) <= 1/4 while n <= 1/5
+    return np.float32(2 * n / (1 - n) if n <= 0.2 else np.inf)
 
 
 def search_topk(
     index: CorpusIndex, q: np.ndarray, k: int
 ) -> list[tuple[str, float]]:
     """Exact top-k by cosine, ties by ascending doc_id; clamps k to N."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    scores = _query_scores(index, q)
-    _, _, ids_arr, _ = index._scoring
-    order = top_order(scores, ids_arr, k)
-    return [(str(ids_arr[i]), float(scores[i])) for i in order]
+    arr = np.asarray(q, dtype=np.float64)
+    if arr.shape != (index.dim,):
+        raise DimMismatchError(f"query shape {arr.shape} vs dim {index.dim}")
+    return search_rows(index, arr[None], k)[0]
 
 
 def search_rows(
@@ -171,29 +185,40 @@ def search_rows(
 ) -> list[list[tuple[str, float]]]:
     """search_topk for each row of an (n, d) query matrix, in row order.
 
-    Each block of queries is scored with one matrix product, its rows
-    normalized as search_topk normalizes one query, and each row is ranked
-    by top_order.
+    Each block of queries is scanned with one float32 matrix product; each
+    row's candidates, every row scanning within _scan_margin of its k-th
+    best, are scored exactly and ranked by top_order.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    rows64, norms, _, rank = index._scoring
+    unit, norms, rank = index._scoring
     arr = np.asarray(queries, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != index.dim:
         raise DimMismatchError(f"queries shape {arr.shape} vs dim {index.dim}")
-    # one dot a row, as np.linalg.norm computes a single query's norm
+    # one dot a row, the bits np.linalg.norm gives one query
     qn = np.sqrt([row @ row for row in arr])
     if (qn < ZERO_NORM_EPS).any():
         raise ZeroVectorError("cannot search with a zero query embedding")
+    arr = arr / qn[:, None]
     doc_ids = index.doc_ids
+    margin = _scan_margin(index.dim)
+    cut = len(doc_ids) - min(k, len(doc_ids))
     step = max(1, _SEARCH_SCORES // len(doc_ids))
     rankings = []
     for lo in range(0, len(arr), step):
-        scores = (arr[lo : lo + step] / qn[lo : lo + step, None]) @ rows64.T
-        scores /= norms
-        for row in scores:
-            top = top_order(row, rank, k)
-            rankings.append(list(zip([doc_ids[i] for i in top], row[top].tolist())))
+        block = arr[lo : lo + step]
+        scans = block.astype(np.float32) @ unit.T
+        kth = np.partition(scans, cut, axis=1)[:, cut]
+        row, cand = np.nonzero(scans >= (kth - margin)[:, None])
+        # exact scores of the candidates: one fixed-order float64 dot a row
+        scores = np.einsum(
+            "ij,ij->i", index.rows[cand].astype(np.float64), block[row]
+        ) / norms[cand]
+        bounds = np.searchsorted(row, np.arange(len(block) + 1))
+        for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            top = a + top_order(scores[a:b], rank[cand[a:b]], k)
+            ranking = zip([doc_ids[i] for i in cand[top]], scores[top].tolist())
+            rankings.append(list(ranking))
     return rankings
 
 

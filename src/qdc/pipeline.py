@@ -44,7 +44,7 @@ from .index import (
     train_query_rows,
 )
 from .metrics import METRIC_NAMES, MetricReport, compute_metrics, performance_drop
-from .vecops import top_order
+from .vecops import id_rank, top_order
 
 STRATEGIES = ("plain", "qdc", "reindex")
 
@@ -146,7 +146,7 @@ def mine_hard_negatives(
     negs = np.full((len(pairs), h), -1, dtype=np.intp)
     if h == 0 or not pairs:
         return negs, q_units, doc_units
-    ids_arr = np.asarray([d.doc_id for d in corpus])
+    rank = id_rank([d.doc_id for d in corpus])
     position = {d.doc_id: j for j, d in enumerate(corpus)}
     positives: dict[str, set[int]] = {}
     for query, doc_id in pairs:
@@ -157,7 +157,7 @@ def mine_hard_negatives(
         for i, (query, _) in enumerate(pairs[lo : lo + step]):
             exclude = positives[query]
             # the h best non-positives lie within the h + |positives| best
-            order = top_order(scores[i], ids_arr, h + len(exclude))
+            order = top_order(scores[i], rank, h + len(exclude))
             found = [j for j in order.tolist() if j not in exclude][:h]
             negs[lo + i, : len(found)] = found
     return negs, q_units, doc_units

@@ -42,6 +42,14 @@ def mean_embedding(vs: Sequence) -> np.ndarray:
     return acc / len(vs)
 
 
+def id_rank(ids) -> np.ndarray:
+    """Each id's position in ascending (id, position) order.
+
+    An integer key that sorts as the ids do, for top_order's tie-break.
+    """
+    return np.argsort(np.argsort(np.asarray(ids), kind="stable"))
+
+
 def top_order(scores: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
     """Positions of the min(k, N) best scores, descending, ties by ascending id.
 

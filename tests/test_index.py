@@ -19,7 +19,6 @@ from qdc.index import (
     Corpus,
     CorpusIndex,
     DocRecord,
-    _query_scores,
     build_index,
     corpus_rows,
     doc_encoding_text,
@@ -56,9 +55,19 @@ def _brute_force(index, q, k):
     return [(doc_id, float(score)) for doc_id, score in ranked[:k]]
 
 
+def _exact_scores(index, q):
+    """Every row's exact score: one fixed-order float64 dot a row with the
+    unit query, over the row's norm."""
+    rows = index.rows.astype(np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    return np.einsum("ij,j->i", rows, q / np.linalg.norm(q)) / np.linalg.norm(
+        rows, axis=1
+    )
+
+
 def _full_sort(index, q, k):
     """The search as one full lexsort of every row by (-score, doc_id)."""
-    scores = _query_scores(index, q)
+    scores = _exact_scores(index, q)
     ids = np.asarray(index.doc_ids)
     order = np.lexsort((ids, -scores))[:k]
     return [(str(ids[i]), float(scores[i])) for i in order]
@@ -259,7 +268,7 @@ class TestSearch:
         # 10 rows above a block of 50 identical rows, 40 below; ids shuffled
         index = _tied_index(np.random.default_rng(k), 10, 50, 40)
         q = np.array([1.0, 0.0])
-        scores = _query_scores(index, q)
+        scores = _exact_scores(index, q)
         assert len(set(scores[10:60].tolist())) == 1
         assert search_topk(index, q, k) == _full_sort(index, q, k)
 
@@ -321,19 +330,16 @@ def _random_index(rng, n, duplicates=False):
     )
 
 
-def _scores_close_to_search_topk(index, q, ranking):
-    exact = _query_scores(index, q)
+def _assert_exact_scores(index, q, ranking):
+    exact = _exact_scores(index, q)
     position = {doc_id: i for i, doc_id in enumerate(index.doc_ids)}
-    np.testing.assert_allclose(
-        [score for _, score in ranking],
-        [exact[position[doc_id]] for doc_id, _ in ranking],
-        rtol=0,
-        atol=1e-15,
-    )
+    assert [score for _, score in ranking] == [
+        exact[position[doc_id]] for doc_id, _ in ranking
+    ]
 
 
 class TestSearchRows:
-    """search_rows against search_topk, the single-query oracle."""
+    """search_rows against search_topk and the exact scores."""
 
     @staticmethod
     def _assert_equals_search_topk(index, queries, k):
@@ -368,29 +374,24 @@ class TestSearchRows:
 
     @pytest.mark.parametrize("n", [1, 40, 3000])
     def test_random_queries_match_search_topk(self, n):
-        # untied scores: the same ids, scores within the last bits
         rng = np.random.default_rng(n)
         index = _random_index(rng, n)
         queries = rng.normal(size=(70, DIM))
-        for q, ranking in zip(queries, search_rows(index, queries, 10)):
-            want = search_topk(index, q, 10)
-            assert [doc_id for doc_id, _ in ranking] == [d for d, _ in want]
-            _scores_close_to_search_topk(index, q, ranking)
+        got = search_rows(index, queries, 10)
+        assert got == [search_topk(index, q, 10) for q in queries]
+        for q, ranking in zip(queries, got):
+            _assert_exact_scores(index, q, ranking)
 
     def test_built_index_matches_search_topk(self):
         rng = np.random.default_rng(23)
         index = build_index(_params(4), _random_corpus(rng, 120), task_id=1)
         queries = rng.normal(size=(30, DIM))
-        for q, ranking in zip(queries, search_rows(index, queries, 7)):
-            want = search_topk(index, q, 7)
-            assert [doc_id for doc_id, _ in ranking] == [d for d, _ in want]
-            _scores_close_to_search_topk(index, q, ranking)
+        got = search_rows(index, queries, 7)
+        assert got == [search_topk(index, q, 7) for q in queries]
+        for q, ranking in zip(queries, got):
+            _assert_exact_scores(index, q, ranking)
 
     def test_duplicate_rows_tie_by_doc_id(self):
-        # a single query's matrix-vector product can score two equal rows a
-        # last bit apart; the block's scores of equal rows are equal, so
-        # its ranking is the (-score, doc_id) order of its own scores, and
-        # each score is within the last bits of search_topk's
         rng = np.random.default_rng(29)
         for _ in range(30):
             n = int(rng.integers(2, 90))
@@ -400,8 +401,8 @@ class TestSearchRows:
             full = search_rows(index, queries, n)
             for q, ranking, every in zip(queries, search_rows(index, queries, k), full):
                 assert every == sorted(every, key=lambda hit: (-hit[1], hit[0]))
-                assert ranking == every[:k]
-                _scores_close_to_search_topk(index, q, every)
+                assert ranking == every[:k] == search_topk(index, q, k)
+                _assert_exact_scores(index, q, every)
 
     def test_one_row_equals_search_topk_bit_for_bit(self):
         rng = np.random.default_rng(24)
@@ -435,6 +436,105 @@ class TestSearchRows:
         index = _random_index(np.random.default_rng(28), 5)
         with pytest.raises(ValueError):
             search_rows(index, np.ones((2, DIM)), 0)
+
+
+class TestIdenticalRows:
+    """Bit-identical rows score the same bits wherever they lie in the
+    matrix, and so tie and order by doc_id."""
+
+    @pytest.mark.parametrize("scores", [1, 64, 1 << 16, 1 << 22])
+    @pytest.mark.parametrize("n", [22, 69])
+    @pytest.mark.parametrize("dim", [3, DIM, 64])
+    def test_identical_rows_tie_at_every_position(
+        self, monkeypatch, scores, n, dim
+    ):
+        monkeypatch.setattr(qdc.index, "_SEARCH_SCORES", scores)
+        rng = np.random.default_rng([n, dim])
+        rows = rng.normal(size=(n, dim)).astype(np.float32)
+        # one copy at each position mod 8, two in the last partial group
+        at = [j + 8 * (j % 2) for j in range(8)] + [n - 2, n - 1]
+        rows[at] = rows[0]
+        index = CorpusIndex(
+            task_id=1, encoder_version=1, dim=dim, rows=rows,
+            doc_ids=[f"doc{i:05d}" for i in rng.permutation(n)],
+        )
+        copies = sorted(index.doc_ids[i] for i in at)
+        queries = rng.normal(size=(40, dim))
+        full = search_rows(index, queries, n + 2)
+        for q, every in zip(queries, full):
+            for ranking in (every, search_topk(index, q, n + 2)):
+                tied = [hit for hit in ranking if hit[0] in copies]
+                assert len({score for _, score in tied}) == 1
+                first = ranking.index(tied[0])
+                assert ranking[first : first + len(at)] == tied
+                assert [doc_id for doc_id, _ in tied] == copies
+        for q, every in zip(queries, full):
+            _assert_exact_scores(index, q, every)
+        for k in range(1, n + 3):
+            got = search_rows(index, queries[:8], k)
+            assert got == [every[:k] for every in full[:8]]
+            assert got == [search_topk(index, q, k) for q in queries[:8]]
+
+
+def _near_tie_index(rng, dim, pool, center, spread=5e-7):
+    """A pool of float64 rows whose cosines with the returned query lie
+    within spread of center, between rows far above and far below it.
+
+    The rows are not representable in float32 and their norms run from
+    1e-3 to 1e3, so the float32 scan cannot order the pool, and the exact
+    scores must.
+    """
+    q = rng.normal(size=dim)
+    q /= np.linalg.norm(q)
+
+    def at_cosine(c):
+        w = rng.normal(size=dim)
+        w -= (w @ q) * q
+        return c * q + np.sqrt(1 - c * c) * w / np.linalg.norm(w)
+
+    cosines = np.concatenate(
+        [
+            rng.uniform(0.9, 0.99, 3),
+            center + rng.uniform(-spread, spread, pool),
+            rng.uniform(-0.9, -0.5, 4),
+        ]
+    )
+    rows = np.array([at_cosine(c) for c in cosines])
+    rows *= 10.0 ** rng.uniform(-3, 3, size=(len(rows), 1))
+    assert not np.array_equal(rows, rows.astype(np.float32))
+    n = len(rows)
+    index = CorpusIndex(
+        task_id=1, encoder_version=1, dim=dim, rows=rows,
+        doc_ids=[f"doc{i:05d}" for i in rng.permutation(n)],
+    )
+    return index, q
+
+
+class TestScanPrefilter:
+    """The float32 scan never drops a row of the exact top k."""
+
+    @pytest.mark.parametrize("dim", [2, 8, 64])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_near_ties_match_full_sort_of_exact_scores(self, dim, seed):
+        rng = np.random.default_rng([dim, seed])
+        index, q = _near_tie_index(rng, dim, 40, rng.uniform(-0.3, 0.8))
+        # q, 7.5 q, and q rounded to float32 and nudged: unit queries that
+        # differ only in their last bits
+        queries = np.stack([q, 7.5 * q, q.astype(np.float32) * (1 + 1e-12)])
+        n = len(index.doc_ids)
+        for k in range(1, n + 3):
+            got = search_rows(index, queries, k)
+            assert got == [_full_sort(index, query, k) for query in queries]
+            assert got[0] == search_topk(index, q, k)
+
+    @pytest.mark.parametrize("dim", [8, 64])
+    def test_pool_wider_than_the_margin(self, dim):
+        # cosines spread over several scan margins, so k cuts the candidates
+        # out of the pool
+        rng = np.random.default_rng(dim)
+        index, q = _near_tie_index(rng, dim, 300, 0.25, spread=3e-5)
+        for k in (1, 2, 3, 4, 5, 50, 150, 302, 303, 306, 307, 309):
+            assert search_topk(index, q, k) == _full_sort(index, q, k)
 
 
 class TestPersistence:

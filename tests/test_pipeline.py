@@ -21,6 +21,7 @@ from qdc.encoder import (
     EncoderParams,
     contrastive_loss,
     distill_loss,
+    encode,
     encode_batch,
     feature_rows,
     sgd_step,
@@ -41,6 +42,7 @@ from qdc.pipeline import (
     render_matrix_table,
     render_report,
     results_to_csv,
+    retrieve,
     retrieve_eval,
     train_task,
     train_trajectory,
@@ -182,6 +184,32 @@ class TestMineHardNegatives:
         got = _mined_ids(params, pairs, corpus, h)
         assert got == _mined_by_full_sort(params, pairs, corpus, h)
         assert tied[0] not in got[0] and tied[h % 30] not in got[1]
+
+    @pytest.mark.parametrize("h", [1, 3, 12, 40, 59])
+    def test_tie_heavy_corpus_matches_string_keyed_oracle(self, tiny_config, h):
+        # 60 documents from 4 texts, ids shuffled: most cuts fall inside a
+        # tie, which the integer doc-id rank must break as the ids do
+        rng = np.random.default_rng(h)
+        texts = ["alpha beta", "beta gamma", "alpha", "gamma delta delta"]
+        ids = [f"d{i:03d}" for i in rng.permutation(60)]
+        corpus = [_doc(ids[i], texts[int(rng.integers(0, 4))]) for i in range(60)]
+        pairs = [
+            (query, ids[int(j)])
+            for query, j in zip(
+                ["alpha beta", "alpha", "beta", "alpha beta", "delta"],
+                rng.integers(0, 60, size=5),
+            )
+        ]
+        params = init_state(tiny_config).params
+        negs, q_units, doc_units = mine_hard_negatives(params, pairs, corpus, h)
+        scores = q_units @ doc_units.T
+        want = np.full_like(negs, -1)
+        for i, (query, _) in enumerate(pairs):
+            positives = {ids.index(d) for q, d in pairs if q == query}
+            order = np.lexsort((np.asarray(ids), -scores[i]))
+            found = [j for j in order.tolist() if j not in positives][:h]
+            want[i, : len(found)] = found
+        assert negs.tobytes() == want.tobytes()
 
     def test_h_plus_positives_beyond_corpus_size(self, tiny_config):
         corpus = [_doc(f"d{i}", "shared" if i < 2 else f"tok{i}") for i in range(4)]
@@ -767,6 +795,32 @@ class TestBenchDigest:
         results, _, _ = bench_outcome
         assert hashlib.sha256(comparison_to_csv(results).encode()).hexdigest() == (
             "21191bc71ee437f97901d1f2774502f5f04d29edec3820407d52444734d48ccc"
+        )
+
+    def test_retrieve_lines(self, bench_outcome, default_config):
+        # `qdc retrieve`'s lines for 20 test queries of each old task at the
+        # final FT checkpoint, FT and FT+QDC, each query ranked alone
+        _, trajectories, _ = bench_outcome
+        final = trajectories[False][-1]
+        params = final.params
+        lines = []
+        for strategy in ("plain", "qdc"):
+            for task in range(1, params.version):
+                data = final.datasets[task]
+                for _, text in data.queries_test[:20]:
+                    emb = encode(params, tokenize(text, params.vocab_size))
+                    (ranking,) = retrieve(
+                        params, final.indexes[task], data.corpus, final.ledger,
+                        emb[None], task, strategy, default_config.k,
+                    )
+                    lines += [
+                        f"{rank}\t{doc_id}\t{score:.6f}"
+                        for rank, (doc_id, score) in enumerate(ranking, start=1)
+                    ]
+        assert len(lines) == 2 * 20 * (params.version - 1) * default_config.k
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == (
+            "92ec0a9e27ad705efdf0666a8cb01081b238fc92a4d026a566a64e43a6d9156f"
         )
 
 

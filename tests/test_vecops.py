@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qdc.errors import DimMismatchError, EmptyListError
-from qdc.vecops import _as_vector, mean_embedding, top_order
+from qdc.vecops import _as_vector, id_rank, mean_embedding, top_order
 
 
 def test_mean_embedding_two_vectors():
@@ -104,3 +104,19 @@ def test_top_order_k_beyond_n_returns_every_position():
 def test_top_order_empty_scores():
     out = top_order(np.array([]), np.array([], dtype=np.int64), 5)
     assert len(out) == 0
+
+
+@pytest.mark.parametrize("k", [1, 5, 30, 60, 65])
+def test_id_rank_orders_as_the_string_ids(k):
+    # repeated ids and scores: the rank keeps lexsort's (id, position) order
+    rng = np.random.default_rng(k)
+    ids = np.asarray([f"d{int(i):03d}" for i in rng.integers(0, 25, size=60)])
+    scores = rng.integers(0, 4, size=60).astype(np.float64)
+    rank = id_rank(list(ids))
+    assert sorted(rank.tolist()) == list(range(60))
+    np.testing.assert_array_equal(
+        np.lexsort((rank, -scores)), np.lexsort((ids, -scores))
+    )
+    np.testing.assert_array_equal(
+        top_order(scores, rank, k), top_order(scores, ids, k)
+    )
