@@ -9,7 +9,6 @@ from .config import (
     RunConfig,
     apply_overrides,
     derive_rng,
-    derive_seed,
     load_config,
     parse_method,
     save_config,
@@ -26,18 +25,13 @@ from .datagen import (
 from .drift import (
     DriftLedger,
     DriftVector,
-    MultiDriftRecord,
     accumulate_drift,
     append_record,
     compensate_query,
-    compensate_query_multi,
     compensate_query_path,
     estimate_drift,
-    estimate_multi_drift,
-    kmeans_pp_init,
     ledger_from_dict,
     ledger_to_dict,
-    lloyd_kmeans,
 )
 from .encoder import (
     EncoderParams,

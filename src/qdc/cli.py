@@ -87,7 +87,6 @@ def _resolve_config(args, reseed_stream: bool) -> RunConfig:
         seed=getattr(args, "seed", None),
         method=getattr(args, "method", None),
         k=getattr(args, "k", None),
-        multi_k=getattr(args, "multi_k", None),
         out_dir=getattr(args, "out", None),
     )
     if reseed_stream and getattr(args, "seed", None) is not None:
@@ -395,7 +394,6 @@ def _add_config_flags(parser, with_method: bool) -> None:
     if with_method:
         parser.add_argument("--method", choices=METHODS, help="method to run")
     parser.add_argument("--k", type=int, help="retrieval depth")
-    parser.add_argument("--multi-k", type=int, dest="multi_k", help="drift clusters")
     parser.add_argument("--out", help="base output directory")
 
 

@@ -56,14 +56,6 @@ def derive_rng(root: int, *tags) -> np.random.Generator:
     return np.random.default_rng(seed_chain(root, *tags))
 
 
-def derive_seed(root: int, *tags) -> int:
-    """A single integer seed for components that take one (e.g. k-means)."""
-    state = np.random.SeedSequence(seed_chain(root, *tags)).generate_state(
-        1, np.uint64
-    )
-    return int(state[0])
-
-
 @dataclass(frozen=True)
 class RunConfig:
     seed: int = 42
@@ -76,7 +68,6 @@ class RunConfig:
     epochs: int = 1
     hard_negatives: int = 7
     k: int = 10
-    multi_k: int = 1
     method: str = "FT+QDC"
     drift_query_cap: int = 10000
     out_dir: str = "out"
@@ -99,8 +90,8 @@ class RunConfig:
             raise ConfigError("batch_size and epochs must be >= 1")
         if self.hard_negatives < 0:
             raise ConfigError("hard_negatives must be >= 0")
-        if self.k < 1 or self.multi_k < 1:
-            raise ConfigError("k and multi_k must be >= 1")
+        if self.k < 1:
+            raise ConfigError("k must be >= 1")
         if self.drift_query_cap < 1:
             raise ConfigError("drift_query_cap must be >= 1")
 
@@ -160,6 +151,15 @@ def config_from_dict(payload: dict) -> RunConfig:
     if not isinstance(payload, dict):
         raise ConfigError("config must be a JSON object")
     payload = dict(payload)
+    # configs written before per-cluster drift was removed hold
+    # "multi_k": 1, the one translation that remains
+    if "multi_k" in payload:
+        legacy = payload.pop("multi_k")
+        if type(legacy) is not int or legacy != 1:
+            raise ConfigError(
+                f"multi_k {legacy!r}: per-cluster drift was removed, and "
+                "only the legacy value 1 (one translation) is read"
+            )
     stream_payload = payload.pop("stream", None)
     datasets = payload.pop("datasets", None)
     _check_fields({f.name: f.type for f in fields(RunConfig)}, payload, "config")

@@ -54,14 +54,6 @@ class MissingTransitionError(QdcError):
     """The drift ledger lacks a transition needed for accumulation."""
 
 
-class MixedRecordKindError(QdcError):
-    """Single-vector accumulation hit a multi-vector ledger record."""
-
-
-class TooFewQueriesError(QdcError):
-    """Clustered drift estimation asked for more clusters than queries."""
-
-
 class CorruptLedgerError(QdcError):
     """Drift ledger file failed structural validation."""
 

@@ -27,6 +27,7 @@ from .errors import (
     DimMismatchError,
     DuplicateDocIdError,
     EmptyCorpusError,
+    NonFiniteError,
     ZeroVectorError,
 )
 from .fileio import atomic_write
@@ -195,6 +196,8 @@ def search_rows(
     arr = np.asarray(queries, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != index.dim:
         raise DimMismatchError(f"queries shape {arr.shape} vs dim {index.dim}")
+    if not np.isfinite(arr).all():
+        raise NonFiniteError("cannot search with a NaN or infinite query")
     # one dot a row, the bits np.linalg.norm gives one query
     qn = np.sqrt([row @ row for row in arr])
     if (qn < ZERO_NORM_EPS).any():

@@ -13,14 +13,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import METHODS, RunConfig, derive_rng, derive_seed, parse_method
+from .config import METHODS, RunConfig, derive_rng, parse_method
 from .datagen import TaskDataset, validate_dataset
 from .drift import (
     DriftLedger,
     append_record,
     compensate_query_path,
     estimate_drift,
-    estimate_multi_drift,
 )
 from .encoder import (
     EncoderParams,
@@ -268,16 +267,7 @@ def train_task(
         drift_queries = _drift_query_sample(
             train_query_rows(data, prev.vocab_size), config, t
         )
-        if config.multi_k == 1:
-            record = estimate_drift(params, prev, drift_queries)
-        else:
-            record = estimate_multi_drift(
-                params,
-                prev,
-                drift_queries,
-                config.multi_k,
-                derive_seed(config.seed, "kmeans", t),
-            )
+        record = estimate_drift(params, prev, drift_queries)
         ledger = append_record(ledger, record)
 
     indexes = dict(state.indexes)

@@ -2,30 +2,29 @@
 
 Numbered criteria, in order: gradient checks, exact retrieval, metric
 oracles, drift additivity, translation exactness, published PD values, the
-directional benchmark, the single-cluster reduction law, re-index
+directional benchmark, the stored drift as the mean query drift, re-index
 equivalence, run determinism, and persistence round-trips.
 """
 import itertools
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from qdc.cli import dispatch
-from qdc.config import derive_seed
 from qdc.datagen import TaskDataset
 from qdc.drift import (
     DriftLedger,
     append_record,
     accumulate_drift,
     estimate_drift,
-    estimate_multi_drift,
 )
 from qdc.encoder import (
     EncoderParams,
+    encode,
     encode_batch,
     feature_rows,
     grad_check,
@@ -301,36 +300,25 @@ def test_c07_directional_benchmark(bench_outcome):
         assert elapsed < 300.0, f"bench took {elapsed:.0f}s"
 
 
-def test_c08_single_cluster_reduction(bench_outcome, default_config, shipped_stream):
-    with _criterion("8 (k=1 reduction law)"):
+def test_c08_record_is_mean_query_drift(bench_outcome, default_config, shipped_stream):
+    with _criterion("8 (record is the mean query drift)"):
         _, trajectories, _ = bench_outcome
-        checkpoints = trajectories[False]
         vocab = default_config.vocab_size
-
-        multi_ledger = DriftLedger(dim=default_config.dim)
-        for t in (2, 3):
-            queries = feature_rows(
-                [tokenize(q, vocab) for q, _ in shipped_stream[t - 1].train_pairs]
-            )
-            record = estimate_multi_drift(
-                checkpoints[t - 1].params,
-                checkpoints[t - 2].params,
-                queries,
-                1,
-                derive_seed(default_config.seed, "kmeans", t),
-            )
-            multi_ledger = append_record(multi_ledger, record)
-
-        for t in (2, 3):
-            single_state = checkpoints[t - 1]
-            multi_state = replace(single_state, ledger=multi_ledger)
-            for t_prime in range(1, t):
-                single = retrieve_eval(single_state, t_prime, "qdc", 10)
-                multi = retrieve_eval(multi_state, t_prime, "qdc", 10)
-                for qid, ranked in single.results.items():
-                    assert [d for d, _ in ranked] == [
-                        d for d, _ in multi.results[qid]
-                    ], f"checkpoint {t}, task {t_prime}, query {qid}"
+        for kd, checkpoints in trajectories.items():
+            ledger = checkpoints[-1].ledger
+            for t in (2, 3):
+                pairs = shipped_stream[t - 1].train_pairs
+                # under the cap, the drift sample is every training query
+                assert len(pairs) <= default_config.drift_query_cap
+                old, new = checkpoints[t - 2].params, checkpoints[t - 1].params
+                acc = np.zeros(default_config.dim, dtype=np.float64)
+                for query, _ in pairs:
+                    feats = tokenize(query, vocab)
+                    acc += encode(new, feats) - encode(old, feats)
+                record = ledger.record_for(t - 1)
+                assert (record.from_task, record.to_task) == (t - 1, t)
+                worst = float(np.max(np.abs(record.values - acc / len(pairs))))
+                assert worst <= 1e-12, f"kd={kd}, {t - 1}->{t}: {worst:.2e}"
 
 
 def test_c09_reindex_equivalence(bench_outcome):

@@ -489,6 +489,69 @@ class TestOlderLedgerAccepted:
         assert written == expected
 
 
+class TestPerClusterDriftRemoved:
+    @pytest.mark.parametrize("args", [["eval"], _RETRIEVE_OLD, ["drift-report"]])
+    def test_legacy_multi_k_of_one_same_output(
+        self, bench_run, tmp_path, args, capsys
+    ):
+        # every config.json written before per-cluster drift was removed
+        # holds "multi_k": 1
+        run = tmp_path / "older"
+        shutil.copytree(bench_run, run)
+        path = run / "config.json"
+        config = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps(dict(config, multi_k=1)), encoding="utf-8")
+        assert dispatch([args[0], "--run", str(bench_run)] + args[1:]) == 0
+        want = capsys.readouterr()
+        assert dispatch([args[0], "--run", str(run)] + args[1:]) == 0
+        got = capsys.readouterr()
+        assert got.out.replace(str(run), str(bench_run)) == want.out != ""
+        assert got.err == want.err
+
+    @pytest.mark.parametrize("value", [4, 0, 2.0, True, "1"], ids=json.dumps)
+    @pytest.mark.parametrize("command", ["bench", "eval"])
+    def test_other_multi_k_exits_one(
+        self, bench_run, cfg_path, tmp_path, value, command, capsys
+    ):
+        if command == "eval":
+            run = tmp_path / "older"
+            run.mkdir()
+            path = Path(shutil.copy(bench_run / "config.json", run))
+            args = ["eval", "--run", str(run)]
+        else:
+            path = Path(shutil.copy(cfg_path, tmp_path / "config.json"))
+            args = ["bench", "--config", str(path), "--out", str(tmp_path / "out")]
+        config = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps(dict(config, multi_k=value)), encoding="utf-8")
+        assert dispatch(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: multi_k")
+        assert "per-cluster drift was removed" in line
+
+    def test_per_cluster_ledger_record_exits_one(self, bench_run, tmp_path, capsys):
+        run = tmp_path / "older"
+        shutil.copytree(bench_run, run)
+        path = run / "ledger.json"
+        stored = json.loads(path.read_text(encoding="utf-8"))
+        record = stored["ft"]["records"][-1]
+        vector = record.pop("vector")
+        record.update(kind="multi", centroids=[vector], vectors=[vector])
+        path.write_text(json.dumps(stored), encoding="utf-8")
+        assert dispatch(["eval", "--run", str(run)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error:")
+        assert "per-cluster drift was removed" in line
+
+    @pytest.mark.parametrize("command", ["bench", "train"])
+    def test_multi_k_flag_is_gone(self, command, capsys):
+        assert dispatch([command, "--multi-k", "4"]) == 2
+        assert "--multi-k" in capsys.readouterr().err
+
+
 class TestRetrieve:
     def test_matches_library_retrieval(self, bench_run, tiny_stream, capsys):
         query = tiny_stream[0].queries_test[0][1]

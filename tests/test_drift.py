@@ -8,18 +8,13 @@ from qdc import encoder
 from qdc.drift import (
     DriftLedger,
     DriftVector,
-    MultiDriftRecord,
     accumulate_drift,
     append_record,
     compensate_query,
-    compensate_query_multi,
     compensate_query_path,
     estimate_drift,
-    estimate_multi_drift,
-    kmeans_pp_init,
     ledger_from_dict,
     ledger_to_dict,
-    lloyd_kmeans,
 )
 from qdc.encoder import (
     encode,
@@ -33,8 +28,7 @@ from qdc.errors import (
     DimMismatchError,
     EmptyQuerySetError,
     MissingTransitionError,
-    MixedRecordKindError,
-    TooFewQueriesError,
+    NonFiniteError,
     ZeroVectorError,
 )
 
@@ -169,15 +163,6 @@ class TestAccumulate:
         with pytest.raises(ValueError):
             accumulate_drift(self._ledger(), 3, 1)
 
-    def test_multi_record_in_span_rejected(self):
-        ledger = append_record(DriftLedger(dim=2), _vec([1.0, 0.0], 1, 2))
-        multi = MultiDriftRecord(
-            centroids=np.eye(2), vectors=np.eye(2) * 0.1, from_task=2, to_task=3
-        )
-        ledger = append_record(ledger, multi)
-        with pytest.raises(MixedRecordKindError):
-            accumulate_drift(ledger, 1, 3)
-
 
 class TestCompensate:
     def test_zero_delta_is_bitwise_identity(self):
@@ -188,6 +173,15 @@ class TestCompensate:
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatchError):
             compensate_query(np.ones(3), _vec([1.0, 0.0], 1, 2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_query_rejected(self, bad):
+        with pytest.raises(NonFiniteError):
+            compensate_query(np.array([bad, 1.0, 0.0]), _vec([0.0] * 3, 1, 2))
+
+    def test_non_finite_drift_rejected(self):
+        with pytest.raises(NonFiniteError):
+            compensate_query(np.ones((2, 2)), _vec([0.0, np.nan], 1, 2))
 
     def test_zero_result_rejected(self):
         q = np.array([0.5, 0.5])
@@ -238,101 +232,6 @@ class TestCompensate:
         assert mean_cos(comp, true_units) > mean_cos(new_units, true_units)
 
 
-class TestMultiDrift:
-    def _pair(self, seed=4, vocab=64, dim=8):
-        rng = np.random.default_rng(seed)
-        old = replace(init_params(vocab, dim, 0.5, rng), version=1)
-        new = replace(init_params(vocab, dim, 0.5, rng), version=2)
-        queries = feature_rows([_rand_feats(rng, vocab) for _ in range(30)])
-        return old, new, queries
-
-    def test_k_one_reduces_to_single_vector(self):
-        old, new, queries = self._pair()
-        single = estimate_drift(new, old, queries)
-        multi = estimate_multi_drift(new, old, queries, k=1, seed=0)
-        assert multi.k == 1
-        np.testing.assert_allclose(
-            multi.vectors[0], single.values, rtol=0, atol=1e-12
-        )
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            q = rng.normal(size=8)
-            np.testing.assert_allclose(
-                compensate_query_multi(q, multi),
-                compensate_query(q, single),
-                rtol=0, atol=1e-12,
-            )
-
-    def test_k_equals_n_gives_per_query_drift(self):
-        # disjoint token sets keep the embeddings well separated
-        old, new, _ = self._pair(seed=6)
-        queries = feature_rows(
-            [_feats((i * 10, 1), (i * 10 + 3, 2)) for i in range(4)]
-        )
-        record = estimate_multi_drift(new, old, queries, k=4, seed=1)
-        new_units = encode_batch(new, queries)
-        old_units = encode_batch(old, queries)
-        for i in range(4):
-            sims = record.centroids @ new_units[i]
-            j = int(np.argmax(sims))
-            np.testing.assert_allclose(
-                record.vectors[j], new_units[i] - old_units[i],
-                rtol=0, atol=1e-12,
-            )
-
-    def test_assignments_match_reference_lloyd(self):
-        rng = np.random.default_rng(0)
-        points = rng.normal(size=(200, 8))
-        points /= np.linalg.norm(points, axis=1)[:, None]
-        centroids, assign = lloyd_kmeans(points, k=5, seed=0)
-
-        ref_centroids = kmeans_pp_init(points, 5, np.random.default_rng(0))
-        for _ in range(100):
-            d2 = ((points[:, None, :] - ref_centroids[None, :, :]) ** 2).sum(-1)
-            ref_assign = np.argmin(d2, axis=1)
-            updated = ref_centroids.copy()
-            for j in range(5):
-                members = points[ref_assign == j]
-                if len(members):
-                    updated[j] = members.mean(axis=0)
-            shift = float(np.max(np.linalg.norm(updated - ref_centroids, axis=1)))
-            ref_centroids = updated
-            if shift <= 1e-6:
-                break
-        d2 = ((points[:, None, :] - ref_centroids[None, :, :]) ** 2).sum(-1)
-        ref_assign = np.argmin(d2, axis=1)
-        np.testing.assert_array_equal(assign, ref_assign)
-        np.testing.assert_allclose(centroids, ref_centroids, rtol=0, atol=1e-9)
-
-    def test_k_below_one_rejected(self):
-        old, new, queries = self._pair()
-        with pytest.raises(ValueError):
-            estimate_multi_drift(new, old, queries, k=0, seed=0)
-
-    def test_too_few_queries_rejected(self):
-        old, new, queries = self._pair()
-        with pytest.raises(TooFewQueriesError):
-            estimate_multi_drift(new, old, queries.take(range(3)), k=5, seed=0)
-
-    def test_query_on_centroid_uses_that_cluster(self):
-        centroids = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
-        vectors = np.array([[0.1, 0.0], [0.0, 0.2], [0.3, 0.0]])
-        record = MultiDriftRecord(
-            centroids=centroids, vectors=vectors, from_task=1, to_task=2
-        )
-        out = compensate_query_multi(centroids[2], record)
-        np.testing.assert_array_equal(out, centroids[2] - vectors[2])
-
-    def test_tied_centroids_pick_lowest_index(self):
-        centroids = np.array([[1.0, 0.0], [1.0, 0.0]])
-        vectors = np.array([[0.1, 0.0], [0.9, 0.0]])
-        record = MultiDriftRecord(
-            centroids=centroids, vectors=vectors, from_task=1, to_task=2
-        )
-        out = compensate_query_multi(np.array([2.0, 0.0]), record)
-        np.testing.assert_array_equal(out, [1.9, 0.0])
-
-
 class TestCompensatePath:
     def test_single_records_match_accumulated_subtraction(self):
         rng = np.random.default_rng(8)
@@ -348,57 +247,20 @@ class TestCompensatePath:
         q = np.array([0.3, 0.4])
         np.testing.assert_array_equal(compensate_query_path(ledger, q, 2, 2), q)
 
-    def test_mixed_records_hop_newest_to_oldest(self):
-        rng = np.random.default_rng(9)
-        v1 = rng.normal(size=2) * 0.1
-        centroids = np.array([[1.0, 0.0], [0.0, 1.0]])
-        vectors = np.array([[0.05, 0.0], [0.0, 0.07]])
-        ledger = append_record(DriftLedger(dim=2), _vec(v1, 1, 2))
-        ledger = append_record(
-            ledger,
-            MultiDriftRecord(
-                centroids=centroids, vectors=vectors, from_task=2, to_task=3
-            ),
-        )
-        q = np.array([0.9, 0.1])
-        hop1 = q - vectors[0]  # closest centroid of the 2->3 record
-        expected = hop1 - v1
-        np.testing.assert_allclose(
-            compensate_query_path(ledger, q, 1, 3), expected, rtol=0, atol=1e-15
-        )
-
     @staticmethod
-    def _ledger(rng, kinds):
-        """One record per kind ("single" or "multi"), transitions 1, 2, ..."""
+    def _ledger(rng, transitions):
+        """Random records for transitions 1, 2, ..., transitions."""
         ledger = DriftLedger(dim=4)
-        for j, kind in enumerate(kinds, start=1):
-            if kind == "single":
-                record = _vec(rng.normal(size=4) * 0.1, j, j + 1)
-            else:
-                record = MultiDriftRecord(
-                    centroids=rng.normal(size=(3, 4)),
-                    vectors=rng.normal(size=(3, 4)) * 0.1,
-                    from_task=j,
-                    to_task=j + 1,
-                )
-            ledger = append_record(ledger, record)
+        for j in range(1, transitions + 1):
+            ledger = append_record(ledger, _vec(rng.normal(size=4) * 0.1, j, j + 1))
         return ledger
 
-    @pytest.mark.parametrize(
-        "kinds",
-        [
-            ("single",),
-            ("single", "single", "single"),
-            ("multi",),
-            ("single", "multi", "single"),
-            ("multi", "multi"),
-        ],
-    )
-    def test_matrix_rows_equal_per_vector_calls(self, kinds):
-        rng = np.random.default_rng(len(kinds))
-        ledger = self._ledger(rng, kinds)
+    @pytest.mark.parametrize("transitions", [1, 3])
+    def test_matrix_rows_equal_per_vector_calls(self, transitions):
+        rng = np.random.default_rng(transitions)
+        ledger = self._ledger(rng, transitions)
         queries = rng.normal(size=(9, 4))
-        t = len(kinds) + 1
+        t = transitions + 1
         for t_prime in range(1, t + 1):
             out = compensate_query_path(ledger, queries, t_prime, t)
             assert out.shape == queries.shape
@@ -410,20 +272,19 @@ class TestCompensatePath:
         rng = np.random.default_rng(10)
         queries = rng.normal(size=(5, 4))
         before = queries.copy()
-        for kinds in (("single", "single"), ("multi", "single")):
-            compensate_query_path(self._ledger(rng, kinds), queries, 1, 3)
+        compensate_query_path(self._ledger(rng, 2), queries, 1, 3)
         np.testing.assert_array_equal(queries, before)
 
     def test_matrix_with_a_row_mapped_to_zero_rejected(self):
         rng = np.random.default_rng(11)
-        ledger = self._ledger(rng, ("single",))
+        ledger = self._ledger(rng, 1)
         queries = rng.normal(size=(4, 4))
         queries[2] = ledger.record_for(1).values
         with pytest.raises(ZeroVectorError):
             compensate_query_path(ledger, queries, 1, 2)
 
     def test_matrix_dim_mismatch_rejected(self):
-        ledger = self._ledger(np.random.default_rng(12), ("single",))
+        ledger = self._ledger(np.random.default_rng(12), 1)
         with pytest.raises(DimMismatchError):
             compensate_query_path(ledger, np.ones((3, 5)), 1, 2)
 
@@ -433,15 +294,7 @@ class TestLedgerPersistence:
         rng = np.random.default_rng(12)
         ledger = DriftLedger(dim=3)
         ledger = append_record(ledger, _vec(rng.normal(size=3), 1, 2))
-        ledger = append_record(
-            ledger,
-            MultiDriftRecord(
-                centroids=rng.normal(size=(2, 3)),
-                vectors=rng.normal(size=(2, 3)),
-                from_task=2, to_task=3,
-            ),
-        )
-        return ledger
+        return append_record(ledger, _vec(rng.normal(size=3), 2, 3))
 
     def test_round_trip_exact(self):
         # through JSON text, as a run directory's ledger.json stores it
@@ -450,8 +303,7 @@ class TestLedgerPersistence:
         assert loaded.dim == 3
         pairs = [
             (loaded.records[0].values, ledger.records[0].values),
-            (loaded.records[1].centroids, ledger.records[1].centroids),
-            (loaded.records[1].vectors, ledger.records[1].vectors),
+            (loaded.records[1].values, ledger.records[1].values),
         ]
         for got, want in pairs:
             assert got.dtype == want.dtype and got.shape == want.shape
@@ -536,10 +388,8 @@ class TestLedgerPersistence:
         with pytest.raises(CorruptLedgerError):
             ledger_from_dict(payload)
 
-    @pytest.mark.parametrize(
-        "centroids, vectors", [([1.0, 2.0], [1.0, 2.0]), ([], [])]
-    )
-    def test_flat_multi_record_rejected(self, centroids, vectors):
+    def test_per_cluster_record_rejected(self):
+        # ledgers from before per-cluster drift was removed may hold one
         payload = {
             "dim": 2,
             "records": [
@@ -547,10 +397,10 @@ class TestLedgerPersistence:
                     "from": 1,
                     "to": 2,
                     "kind": "multi",
-                    "centroids": centroids,
-                    "vectors": vectors,
+                    "centroids": [[1.0, 0.0], [0.0, 1.0]],
+                    "vectors": [[0.1, 0.0], [0.0, 0.1]],
                 }
             ],
         }
-        with pytest.raises(CorruptLedgerError):
+        with pytest.raises(CorruptLedgerError, match="per-cluster drift was removed"):
             ledger_from_dict(payload)

@@ -13,6 +13,7 @@ from qdc.errors import (
     DimMismatchError,
     DuplicateDocIdError,
     EmptyCorpusError,
+    NonFiniteError,
     ZeroVectorError,
 )
 from qdc.index import (
@@ -225,6 +226,12 @@ class TestSearch:
         with pytest.raises(ZeroVectorError):
             search_topk(index, np.zeros(DIM), k=3)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_query_rejected(self, bad):
+        index = CorpusIndex(1, 1, 3, np.eye(3, dtype=np.float32), ["a", "b", "c"])
+        with pytest.raises(NonFiniteError):
+            search_topk(index, [bad, 1, 0], 2)
+
     def test_query_dim_mismatch_rejected(self):
         rng = np.random.default_rng(2)
         index = build_index(_params(2), _random_corpus(rng, 6), task_id=1)
@@ -422,6 +429,14 @@ class TestSearchRows:
         queries = np.ones((3, DIM))
         queries[1] = 0.0
         with pytest.raises(ZeroVectorError):
+            search_rows(index, queries, 3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_rejected(self, bad):
+        index = _random_index(np.random.default_rng(26), 5)
+        queries = np.ones((3, DIM))
+        queries[2, 1] = bad
+        with pytest.raises(NonFiniteError):
             search_rows(index, queries, 3)
 
     @pytest.mark.parametrize(
