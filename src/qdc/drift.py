@@ -156,6 +156,8 @@ def ledger_from_dict(payload: dict) -> DriftLedger:
             vec = np.asarray(raw["vector"], dtype=np.float64)
             if vec.shape != (dim,):
                 raise CorruptLedgerError("record dim mismatch")
+            if not np.isfinite(vec).all():
+                raise CorruptLedgerError("record vector has NaN or infinite entries")
             records.append(
                 DriftVector(
                     values=vec,

@@ -8,7 +8,9 @@ be in the top k, and only those candidates are scored exactly, in float64,
 with one fixed-order dot product a row. A row's exact score therefore does
 not depend on which other rows or queries it is scored with: identical rows
 tie bit for bit, and search_rows, which scans a block of queries with one
-matrix product, gives search_topk's rankings and scores to the bit.
+matrix product, gives search_topk's rankings and scores to the bit. The
+scan reads the unit rows laid out for it, as one (d, N) matrix, and takes
+each query's candidates out of its block's flat mask.
 """
 from __future__ import annotations
 
@@ -117,13 +119,19 @@ class CorpusIndex:
     doc_ids: list[str]
 
     @cached_property
-    def _scoring(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # the float32 unit rows the scan reads, the float64 norms the exact
-        # scores divide by and each doc id's rank, built on the first search
+    def _scoring(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.float32]:
+        # built on the first search: the float32 unit rows the scan reads,
+        # the float64 norms the exact scores divide by, each doc id's rank
+        # and the scan margin. The unit rows are one C-contiguous (d, N)
+        # matrix, cast straight from the transposed float64 rows, so a
+        # block's scan is block32 @ scan; against the F-order view of (N, d)
+        # rows the product took 1.6 times as long on a 32 x 2,000 block and
+        # twice as long on a 3 x 20,000 one (d = 64, one BLAS thread).
         rows64 = self.rows.astype(np.float64)
         norms = np.linalg.norm(rows64, axis=1)
         rows64 /= norms[:, None]
-        return rows64.astype(np.float32), norms, id_rank(self.doc_ids)
+        scan = rows64.T.astype(np.float32, order="C")
+        return scan, norms, id_rank(self.doc_ids), _scan_margin(self.dim)
 
 
 def build_index(
@@ -192,27 +200,34 @@ def search_rows(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    unit, norms, rank = index._scoring
+    scan, norms, rank, margin = index._scoring
     arr = np.asarray(queries, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != index.dim:
         raise DimMismatchError(f"queries shape {arr.shape} vs dim {index.dim}")
     if not np.isfinite(arr).all():
         raise NonFiniteError("cannot search with a NaN or infinite query")
-    # one dot a row, the bits np.linalg.norm gives one query
+    # scale each row by the power of two that brings its largest |entry|
+    # into [0.5, 1): exact, so the unit rows keep their bits, and no square
+    # overflows. One dot a row, the bits np.linalg.norm gives one query.
+    _, exp = np.frexp(np.abs(arr).max(axis=1))
+    arr = np.ldexp(arr, -exp[:, None])
     qn = np.sqrt([row @ row for row in arr])
-    if (qn < ZERO_NORM_EPS).any():
-        raise ZeroVectorError("cannot search with a zero query embedding")
-    arr = arr / qn[:, None]
+    with np.errstate(over="ignore"):  # a norm past float64's range
+        if (np.ldexp(qn, exp) < ZERO_NORM_EPS).any():
+            raise ZeroVectorError("cannot search with a zero query embedding")
+    arr /= qn[:, None]
     doc_ids = index.doc_ids
-    margin = _scan_margin(index.dim)
-    cut = len(doc_ids) - min(k, len(doc_ids))
-    step = max(1, _SEARCH_SCORES // len(doc_ids))
+    n = len(doc_ids)
+    cut = n - min(k, n)
+    step = max(1, _SEARCH_SCORES // n)
     rankings = []
     for lo in range(0, len(arr), step):
         block = arr[lo : lo + step]
-        scans = block.astype(np.float32) @ unit.T
+        scans = block.astype(np.float32) @ scan
         kth = np.partition(scans, cut, axis=1)[:, cut]
-        row, cand = np.nonzero(scans >= (kth - margin)[:, None])
+        # row-major (row, cand) pairs, the order np.nonzero gives
+        flat = np.flatnonzero(scans >= (kth - margin)[:, None])
+        row, cand = np.divmod(flat, n)
         # exact scores of the candidates: one fixed-order float64 dot a row
         scores = np.einsum(
             "ij,ij->i", index.rows[cand].astype(np.float64), block[row]

@@ -363,6 +363,24 @@ class TestLedgerMismatchRejected:
         assert expected in captured.err and "ledger.json" in captured.err
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_ledger_vector_exits_one(bench_run, tmp_path, value, capsys):
+    # plain FT compensates nothing, so only loading the ledger can reject it
+    run = tmp_path / "non-finite"
+    shutil.copytree(bench_run, run)
+    path = run / "ledger.json"
+    stored = json.loads(path.read_text(encoding="utf-8"))
+    stored["ft"]["records"][-1]["vector"][0] = float(value)
+    path.write_text(json.dumps(stored), encoding="utf-8")
+    assert value in path.read_text(encoding="utf-8")
+    args = ["retrieve", "--run", str(run), "--task", "1", "--checkpoint", "2"]
+    assert dispatch(args + ["--query", "x", "--method", "FT"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error:") and "NaN or infinite" in line
+
+
 def _truncated(data: bytes) -> bytes:
     return data[: len(data) // 2]
 

@@ -369,6 +369,16 @@ class TestLedgerPersistence:
         with pytest.raises(CorruptLedgerError):
             ledger_from_dict(payload)
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_vector_rejected(self, value):
+        # json.loads reads these tokens, though ledger_to_dict never writes them
+        payload = json.loads(
+            '{"dim": 2, "records": [{"from": 1, "to": 2, "kind": "single", '
+            f'"vector": [0.5, {value}]}}]}}'
+        )
+        with pytest.raises(CorruptLedgerError, match="NaN or infinite"):
+            ledger_from_dict(payload)
+
     def test_non_contiguous_records_rejected(self):
         payload = {
             "dim": 1,

@@ -1,4 +1,5 @@
 import struct
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -238,6 +239,29 @@ class TestSearch:
         with pytest.raises(DimMismatchError):
             search_topk(index, np.ones(DIM + 1), k=3)
 
+    def test_query_whose_squared_norm_overflows(self):
+        index = CorpusIndex(1, 1, 3, np.eye(3, dtype=np.float32), ["a", "b", "c"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hits = search_topk(index, [1e200, 1, 0], 2)
+        assert [doc_id for doc_id, _ in hits] == ["a", "b"]
+        assert hits[0][1] == 1.0
+        assert hits[1][1] == pytest.approx(1e-200, rel=1e-15)
+
+    @pytest.mark.parametrize("scale", [2.0**-30, 2.0**-3, 2.0**500, 2.0**1000])
+    def test_power_of_two_scale_keeps_rankings_and_bits(self, scale):
+        rng = np.random.default_rng(4)
+        index = _random_index(rng, 50, duplicates=True)
+        for q in rng.normal(size=(5, DIM)):
+            assert search_topk(index, scale * q, 7) == search_topk(index, q, 7)
+
+    def test_zero_means_a_true_norm_below_the_threshold(self):
+        index = CorpusIndex(1, 1, 3, np.eye(3, dtype=np.float32), ["a", "b", "c"])
+        for tiny in ([1e-13, 0, 0], [5e-324, 0, 0], [1e-200, 1e-201, 0]):
+            with pytest.raises(ZeroVectorError):
+                search_topk(index, tiny, 2)
+        assert search_topk(index, [1e-11, 0, 0], 1) == [("a", 1.0)]
+
     def test_ties_break_by_ascending_doc_id(self):
         rows = np.array(
             [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]], dtype=np.float32
@@ -451,6 +475,67 @@ class TestSearchRows:
         index = _random_index(np.random.default_rng(28), 5)
         with pytest.raises(ValueError):
             search_rows(index, np.ones((2, DIM)), 0)
+
+
+def _axis_index(rows, rng):
+    return CorpusIndex(
+        task_id=1, encoder_version=1, dim=DIM, rows=np.asarray(rows, np.float32),
+        doc_ids=[f"doc{i:05d}" for i in rng.permutation(len(rows))],
+    )
+
+
+class TestCandidateSelection:
+    """Each query's candidates are picked out of its block's flat scan mask;
+    every ranking is checked against a full float64 lexsort of all rows."""
+
+    def test_candidates_at_the_ends_of_adjacent_rows(self):
+        # e_1 has one candidate, the last row; e_0 has one, the first row;
+        # in one block they sit next to each other in the flat mask
+        rng = np.random.default_rng(31)
+        n = 50
+        rows = np.zeros((n, DIM))
+        rows[:, 2:] = rng.uniform(0.5, 1.0, size=(n, DIM - 2))
+        rows[0, :] = np.eye(DIM)[0]
+        rows[-1, :] = np.eye(DIM)[1]
+        index = _axis_index(rows, rng)
+        eye = np.eye(DIM)
+        queries = np.stack([eye[2] + eye[3], eye[1], eye[0], eye[1], eye[4]])
+        assert qdc.index._SEARCH_SCORES // n >= len(queries)
+        for q, only in ((eye[1], n - 1), (eye[0], 0)):
+            scores = _exact_scores(index, q)
+            assert scores[only] == 1.0 and np.delete(scores, only).max() == 0.0
+        for k in (1, 2, 3):
+            got = search_rows(index, queries, k)
+            assert got == [_full_sort(index, q, k) for q in queries]
+        assert [hits[0][0] for hits in search_rows(index, queries[1:4], 1)] == [
+            index.doc_ids[n - 1], index.doc_ids[0], index.doc_ids[n - 1]
+        ]
+
+    @pytest.mark.parametrize("k", [1, 5, 39])
+    def test_all_tied_pool_next_to_exactly_k_candidates(self, k):
+        # every row is e_7 plus one other axis: e_7 scores all of them
+        # 1/sqrt(2) bit for bit, and e_0 scores k of them so and the rest 0
+        rng = np.random.default_rng(k)
+        n = 40
+        axes = np.where(np.arange(n) < k, 0, 1 + np.arange(n) % (DIM - 2))
+        rows = np.eye(DIM)[axes] + np.eye(DIM)[DIM - 1]
+        index = _axis_index(rows, rng)
+        eye = np.eye(DIM)
+        assert len(set(_exact_scores(index, eye[DIM - 1]).tolist())) == 1
+        assert np.count_nonzero(_exact_scores(index, eye[0]) > 0.5) == k
+        for queries in (eye[[DIM - 1, 0]], eye[[0, DIM - 1]], eye[[0, DIM - 1, 0]]):
+            got = search_rows(index, queries, k)
+            assert got == [_full_sort(index, q, k) for q in queries]
+
+    def test_many_three_query_blocks_over_20000_rows(self):
+        rng = np.random.default_rng(33)
+        n = 20_000
+        index = _random_index(rng, n, duplicates=True)
+        assert qdc.index._SEARCH_SCORES // n == 3
+        queries = rng.normal(size=(22, DIM))
+        for k in (1, 10):
+            got = search_rows(index, queries, k)
+            assert got == [_full_sort(index, q, k) for q in queries]
 
 
 class TestIdenticalRows:
