@@ -86,6 +86,5 @@ from .pipeline import (
     train_trajectory,
     zero_shot_run,
 )
-from .vecops import mean_embedding
 
 __version__ = "0.1.0"

@@ -80,16 +80,16 @@ def _load_datasets(config: RunConfig) -> list[TaskDataset]:
     return out
 
 
-def _resolve_config(args, reseed_stream: bool) -> RunConfig:
+def _resolve_config(args) -> RunConfig:
     config = load_config(args.config) if args.config else RunConfig()
     config = apply_overrides(
         config,
-        seed=getattr(args, "seed", None),
+        seed=args.seed,
         method=getattr(args, "method", None),
         k=getattr(args, "k", None),
-        out_dir=getattr(args, "out", None),
+        out_dir=args.out,
     )
-    if reseed_stream and getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         config = replace(config, stream=replace(config.stream, seed=args.seed))
     return config
 
@@ -205,11 +205,7 @@ def _dataset_for(datasets: list[TaskDataset], task_id: int) -> TaskDataset:
 
 
 def _cmd_gen_data(args) -> int:
-    config = _resolve_config(args, reseed_stream=False)
-    spec = config.stream
-    if args.seed is not None:
-        spec = replace(spec, seed=args.seed)
-    datasets = generate_task_stream(spec)
+    datasets = generate_task_stream(_resolve_config(args).stream)
     out_dir = Path(args.out or "data")
     export_stream(datasets, out_dir)
     for ds in datasets:
@@ -223,7 +219,7 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    config = _resolve_config(args, reseed_stream=True)
+    config = _resolve_config(args)
     method = config.method
     kd, _ = parse_method(method)
     run_id = config.run_id or (
@@ -238,7 +234,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    config = _resolve_config(args, reseed_stream=True)
+    config = _resolve_config(args)
     run_id = config.run_id or f"bench-s{config.seed}"
     config = replace(config, run_id=run_id)
     start = init_state(config, _load_datasets(config))

@@ -69,7 +69,6 @@ class RunConfig:
     hard_negatives: int = 7
     k: int = 10
     method: str = "FT+QDC"
-    drift_query_cap: int = 10000
     out_dir: str = "out"
     run_id: str | None = None
     stream: StreamSpec = field(default_factory=StreamSpec)
@@ -92,18 +91,6 @@ class RunConfig:
             raise ConfigError("hard_negatives must be >= 0")
         if self.k < 1:
             raise ConfigError("k must be >= 1")
-        if self.drift_query_cap < 1:
-            raise ConfigError("drift_query_cap must be >= 1")
-
-
-def config_to_dict(config: RunConfig) -> dict:
-    payload = asdict(config)
-    payload["stream"] = asdict(config.stream)
-    payload["stream"]["doc_len_range"] = list(config.stream.doc_len_range)
-    payload["stream"]["query_len_range"] = list(config.stream.query_len_range)
-    if config.datasets is not None:
-        payload["datasets"] = [dict(d) for d in config.datasets]
-    return payload
 
 
 # the JSON types a field's annotation admits, and what cli._load_datasets
@@ -160,6 +147,15 @@ def config_from_dict(payload: dict) -> RunConfig:
                 f"multi_k {legacy!r}: per-cluster drift was removed, and "
                 "only the legacy value 1 (one translation) is read"
             )
+    # configs written before drift used every training query hold the
+    # sampling cap that no longer exists
+    if "drift_query_cap" in payload:
+        legacy = payload.pop("drift_query_cap")
+        if type(legacy) is not int or legacy < 1:
+            raise ConfigError(
+                f"drift_query_cap {legacy!r}: drift now uses every training "
+                "query, and only a legacy cap >= 1 is read"
+            )
     stream_payload = payload.pop("stream", None)
     datasets = payload.pop("datasets", None)
     _check_fields({f.name: f.type for f in fields(RunConfig)}, payload, "config")
@@ -199,7 +195,7 @@ def load_config(path) -> RunConfig:
 
 
 def save_config(config: RunConfig, path) -> None:
-    text = json.dumps(config_to_dict(config), sort_keys=True, indent=2)
+    text = json.dumps(asdict(config), sort_keys=True, indent=2)
     atomic_write_text(path, text + "\n")
 
 

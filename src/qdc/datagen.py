@@ -155,7 +155,7 @@ def _query_token_ids(
     shared = [ix for ix in ordered if ix < n_shared]
     want_common = 2 if qlen >= 5 or n_shared == 0 else 1
     want_shared = min(want_common, len(shared))
-    picked = [int(ix) for ix in fresh[: qlen - want_common]]
+    picked = [int(ix) for ix in fresh[: max(qlen - want_common, 0)]]
     if want_shared:
         # weight by global frequency so queries carry the same few
         # stopwords; those rows are what later training keeps moving

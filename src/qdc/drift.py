@@ -18,9 +18,8 @@ from .errors import (
     EmptyQuerySetError,
     MissingTransitionError,
     NonFiniteError,
-    ZeroVectorError,
 )
-from .vecops import ZERO_NORM_EPS, mean_embedding
+from .vecops import scaled_rows
 
 
 @dataclass(frozen=True)
@@ -73,7 +72,11 @@ def estimate_drift(
     params_old: EncoderParams,
     queries,
 ) -> DriftVector:
-    """Mean of per-query embedding differences f_new(q) - f_old(q)."""
+    """Mean of per-query embedding differences f_new(q) - f_old(q).
+
+    numpy's column sum adds the rows first to last, one fixed order; a
+    one-column matrix (dim 1) it sums pairwise instead.
+    """
     if len(queries) == 0:
         raise EmptyQuerySetError("drift estimation needs at least one query")
     if (params_new.vocab_size, params_new.dim) != (
@@ -83,9 +86,8 @@ def estimate_drift(
         raise DimMismatchError("old and new encoder shapes differ")
     new = encode_batch(params_new, queries)
     old = encode_batch(params_old, queries)
-    delta = mean_embedding(list(new - old))
     return DriftVector(
-        values=delta,
+        values=(new - old).sum(axis=0) / len(queries),
         from_task=params_old.version,
         to_task=params_new.version,
     )
@@ -112,8 +114,7 @@ def compensate_query(q_emb: np.ndarray, delta: DriftVector) -> np.ndarray:
     out = q - delta.values
     if not np.isfinite(out).all():
         raise NonFiniteError("compensated query has NaN or infinite entries")
-    if (np.linalg.norm(out, axis=-1) < ZERO_NORM_EPS).any():
-        raise ZeroVectorError("compensated query is numerically zero")
+    scaled_rows(np.atleast_2d(out), "compensated query")
     return out
 
 

@@ -147,16 +147,6 @@ class FeatureRows:
     def __len__(self) -> int:
         return len(self.indptr) - 1
 
-    def take(self, rows) -> FeatureRows:
-        """The table of these rows, in the order given; rows may repeat."""
-        rows = np.asarray(rows, dtype=np.intp)
-        starts = self.indptr[rows]
-        lengths = self.indptr[rows + 1] - starts
-        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=indptr[1:])
-        pos = _entry_positions(starts, lengths, indptr[:-1])
-        return FeatureRows(indptr, self.ids[pos], self.weights[pos])
-
 
 def _entry_positions(starts, lengths, offsets) -> np.ndarray:
     """Table positions of the entries of rows laid end to end.

@@ -14,10 +14,6 @@ class DimMismatchError(QdcError):
     """Two objects disagree on embedding dimensionality."""
 
 
-class EmptyListError(QdcError):
-    """An aggregate over an empty list of vectors."""
-
-
 class EmptyBatchError(QdcError):
     """A loss was asked to evaluate an empty batch."""
 

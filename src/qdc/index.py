@@ -30,10 +30,9 @@ from .errors import (
     DuplicateDocIdError,
     EmptyCorpusError,
     NonFiniteError,
-    ZeroVectorError,
 )
 from .fileio import atomic_write
-from .vecops import ZERO_NORM_EPS, id_rank, top_order
+from .vecops import ZERO_NORM_EPS, id_rank, scaled_rows, top_order
 
 if TYPE_CHECKING:
     from .datagen import TaskDataset
@@ -206,15 +205,7 @@ def search_rows(
         raise DimMismatchError(f"queries shape {arr.shape} vs dim {index.dim}")
     if not np.isfinite(arr).all():
         raise NonFiniteError("cannot search with a NaN or infinite query")
-    # scale each row by the power of two that brings its largest |entry|
-    # into [0.5, 1): exact, so the unit rows keep their bits, and no square
-    # overflows. One dot a row, the bits np.linalg.norm gives one query.
-    _, exp = np.frexp(np.abs(arr).max(axis=1))
-    arr = np.ldexp(arr, -exp[:, None])
-    qn = np.sqrt([row @ row for row in arr])
-    with np.errstate(over="ignore"):  # a norm past float64's range
-        if (np.ldexp(qn, exp) < ZERO_NORM_EPS).any():
-            raise ZeroVectorError("cannot search with a zero query embedding")
+    arr, qn = scaled_rows(arr, "query embedding")
     arr /= qn[:, None]
     doc_ids = index.doc_ids
     n = len(doc_ids)

@@ -162,17 +162,6 @@ def mine_hard_negatives(
     return negs, q_units, doc_units
 
 
-def _drift_query_sample(
-    queries: FeatureRows, config: RunConfig, task_id: int
-) -> FeatureRows:
-    cap = config.drift_query_cap
-    if len(queries) <= cap:
-        return queries
-    rng = derive_rng(config.seed, "driftcap", task_id)
-    chosen = np.sort(rng.choice(len(queries), size=cap, replace=False))
-    return queries.take(chosen)
-
-
 class _TaskRows(NamedTuple):
     """A task's training populations as feature tables, and their mining.
 
@@ -264,10 +253,9 @@ def train_task(
 
     ledger = state.ledger
     if t > 1:
-        drift_queries = _drift_query_sample(
-            train_query_rows(data, prev.vocab_size), config, t
+        record = estimate_drift(
+            params, prev, train_query_rows(data, prev.vocab_size)
         )
-        record = estimate_drift(params, prev, drift_queries)
         ledger = append_record(ledger, record)
 
     indexes = dict(state.indexes)

@@ -6,40 +6,29 @@ tokenization bugs, never data worth normalizing.
 """
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from .errors import DimMismatchError, EmptyListError
+from .errors import ZeroVectorError
 
 ZERO_NORM_EPS = 1e-12
 
 
-def _as_vector(v) -> np.ndarray:
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.ndim != 1:
-        raise DimMismatchError(f"expected 1-d vector, got shape {arr.shape}")
-    return arr
+def scaled_rows(rows: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of a finite (n, d) matrix times the power of two that brings
+    its largest |entry| into [0.5, 1), and the norms of the scaled rows.
 
-
-def mean_embedding(vs: Sequence) -> np.ndarray:
-    """Component-wise mean, accumulated left to right over the given list.
-
-    The fixed summation order makes downstream drift estimates reproducible
-    bit for bit. Output is NOT re-normalized.
+    The scaling is exact, so a unit row keeps its bits, and no square
+    overflows. One dot a row, the bits np.linalg.norm gives one vector.
+    Raises ZeroVectorError, naming what, when a row's true norm is below
+    ZERO_NORM_EPS.
     """
-    if len(vs) == 0:
-        raise EmptyListError("mean of an empty list of vectors")
-    first = _as_vector(vs[0])
-    acc = first.copy()
-    for v in vs[1:]:
-        arr = _as_vector(v)
-        if arr.shape != first.shape:
-            raise DimMismatchError(
-                f"dims differ: {arr.shape[0]} vs {first.shape[0]}"
-            )
-        acc += arr
-    return acc / len(vs)
+    _, exp = np.frexp(np.abs(rows).max(axis=1))
+    scaled = np.ldexp(rows, -exp[:, None])
+    norms = np.sqrt([row @ row for row in scaled])
+    with np.errstate(over="ignore"):  # a norm past float64's range
+        if (np.ldexp(norms, exp) < ZERO_NORM_EPS).any():
+            raise ZeroVectorError(f"{what} is numerically zero")
+    return scaled, norms
 
 
 def id_rank(ids) -> np.ndarray:

@@ -507,18 +507,30 @@ class TestOlderLedgerAccepted:
         assert written == expected
 
 
-class TestPerClusterDriftRemoved:
+_LEGACY_REASONS = {
+    "multi_k": "per-cluster drift was removed",
+    "drift_query_cap": "drift now uses every training query",
+}
+
+
+class TestLegacyConfigKeys:
+    # config.json files written before per-cluster drift was removed hold
+    # "multi_k": 1, and those written before drift used every training
+    # query hold "drift_query_cap", 10000 unless set
+    @pytest.mark.parametrize(
+        "legacy",
+        [{"multi_k": 1}, {"drift_query_cap": 10000}, {"drift_query_cap": 300}],
+        ids=json.dumps,
+    )
     @pytest.mark.parametrize("args", [["eval"], _RETRIEVE_OLD, ["drift-report"]])
-    def test_legacy_multi_k_of_one_same_output(
-        self, bench_run, tmp_path, args, capsys
+    def test_legacy_value_same_output(
+        self, bench_run, tmp_path, args, legacy, capsys
     ):
-        # every config.json written before per-cluster drift was removed
-        # holds "multi_k": 1
         run = tmp_path / "older"
         shutil.copytree(bench_run, run)
         path = run / "config.json"
         config = json.loads(path.read_text(encoding="utf-8"))
-        path.write_text(json.dumps(dict(config, multi_k=1)), encoding="utf-8")
+        path.write_text(json.dumps(dict(config, **legacy)), encoding="utf-8")
         assert dispatch([args[0], "--run", str(bench_run)] + args[1:]) == 0
         want = capsys.readouterr()
         assert dispatch([args[0], "--run", str(run)] + args[1:]) == 0
@@ -526,10 +538,14 @@ class TestPerClusterDriftRemoved:
         assert got.out.replace(str(run), str(bench_run)) == want.out != ""
         assert got.err == want.err
 
-    @pytest.mark.parametrize("value", [4, 0, 2.0, True, "1"], ids=json.dumps)
+    @pytest.mark.parametrize(
+        "key, value",
+        [("multi_k", v) for v in (4, 0, 2.0, True, "1")]
+        + [("drift_query_cap", v) for v in (0, -3, "x", 2.0, True)],
+    )
     @pytest.mark.parametrize("command", ["bench", "eval"])
-    def test_other_multi_k_exits_one(
-        self, bench_run, cfg_path, tmp_path, value, command, capsys
+    def test_other_value_exits_one(
+        self, bench_run, cfg_path, tmp_path, key, value, command, capsys
     ):
         if command == "eval":
             run = tmp_path / "older"
@@ -540,14 +556,16 @@ class TestPerClusterDriftRemoved:
             path = Path(shutil.copy(cfg_path, tmp_path / "config.json"))
             args = ["bench", "--config", str(path), "--out", str(tmp_path / "out")]
         config = json.loads(path.read_text(encoding="utf-8"))
-        path.write_text(json.dumps(dict(config, multi_k=value)), encoding="utf-8")
+        path.write_text(json.dumps(dict(config, **{key: value})), encoding="utf-8")
         assert dispatch(args) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         (line,) = captured.err.splitlines()
-        assert line.startswith("error: multi_k")
-        assert "per-cluster drift was removed" in line
+        assert line.startswith(f"error: {key}")
+        assert _LEGACY_REASONS[key] in line
 
+
+class TestPerClusterDriftRemoved:
     def test_per_cluster_ledger_record_exits_one(self, bench_run, tmp_path, capsys):
         run = tmp_path / "older"
         shutil.copytree(bench_run, run)

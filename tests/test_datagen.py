@@ -138,6 +138,24 @@ class TestGeneration:
             for _, text in ds.queries_test:
                 assert q_lo <= len(text.split()) <= q_hi
 
+    @pytest.mark.parametrize("qlens", [(1, 1), (1, 2), (2, 4), (1, 8)])
+    @pytest.mark.parametrize("overlap", [0.0, 0.2])
+    def test_short_queries_within_spec_range(self, overlap, qlens):
+        # with no shared pool a query keeps two common-word slots, more
+        # than a one-token query has
+        spec = StreamSpec(
+            num_tasks=1,
+            docs_per_task=50,
+            train_pairs_per_task=5,
+            test_queries_per_task=5,
+            vocab_overlap=overlap,
+            query_len_range=qlens,
+        )
+        (ds,) = generate_task_stream(spec)
+        texts = [q for q, _ in ds.train_pairs] + [q for _, q in ds.queries_test]
+        for text in texts:
+            assert qlens[0] <= len(text.split()) <= qlens[1]
+
     def test_zero_overlap_tasks_are_token_disjoint(self):
         spec = StreamSpec(
             num_tasks=3,

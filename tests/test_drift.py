@@ -188,6 +188,17 @@ class TestCompensate:
         with pytest.raises(ZeroVectorError):
             compensate_query(q, _vec([0.5, 0.5], 1, 2))
 
+    def test_huge_finite_query_has_no_overflow(self):
+        # its squared norm overflows float64; RuntimeWarnings are errors here
+        q = np.array([1e200, 1.0, 0.0])
+        out = compensate_query(q, _vec([0.0] * 3, 1, 2))
+        np.testing.assert_array_equal(out, q)
+
+    def test_huge_query_compensated_to_zero_rejected(self):
+        q = np.array([1e200, -1e200, 0.0])
+        with pytest.raises(ZeroVectorError):
+            compensate_query(q, _vec(q.tolist(), 1, 2))
+
     def test_translation_recovered_exactly(self):
         """Raw outputs shifted by a constant are undone by the estimate."""
         rng = np.random.default_rng(3)

@@ -321,16 +321,6 @@ class TestFeatureRows:
         assert len(table.ids) == len(table.weights) == 0
 
     @pytest.mark.parametrize(
-        "rows", [[], [3, 3, 0, 3], [5, 1, 4], [2], list(range(6))]
-    )
-    def test_take_equals_the_table_of_the_subset(self, rows):
-        rng = np.random.default_rng(43)
-        feats = [_rand_feats(rng, 64) for _ in range(6)]
-        got = feature_rows(feats).take(rows)
-        want = feature_rows([feats[i] for i in rows])
-        _assert_same_table(got, want)
-
-    @pytest.mark.parametrize(
         "sel",
         [
             [4, 4, 1, 4, 1],  # repeated rows

@@ -373,21 +373,21 @@ class TestTrainTask:
         with pytest.raises(DataMismatchError):
             train_trajectory([tiny_stream[1]], False, tiny_config)
 
-    def test_drift_estimated_on_the_capped_query_sample(
+    def test_drift_record_is_the_sequential_mean_over_every_training_query(
         self, tiny_stream, tiny_config
     ):
-        # the sample is a row subset of the training queries' table; its
-        # drift must equal the drift of those queries' features, bit for bit
-        config = replace(tiny_config, drift_query_cap=7)
-        first, second = train_trajectory(tiny_stream, False, config)
-        rng = derive_rng(config.seed, "driftcap", 2)
+        # bit for bit: the rows of f_2(q) - f_1(q) summed first to last over
+        # every training pair's query, then divided by their count
+        first, second = train_trajectory(tiny_stream, False, tiny_config)
         pairs = tiny_stream[1].train_pairs
-        chosen = np.sort(rng.choice(len(pairs), size=7, replace=False))
-        vocab = config.vocab_size
-        sample = feature_rows([tokenize(pairs[i][0], vocab) for i in chosen])
-        expected = estimate_drift(second.params, first.params, sample)
+        vocab = tiny_config.vocab_size
+        table = feature_rows([tokenize(query, vocab) for query, _ in pairs])
+        diff = encode_batch(second.params, table) - encode_batch(first.params, table)
+        acc = np.zeros(tiny_config.dim, dtype=np.float64)
+        for row in diff:
+            acc = acc + row
         (record,) = second.ledger.records
-        assert record.values.tobytes() == expected.values.tobytes()
+        assert record.values.tobytes() == (acc / len(pairs)).tobytes()
 
     def test_ledger_records_one_transition_per_later_task(self, tiny_traj):
         final = tiny_traj[-1]

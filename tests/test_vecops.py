@@ -1,71 +1,8 @@
 import numpy as np
 import pytest
 
-from qdc.errors import DimMismatchError, EmptyListError
-from qdc.vecops import _as_vector, id_rank, mean_embedding, top_order
-
-
-def test_mean_embedding_two_vectors():
-    out = mean_embedding([np.array([1.0, 0.0]), np.array([0.0, 1.0])])
-    np.testing.assert_array_equal(out, [0.5, 0.5])
-
-
-def test_mean_embedding_singleton():
-    np.testing.assert_array_equal(mean_embedding([np.array([2.0, 2.0])]), [2.0, 2.0])
-
-
-def test_mean_embedding_matches_reference_loop():
-    rng = np.random.default_rng(0)
-    vs = [rng.normal(size=16) for _ in range(100)]
-    acc = np.zeros(16)
-    for v in vs:
-        acc = acc + v
-    np.testing.assert_allclose(mean_embedding(vs), acc / 100, rtol=0, atol=1e-12)
-
-
-def test_mean_embedding_reversal_agrees_within_tolerance():
-    rng = np.random.default_rng(1)
-    vs = [rng.normal(size=8) * 10.0**int(rng.integers(-3, 4)) for _ in range(60)]
-    fwd = mean_embedding(vs)
-    rev = mean_embedding(vs[::-1])
-    np.testing.assert_allclose(rev, fwd, rtol=0, atol=1e-12)
-
-
-def test_mean_embedding_empty_rejected():
-    with pytest.raises(EmptyListError):
-        mean_embedding([])
-
-
-def test_mean_embedding_mixed_dims_rejected():
-    with pytest.raises(DimMismatchError):
-        mean_embedding([np.zeros(2) + 1, np.ones(3)])
-
-
-def test_mean_embedding_rejects_matrices():
-    with pytest.raises(DimMismatchError):
-        mean_embedding([np.ones((2, 2))])
-
-
-def test_mean_embedding_accepts_lists():
-    np.testing.assert_array_equal(mean_embedding([[1, 2], [3, 4]]), [2.0, 3.0])
-
-
-def test_mean_embedding_leaves_inputs_unchanged():
-    vs = [np.array([1.0, 2.0]), np.array([3.0, 4.0])]
-    mean_embedding(vs)
-    np.testing.assert_array_equal(vs[0], [1.0, 2.0])
-    np.testing.assert_array_equal(vs[1], [3.0, 4.0])
-
-
-def test_as_vector_converts_to_float64():
-    out = _as_vector([1, 2, 3])
-    assert out.dtype == np.float64
-    np.testing.assert_array_equal(out, [1.0, 2.0, 3.0])
-
-
-def test_as_vector_rejects_scalar():
-    with pytest.raises(DimMismatchError):
-        _as_vector(3.0)
+from qdc.errors import ZeroVectorError
+from qdc.vecops import ZERO_NORM_EPS, id_rank, scaled_rows, top_order
 
 
 @pytest.mark.parametrize("k", [1, 2, 7, 39, 40, 55])
@@ -120,3 +57,27 @@ def test_id_rank_orders_as_the_string_ids(k):
     np.testing.assert_array_equal(
         top_order(scores, rank, k), top_order(scores, ids, k)
     )
+
+
+@pytest.mark.parametrize("exp", [-30, 0, 30, 1000])
+def test_scaled_rows_are_exact_powers_of_two(exp):
+    # at 2^1000 a square overflows float64; the scaled rows' do not
+    rows = np.ldexp(np.array([[3.0, -4.0, 0.0], [0.25, 0.5, -1.0]]), exp)
+    scaled, norms = scaled_rows(rows, "row")
+    # the largest |entry| of each scaled row lies in [0.5, 1)
+    top = np.abs(scaled).max(axis=1)
+    assert ((top >= 0.5) & (top < 1)).all()
+    np.testing.assert_array_equal(scaled / scaled[:, :1], rows / rows[:, :1])
+    np.testing.assert_array_equal(
+        norms, [np.linalg.norm(row) for row in scaled]
+    )
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [np.zeros((1, 3)), np.array([[1.0, 0.0], [0.0, ZERO_NORM_EPS / 2]])],
+    ids=["zero", "below-eps"],
+)
+def test_scaled_rows_rejects_a_numerically_zero_row(rows):
+    with pytest.raises(ZeroVectorError, match="row is numerically zero"):
+        scaled_rows(rows, "row")
