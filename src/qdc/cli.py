@@ -244,16 +244,14 @@ def _cmd_bench(args) -> int:
 
 
 def _reconstruct_states(
-    run_dir: Path, slug: str, datasets: list[TaskDataset]
+    run_dir: Path, stored: dict, slug: str, datasets: list[TaskDataset]
 ) -> list[ContinualState]:
     by_id = {ds.task_id: ds for ds in datasets}
     num_tasks = len(datasets)
     snaps = {
         t: _load_run_snapshot(run_dir, slug, t) for t in range(1, num_tasks + 1)
     }
-    ledger = _load_run_ledger(
-        run_dir, _load_run_ledgers(run_dir), slug, num_tasks, snaps.values()
-    )
+    ledger = _load_run_ledger(run_dir, stored, slug, num_tasks, snaps.values())
     indexes = {
         t: _load_run_index(run_dir, slug, t, snaps[t].dim)
         for t in range(1, num_tasks + 1)
@@ -287,7 +285,7 @@ def _cmd_eval(args) -> int:
         if slug not in stored:
             raise ConfigError(f"run has no {slug} trajectory for {method}")
         if kd not in trajectories:
-            trajectories[kd] = _reconstruct_states(run_dir, slug, datasets)
+            trajectories[kd] = _reconstruct_states(run_dir, stored, slug, datasets)
     results = evaluate_methods(trajectories, methods, config.k)
     print(results_to_csv(results), end="")
     return 0

@@ -1,7 +1,8 @@
-"""Run configuration and the single-root-seed derivation scheme.
+"""Run configuration and the seed derivation scheme.
 
-Every random draw in the package flows from config.seed through
-seed_chain(root, *tags), so one knob reproduces a full run.
+Every training draw flows from config.seed through seed_chain(root, *tags);
+the synthetic stream draws from its own StreamSpec.seed. The CLI's --seed
+sets both, so one flag reproduces a full run.
 """
 from __future__ import annotations
 
@@ -173,10 +174,10 @@ def config_from_dict(payload: dict) -> RunConfig:
         stream = StreamSpec(**stream_payload)
 
     if datasets is not None:
-        if not isinstance(datasets, list) or not all(
+        if not isinstance(datasets, list) or not datasets or not all(
             isinstance(d, dict) for d in datasets
         ):
-            raise ConfigError("datasets must be a list of path objects")
+            raise ConfigError("datasets must be a non-empty list of path objects")
         for i, entry in enumerate(datasets, start=1):
             _check_fields(_DATASET_FIELDS, entry, f"datasets entry {i}")
         datasets = tuple(dict(d) for d in datasets)

@@ -150,37 +150,37 @@ def _query_token_ids(
     rng: np.random.Generator,
 ) -> list[int]:
     # rarest unique tokens first; vocab position doubles as frequency rank
-    ordered = list(np.unique(doc_token_ids)[::-1])
-    fresh = [ix for ix in ordered if ix >= n_shared]
-    shared = [ix for ix in ordered if ix < n_shared]
+    ids = np.unique(doc_token_ids)
+    cut = int(ids.searchsorted(n_shared))
+    fresh = ids[cut:][::-1].tolist()
+    shared = ids[:cut][::-1].tolist()
     want_common = 2 if qlen >= 5 or n_shared == 0 else 1
     want_shared = min(want_common, len(shared))
-    picked = [int(ix) for ix in fresh[: max(qlen - want_common, 0)]]
+    n_topic = max(qlen - want_common, 0)
+    picked = fresh[:n_topic]
+    chosen = []
     if want_shared:
         # weight by global frequency so queries carry the same few
         # stopwords; those rows are what later training keeps moving
         ranks = np.asarray(shared, dtype=np.float64) + 1.0
         weights = 1.0 / ranks**QUERY_STOPWORD_EXPONENT
-        chosen = rng.choice(
-            len(shared),
-            size=want_shared,
-            replace=False,
-            p=weights / weights.sum(),
+        chosen = sorted(
+            rng.choice(
+                len(shared),
+                size=want_shared,
+                replace=False,
+                p=weights / weights.sum(),
+            ).tolist()
         )
-        picked.extend(int(shared[int(i)]) for i in sorted(chosen))
+        picked.extend(shared[i] for i in chosen)
     # no shared pool (or a stopword-free document): fill the common-word
     # slots with the document's most frequent topic tokens instead, so
-    # same-task queries still share a few high-traffic rows
-    for ix in reversed(fresh):
-        if len(picked) >= qlen:
-            break
-        if int(ix) not in picked:
-            picked.append(int(ix))
-    for ix in ordered:
-        if len(picked) >= qlen:
-            break
-        if int(ix) not in picked:
-            picked.append(int(ix))
+    # same-task queries still share a few high-traffic rows; then with the
+    # stopwords not chosen, rarest first
+    fill = fresh[n_topic:][::-1] + [
+        ix for i, ix in enumerate(shared) if i not in chosen
+    ]
+    picked.extend(fill[: qlen - len(picked)])
     order = rng.permutation(len(picked))
     return [picked[int(i)] for i in order]
 

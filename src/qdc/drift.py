@@ -72,11 +72,8 @@ def estimate_drift(
     params_old: EncoderParams,
     queries,
 ) -> DriftVector:
-    """Mean of per-query embedding differences f_new(q) - f_old(q).
-
-    numpy's column sum adds the rows first to last, one fixed order; a
-    one-column matrix (dim 1) it sums pairwise instead.
-    """
+    """Mean of per-query embedding differences f_new(q) - f_old(q), the
+    rows summed first to last at every dim."""
     if len(queries) == 0:
         raise EmptyQuerySetError("drift estimation needs at least one query")
     if (params_new.vocab_size, params_new.dim) != (
@@ -87,7 +84,7 @@ def estimate_drift(
     new = encode_batch(params_new, queries)
     old = encode_batch(params_old, queries)
     return DriftVector(
-        values=(new - old).sum(axis=0) / len(queries),
+        values=np.cumsum(new - old, axis=0)[-1] / len(queries),
         from_task=params_old.version,
         to_task=params_new.version,
     )

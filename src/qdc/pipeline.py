@@ -297,25 +297,6 @@ def _eval_query_embs(params: EncoderParams, data: TaskDataset) -> np.ndarray:
     return encode_batch(params, eval_query_rows(data, params.vocab_size))
 
 
-def _run(
-    state: ContinualState,
-    data: TaskDataset,
-    index,
-    strategy: str,
-    k: int,
-    query_embs: np.ndarray | None,
-) -> RetrievalRun:
-    """Rank data's test queries, encoded by the current model."""
-    params = state.params
-    if query_embs is None:
-        query_embs = _eval_query_embs(params, data)
-    rankings = retrieve(
-        params, index, data.corpus, state.ledger, query_embs, data.task_id, strategy, k
-    )
-    results = dict(zip([query_id for query_id, _ in data.queries_test], rankings))
-    return RetrievalRun(task=data.task_id, results=results)
-
-
 def retrieve_eval(
     state: ContinualState,
     t_prime: int,
@@ -323,15 +304,26 @@ def retrieve_eval(
     k: int,
     query_embs: np.ndarray | None = None,
 ) -> RetrievalRun:
-    """Evaluate task t_prime at the current checkpoint with one strategy.
+    """Rank task t_prime's test queries at the current checkpoint with one
+    strategy.
 
-    query_embs, when given, are the task's test queries as the checkpoint's
-    model encodes them; they are encoded here otherwise.
+    A task with a stored index is searched through it. A future task has
+    none, and only reindex, which builds it with the current model, can
+    search it. query_embs, when given, are the task's test queries as the
+    checkpoint's model encodes them; they are encoded here otherwise.
     """
-    if t_prime not in state.indexes:
+    index = state.indexes.get(t_prime)
+    if index is None and strategy != "reindex":
         raise MissingIndexError(f"no index for task {t_prime}")
     data = state.datasets[t_prime]
-    return _run(state, data, state.indexes[t_prime], strategy, k, query_embs)
+    params = state.params
+    if query_embs is None:
+        query_embs = _eval_query_embs(params, data)
+    rankings = retrieve(
+        params, index, data.corpus, state.ledger, query_embs, t_prime, strategy, k
+    )
+    results = dict(zip([query_id for query_id, _ in data.queries_test], rankings))
+    return RetrievalRun(task=t_prime, results=results)
 
 
 def zero_shot_run(
@@ -341,12 +333,8 @@ def zero_shot_run(
     query_embs: np.ndarray | None = None,
 ) -> RetrievalRun:
     """Future-task evaluation: current model on both queries and index.
-
-    query_embs, when given, are data's test queries as the checkpoint's
-    model encodes them; they are encoded here otherwise.
-    """
-    index = state.indexes.get(data.task_id)
-    return _run(state, data, index, "reindex", k, query_embs)
+    data is one of state's datasets."""
+    return retrieve_eval(state, data.task_id, "reindex", k, query_embs)
 
 
 def train_trajectory(
@@ -418,10 +406,8 @@ def _evaluate(
                     if queries is None:
                         queries = _eval_query_embs(state.params, data)
                         embs[state, t_prime] = queries
-                    if t_prime <= t:
-                        run = retrieve_eval(state, t_prime, strategy, k, queries)
-                    else:
-                        run = zero_shot_run(state, data, k, queries)
+                    cell_strategy = strategy if t_prime <= t else "reindex"
+                    run = retrieve_eval(state, t_prime, cell_strategy, k, queries)
                     memo[key] = compute_metrics(run, data.qrels, k)
                 cells[(t, t_prime)] = memo[key]
         results.append(
@@ -441,9 +427,7 @@ def bench(
     same object.
     """
     ft = train_from(start, config)
-    kd = ft[:1]
-    while len(kd) < len(ft):
-        kd.append(train_task(kd[-1], config, kd=True))
+    kd = ft[:1] + train_from(ft[0], config, kd=True)
     trajectories = {False: ft, True: kd}
     return evaluate_methods(trajectories, METHODS, config.k), trajectories
 
@@ -463,6 +447,17 @@ def results_to_csv(results: list[RunResult]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _score_row(
+    result: RunResult, checkpoint: int, metric: str
+) -> tuple[list[float], float]:
+    """A checkpoint's score on every task, and their mean."""
+    scores = [
+        result.score(checkpoint, task, metric)
+        for task in range(1, result.num_tasks + 1)
+    ]
+    return scores, float(np.mean(scores))
+
+
 def comparison_to_csv(results: list[RunResult], metric: str = "ndcg") -> str:
     """Final-checkpoint scores per task and their average, one method a row."""
     if not results:
@@ -471,11 +466,7 @@ def comparison_to_csv(results: list[RunResult], metric: str = "ndcg") -> str:
     header = ["method"] + [f"task{t}" for t in range(1, num_tasks + 1)] + ["avg"]
     lines = [",".join(header)]
     for result in results:
-        scores = [
-            result.score(num_tasks, task, metric)
-            for task in range(1, num_tasks + 1)
-        ]
-        avg = float(np.mean(scores))
+        scores, avg = _score_row(result, num_tasks, metric)
         lines.append(
             ",".join([result.method] + [repr(s) for s in scores] + [repr(avg)])
         )
@@ -497,12 +488,9 @@ def render_matrix_table(result: RunResult, metric: str = "ndcg") -> str:
     )
     lines.append(header + f"{'avg':>8}")
     for checkpoint in range(1, num_tasks + 1):
-        scores = [
-            result.score(checkpoint, task, metric)
-            for task in range(1, num_tasks + 1)
-        ]
+        scores, avg = _score_row(result, checkpoint, metric)
         row = f"T{checkpoint:<5}" + "".join(f" {_fmt_cell(s)}" for s in scores)
-        lines.append(row + f" {_fmt_cell(float(np.mean(scores)))}")
+        lines.append(row + f" {_fmt_cell(avg)}")
     pd_report = performance_drop(result, metric)
     pd_cells = [
         pd_report.per_task.get(task) for task in range(1, num_tasks + 1)
@@ -525,14 +513,11 @@ def render_comparison_table(
     )
     lines.append(header + f"{'avg':>8}")
     for result in results:
-        scores = [
-            result.score(num_tasks, task, metric)
-            for task in range(1, num_tasks + 1)
-        ]
+        scores, avg = _score_row(result, num_tasks, metric)
         row = f"{result.method:<{width}}" + "".join(
             f" {_fmt_cell(s)}" for s in scores
         )
-        lines.append(row + f" {_fmt_cell(float(np.mean(scores)))}")
+        lines.append(row + f" {_fmt_cell(avg)}")
     return "\n".join(lines) + "\n"
 
 

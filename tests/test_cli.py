@@ -430,6 +430,7 @@ _MISTYPED = [
     {"stream": {"num_tasks": "3"}},
     {"stream": {"doc_len_range": 5}},
     {"stream": {"doc_len_range": [1, 2, 3]}},
+    {"datasets": []},
     {"datasets": [5]},
     {"datasets": [{"corpus": 5, "queries": "q.jsonl", "qrels": "r.tsv"}]},
     {"datasets": [{"corpus": "c", "queries": "q", "qrels": "r", "task_id": "x"}]},

@@ -88,6 +88,20 @@ class TestEstimateDrift:
             acc = acc + (encode(new, q) - encode(old, q))
         np.testing.assert_allclose(delta.values, acc / 100, rtol=0, atol=1e-12)
 
+    def test_one_column_sums_rows_first_to_last_bit_for_bit(self):
+        # numpy's column sum adds a one-column matrix pairwise. Unit-norm
+        # 1-d embeddings are +-1 and sum exactly in any order, so the
+        # encoders here are linear-output.
+        rng = np.random.default_rng(5)
+        old = replace(init_params(64, 1, 0.5, rng), linear_output=True, version=1)
+        new = replace(old, W=rng.normal(size=(64, 1)), version=2)
+        queries = feature_rows([_rand_feats(rng, 64) for _ in range(500)])
+        delta = estimate_drift(new, old, queries)
+        acc = np.zeros(1)
+        for row in encode_batch(new, queries) - encode_batch(old, queries):
+            acc = acc + row
+        assert delta.values.tobytes() == (acc / 500).tobytes()
+
     def test_empty_query_set_rejected(self):
         rng = np.random.default_rng(1)
         params = init_params(16, 4, 0.5, rng)

@@ -28,7 +28,13 @@ from qdc.encoder import (
     tokenize,
 )
 from qdc.errors import DataMismatchError, MissingIndexError
-from qdc.index import DocRecord, build_index, doc_encoding_text, eval_query_rows
+from qdc.index import (
+    DocRecord,
+    build_index,
+    doc_encoding_text,
+    eval_query_rows,
+    search_rows,
+)
 from qdc.metrics import compute_metrics
 from qdc.pipeline import (
     ContinualState,
@@ -436,6 +442,23 @@ class TestRetrieveEval:
             for qid in plain.results
         )
         assert changed
+
+    def test_reindex_searches_a_future_task_as_zero_shot(
+        self, tiny_traj, tiny_config
+    ):
+        # task 2 has no index at checkpoint 1; reindex builds it with f_1
+        state = tiny_traj[0]
+        data = state.datasets[2]
+        reindex = retrieve_eval(state, 2, "reindex", tiny_config.k)
+        zero = zero_shot_run(state, data, tiny_config.k)
+        assert reindex.task == zero.task == 2
+        assert reindex.results == zero.results
+        index = build_index(state.params, data.corpus, 2)
+        queries = encode_batch(
+            state.params, eval_query_rows(data, state.params.vocab_size)
+        )
+        rankings = search_rows(index, queries, tiny_config.k)
+        assert list(reindex.results.values()) == rankings
 
     def test_missing_index_rejected(self, tiny_traj, tiny_config):
         with pytest.raises(MissingIndexError):
