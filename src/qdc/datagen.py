@@ -137,10 +137,10 @@ def _zipf_cdf(n: int) -> np.ndarray:
     return cdf
 
 
-def _zipf_draw(cdf: np.ndarray, size: int, rng: np.random.Generator):
-    # rng.choice(len(cdf), size, p=...) draws exactly this, but rebuilds
-    # the CDF on every call
-    return cdf.searchsorted(rng.random(size), side="right")
+def _zipf_draw(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    # from u = rng.random(size), rng.choice(len(cdf), size, p=...) draws
+    # exactly this, but rebuilds the CDF on every call
+    return cdf.searchsorted(u, side="right")
 
 
 def _query_token_ids(
@@ -195,16 +195,19 @@ def _doc_token_ids(
     """Draw one document: a per-document stopword rate, then Zipf draws
     within the shared and fresh pools."""
     if fresh_cdf is None:
-        return _zipf_draw(shared_cdf, length, rng)
+        return _zipf_draw(shared_cdf, rng.random(length))
     if shared_cdf is None:
-        return _zipf_draw(fresh_cdf, length, rng)
+        return _zipf_draw(fresh_cdf, rng.random(length))
     lo, hi = DOC_SHARED_RATE
     rate = float(rng.uniform(lo, hi))
-    from_shared = rng.random(length) < rate
-    n_sh = int(from_shared.sum())
+    # one draw of the mask's and both pools' uniforms, in the order three
+    # draws of length, n_sh and length - n_sh would take them
+    u = rng.random(2 * length)
+    from_shared = u[:length] < rate
+    n_sh = int(np.count_nonzero(from_shared))
     ids = np.empty(length, dtype=np.int64)
-    ids[from_shared] = _zipf_draw(shared_cdf, n_sh, rng)
-    ids[~from_shared] = n_shared + _zipf_draw(fresh_cdf, length - n_sh, rng)
+    ids[from_shared] = _zipf_draw(shared_cdf, u[length : length + n_sh])
+    ids[~from_shared] = n_shared + _zipf_draw(fresh_cdf, u[length + n_sh :])
     return ids
 
 
@@ -330,6 +333,12 @@ def _read_jsonl(path, required: tuple[str, ...]) -> list[dict]:
     return rows
 
 
+def _text_field(row: dict, path) -> str:
+    if row["text"] is None:
+        raise ParseError(f"{path}: _id {row['_id']!r} has a null text")
+    return str(row["text"])
+
+
 def _read_qrels(path) -> dict[tuple[str, str], int]:
     qrels: dict[tuple[str, str], int] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -367,13 +376,14 @@ def load_beir_dataset(
     corpus = [
         DocRecord(
             doc_id=str(row["_id"]),
-            title=str(row.get("title", "")),
-            text=str(row["text"]),
+            # a JSON null title is no title, not the text "None"
+            title="" if row.get("title") is None else str(row["title"]),
+            text=_text_field(row, corpus_path),
         )
         for row in _read_jsonl(corpus_path, required=("_id", "text"))
     ]
     queries = [
-        (str(row["_id"]), str(row["text"]))
+        (str(row["_id"]), _text_field(row, queries_path))
         for row in _read_jsonl(queries_path, required=("_id", "text"))
     ]
     qrels = _read_qrels(qrels_path)

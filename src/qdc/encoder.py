@@ -8,7 +8,6 @@ be checked against finite differences.
 from __future__ import annotations
 
 import os
-import re
 import struct
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -36,8 +35,24 @@ FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
-# alphanumeric runs only; underscore is a separator like any other symbol
-_TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+
+class _Separators(dict):
+    """str.translate table: an alphanumeric code point maps to itself and
+    any other to a space, so split() yields the maximal alphanumeric runs.
+    Each code point is classified once, on first sight."""
+
+    def __missing__(self, c: int) -> str:
+        ch = chr(c)
+        self[c] = keep = ch if ch.isalnum() else " "
+        return keep
+
+
+_SEPARATORS = _Separators()
+
+
+def _split_tokens(text: str) -> list[str]:
+    return text.lower().translate(_SEPARATORS).split()
+
 
 SNAPSHOT_MAGIC = b"QDCENC01"
 _SNAPSHOT_HEADER = struct.Struct("<IIdI")  # vocab, dim, temperature, version
@@ -62,10 +77,16 @@ def tokenize(text: str, vocab_size: int = DEFAULT_VOCAB) -> FeatureRows:
     """The text's one-row table: lowercase, split on non-alphanumeric runs,
     hash FNV-1a mod vocab, weigh each id by its count over the token total.
 
+    A token is a maximal run of alphanumeric (str.isalnum) code points;
+    "_", punctuation, whitespace and every other code point separate. That
+    is the regex [^\\W_]+ on a str, whose \\w is isalnum() or "_". The
+    lowercased text has each separator translated to a space and is split
+    on whitespace, which no alphanumeric character is.
+
     Empty text maps to the reserved id 0 with weight 1 so every input stays
     encodable.
     """
-    tokens = _TOKEN_RE.findall(text.lower())
+    tokens = _split_tokens(text)
     if not tokens:
         return _one_row([0], [1.0])
     counts: dict[int, int] = {}
@@ -202,7 +223,7 @@ def tokenize_rows(texts, vocab_size: int = DEFAULT_VOCAB) -> FeatureRows:
     weights = [np.empty(0, dtype=np.float64)]
     for lo in range(0, len(texts), _TOKENIZE_RUN):
         tokens = [
-            _TOKEN_RE.findall(text.lower()) or [""]
+            _split_tokens(text) or [""]
             for text in texts[lo : lo + _TOKENIZE_RUN]
         ]
         flat = list(chain.from_iterable(tokens))

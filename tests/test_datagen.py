@@ -18,7 +18,7 @@ from qdc.errors import (
     InvalidSpecError,
     ParseError,
 )
-from qdc.index import DocRecord
+from qdc.index import DocRecord, doc_encoding_text
 
 
 def _task_tokens(dataset):
@@ -410,3 +410,26 @@ class TestBeirLoader:
         )
         with pytest.raises(DanglingReferenceError):
             load_beir_dataset(*paths[:3])
+
+    def test_null_title_is_no_title(self, tmp_path):
+        paths = _write_fixture(
+            tmp_path,
+            [{"_id": "d1", "title": None, "text": "magnesium beans"}],
+            [{"_id": "q1", "text": "beans"}],
+            "q1\td1\t1\n",
+        )
+        (doc,) = load_beir_dataset(*paths[:3]).corpus
+        assert doc == DocRecord("d1", "", "magnesium beans")
+        assert doc_encoding_text(doc) == " magnesium beans"
+
+    @pytest.mark.parametrize("null_in", ["corpus", "queries"])
+    def test_null_text_names_file_and_id(self, tmp_path, null_in):
+        corpus = [{"_id": "d1", "text": "x"}, {"_id": "d2", "text": "y"}]
+        queries = [{"_id": "q1", "text": "x"}, {"_id": "q2", "text": "y"}]
+        rows, bad_id = (corpus, "d2") if null_in == "corpus" else (queries, "q2")
+        rows[1]["text"] = None
+        paths = _write_fixture(tmp_path, corpus, queries, "q1\td1\t1\n")
+        with pytest.raises(ParseError) as err:
+            load_beir_dataset(*paths[:3])
+        assert f"{null_in}.jsonl" in str(err.value)
+        assert repr(bad_id) in str(err.value)

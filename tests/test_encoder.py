@@ -1,5 +1,8 @@
+import hashlib
 import math
+import re
 import struct
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -36,6 +39,7 @@ from qdc.errors import (
     ShapeMismatchError,
     ZeroVectorError,
 )
+from qdc.index import corpus_rows, eval_query_rows
 
 
 def _fnv64_reference(data: bytes) -> int:
@@ -386,6 +390,91 @@ class TestTokenizeRows:
         for i in (0, run - 1, run, len(texts) - 1):
             texts[i] = ""
         self._assert_equals_per_text(texts, 97)
+
+
+# the tokenizer's definition, kept here as an independent reference:
+# maximal runs of the lowercased text that are word characters but not "_"
+_REFERENCE_TOKEN = re.compile(r"[^\W_]+")
+
+
+def _reference_table(text, vocab):
+    tokens = _REFERENCE_TOKEN.findall(text.lower())
+    counts = Counter()
+    for tok, n in Counter(tokens).items():
+        counts[fnv1a64(tok.encode("utf-8")) % vocab] += n
+    return _feats(*sorted(counts.items())) if tokens else _feats((0, 1))
+
+
+# separators, alphanumerics and case mappings where a hand-written class
+# could part from the regex's
+_TRICKY = [
+    "snake_case",
+    "no\u00a0break",
+    "ideographic\u3000space",
+    "em\u2014dash",
+    "cafe\u0301 acute",
+    "İstanbul",  # lowers to i + U+0307
+    "ΟΔΟΣ.",  # the last sigma lowers to the final form
+    "x² y²",
+    "٣ arabic-indic three",
+    "ＡＢ fullwidth",
+    "zero\u200dwidth joiner",
+    "file\x1cseparator",
+    "lone\ud800surrogate",
+]
+
+
+class TestTokenizerOracle:
+    """tokenize and tokenize_rows against the reference regex."""
+
+    def test_regex_class_is_isalnum_on_every_code_point(self):
+        every = "".join(map(chr, range(0x110000)))
+        by_regex = {m.start() for m in re.finditer(r"[^\W_]", every)}
+        by_isalnum = {i for i, ch in enumerate(every) if ch.isalnum()}
+        assert by_regex == by_isalnum
+        # so a split on whitespace cannot cut an alphanumeric run
+        assert not any(ch.isspace() for ch in map(chr, by_isalnum))
+
+    @pytest.mark.parametrize("text", _TRICKY + ["_", "", " ".join(_TRICKY)])
+    @pytest.mark.parametrize("vocab", [97, DEFAULT_VOCAB])
+    def test_tricky_texts(self, text, vocab):
+        want = _reference_table(text, vocab)
+        _assert_same_table(tokenize(text, vocab), want)
+        _assert_same_table(tokenize_rows([text], vocab), want)
+
+    def test_every_code_point_between_two_letters(self):
+        # a code point joins its two letters into one token or splits them;
+        # tokenize and tokenize_rows both split with this helper
+        for plane in range(0, 0x110000, 0x10000):
+            text = "".join(f"a{chr(c)}b " for c in range(plane, plane + 0x10000))
+            want = _REFERENCE_TOKEN.findall(text.lower())
+            assert encoder._split_tokens(text) == want, hex(plane)
+
+
+class TestShippedTables:
+    """The shipped stream's task-1 tables at the default vocab, pinned: a
+    tokenizer change that moves a table fails here, on the table."""
+
+    @pytest.mark.parametrize(
+        "population, digest",
+        [
+            ("corpus", "7122efd7b25bbbf21bb924d985afbc3f0bb7e26cca99d936c6f9cd02e64c6f0d"),
+            ("train", "1b68f58644c605d56ef1792d1bdc04add8113dbd3ee451351f55cc51e2eb3fa2"),
+            ("test", "74675f826454c4169fedb80ad9c07bb30eeef5bf2a34faebe2d3db6bc792673a"),
+        ],
+    )
+    def test_digest(self, shipped_stream, population, digest):
+        task = shipped_stream[0]
+        table = {
+            "corpus": corpus_rows(task.corpus, DEFAULT_VOCAB),
+            "train": tokenize_rows([q for q, _ in task.train_pairs], DEFAULT_VOCAB),
+            "test": eval_query_rows(task, DEFAULT_VOCAB),
+        }[population]
+        h = hashlib.sha256()
+        for a in (table.indptr, table.ids, table.weights):
+            h.update(str(a.dtype).encode())
+            h.update(a.tobytes())
+        assert h.hexdigest() == digest
 
 
 def _fd_gradient(evaluate, params, touched, dim):
