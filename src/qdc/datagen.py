@@ -329,14 +329,13 @@ def _read_jsonl(path, required: tuple[str, ...]) -> list[dict]:
                 raise ParseError(f"{path}:{lineno}: invalid JSON") from exc
             if not isinstance(row, dict) or any(k not in row for k in required):
                 raise ParseError(f"{path}:{lineno}: missing fields {required}")
+            for key in required:
+                # a JSON null would load as the string "None"
+                if row[key] is None:
+                    named = "" if row.get("_id") is None else f" (_id {row['_id']!r})"
+                    raise ParseError(f"{path}:{lineno}: null {key}{named}")
             rows.append(row)
     return rows
-
-
-def _text_field(row: dict, path) -> str:
-    if row["text"] is None:
-        raise ParseError(f"{path}: _id {row['_id']!r} has a null text")
-    return str(row["text"])
 
 
 def _read_qrels(path) -> dict[tuple[str, str], int]:
@@ -378,12 +377,12 @@ def load_beir_dataset(
             doc_id=str(row["_id"]),
             # a JSON null title is no title, not the text "None"
             title="" if row.get("title") is None else str(row["title"]),
-            text=_text_field(row, corpus_path),
+            text=str(row["text"]),
         )
         for row in _read_jsonl(corpus_path, required=("_id", "text"))
     ]
     queries = [
-        (str(row["_id"]), _text_field(row, queries_path))
+        (str(row["_id"]), str(row["text"]))
         for row in _read_jsonl(queries_path, required=("_id", "text"))
     ]
     qrels = _read_qrels(qrels_path)

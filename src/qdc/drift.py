@@ -19,7 +19,7 @@ from .errors import (
     MissingTransitionError,
     NonFiniteError,
 )
-from .vecops import scaled_rows
+from .vecops import ZERO_NORM_EPS, scaled_rows
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,8 @@ def compensate_query(q_emb: np.ndarray, delta: DriftVector) -> np.ndarray:
     out = q - delta.values
     if not np.isfinite(out).all():
         raise NonFiniteError("compensated query has NaN or infinite entries")
-    scaled_rows(np.atleast_2d(out), "compensated query")
+    if (np.abs(out).max(axis=-1) < ZERO_NORM_EPS).any():
+        scaled_rows(np.atleast_2d(out), "compensated query")
     return out
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import os
 import struct
-from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import chain
@@ -90,9 +89,9 @@ def tokenize(text: str, vocab_size: int = DEFAULT_VOCAB) -> FeatureRows:
     if not tokens:
         return _one_row([0], [1.0])
     counts: dict[int, int] = {}
-    for tok, n in Counter(tokens).items():
+    for tok in tokens:
         idx = _token_id(tok, vocab_size)
-        counts[idx] = counts.get(idx, 0) + n
+        counts[idx] = counts.get(idx, 0) + 1
     ids = sorted(counts)
     return _one_row(ids, np.array([counts[i] for i in ids]) / len(tokens))
 
@@ -146,7 +145,7 @@ def encode(params: EncoderParams, feats: FeatureRows) -> np.ndarray:
     raw = feats.weights @ params.W[ids]
     if params.linear_output:
         return raw
-    norm = float(np.linalg.norm(raw))
+    norm = np.sqrt(raw @ raw)
     if norm < ZERO_NORM_EPS:
         raise ZeroVectorError("encoder produced a numerically zero embedding")
     return raw / norm

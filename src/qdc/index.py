@@ -10,7 +10,8 @@ not depend on which other rows or queries it is scored with: identical rows
 tie bit for bit, and search_rows, which scans a block of queries with one
 matrix product, gives search_topk's rankings and scores to the bit. The
 scan reads the unit rows laid out for it, as one (d, N) matrix, and takes
-each query's candidates out of its block's flat mask.
+each query's candidates, the rows within a margin of a floor at or below its
+k-th best scan, out of its block's flat mask.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from .errors import (
     NonFiniteError,
 )
 from .fileio import atomic_write
-from .vecops import ZERO_NORM_EPS, id_rank, scaled_rows, top_order
+from .vecops import ZERO_NORM_EPS, id_rank, scaled_rows
 
 if TYPE_CHECKING:
     from .datagen import TaskDataset
@@ -172,6 +173,11 @@ def _scan_margin(dim: int) -> np.float32:
     Twice the gap gamma_{d+4} - gamma_{d+3} > u covers rounding 2 eps and
     the cut K - 2 eps to float32 while eps <= 1/4; past that every row is
     kept.
+
+    Any float32 floor L <= K, such as the k-th best scan of k distinct rows,
+    serves as well: rounding is monotone, so the cut L - margin is at or
+    below K - margin and keeps every row that one keeps; the exact scores
+    rank the extra rows, which score below the k-th best, after the top k.
     """
     n = (dim + 4) * 2.0**-24
     # eps = n / (1 - n) <= 1/4 while n <= 1/5
@@ -193,9 +199,12 @@ def search_rows(
 ) -> list[list[tuple[str, float]]]:
     """search_topk for each row of an (n, d) query matrix, in row order.
 
-    Each block of queries is scanned with one float32 matrix product; each
-    row's candidates, every row scanning within _scan_margin of its k-th
-    best, are scored exactly and ranked by top_order.
+    Each block of queries is scanned with one float32 matrix product. A
+    query's floor is the k-th best of its scan maxima over the m = min(n,
+    32 k) strided groups j, j + m, j + 2m, ...: m distinct rows' scans, so
+    at or below its k-th best scan. Its candidates, the rows scanning within
+    _scan_margin of the floor, are scored exactly, and one lexsort by
+    (query, -score, doc_id) ranks the whole block's.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -209,25 +218,30 @@ def search_rows(
     arr /= qn[:, None]
     doc_ids = index.doc_ids
     n = len(doc_ids)
-    cut = n - min(k, n)
+    kk = min(k, n)
+    # a floor from m strided groups of g rows: m distinct rows' maxima
+    m = min(n, 32 * kk)
+    g = n // m
     step = max(1, _SEARCH_SCORES // n)
     rankings = []
     for lo in range(0, len(arr), step):
         block = arr[lo : lo + step]
         scans = block.astype(np.float32) @ scan
-        kth = np.partition(scans, cut, axis=1)[:, cut]
+        best = scans[:, : g * m].reshape(len(block), g, m).max(axis=1)
+        floor = np.partition(best, m - kk, axis=1)[:, m - kk]
         # row-major (row, cand) pairs, the order np.nonzero gives
-        flat = np.flatnonzero(scans >= (kth - margin)[:, None])
+        flat = np.flatnonzero(scans >= (floor - margin)[:, None])
         row, cand = np.divmod(flat, n)
         # exact scores of the candidates: one fixed-order float64 dot a row
         scores = np.einsum(
             "ij,ij->i", index.rows[cand].astype(np.float64), block[row]
         ) / norms[cand]
-        bounds = np.searchsorted(row, np.arange(len(block) + 1))
-        for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-            top = a + top_order(scores[a:b], rank[cand[a:b]], k)
-            ranking = zip([doc_ids[i] for i in cand[top]], scores[top].tolist())
-            rankings.append(list(ranking))
+        # each row's run, at least kk candidates, by (-score, doc_id)
+        order = np.lexsort((rank[cand], -scores, row))
+        starts = np.searchsorted(row, np.arange(len(block)))
+        top = order[(starts[:, None] + np.arange(kk)).ravel()]
+        hits = list(zip([doc_ids[i] for i in cand[top].tolist()], scores[top].tolist()))
+        rankings += [hits[a : a + kk] for a in range(0, len(hits), kk)]
     return rankings
 
 

@@ -22,19 +22,23 @@ def scaled_rows(rows: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     Raises ZeroVectorError, naming what, when a row's true norm is below
     ZERO_NORM_EPS.
     """
-    _, exp = np.frexp(np.abs(rows).max(axis=1))
+    big = np.abs(rows).max(axis=1)
+    _, exp = np.frexp(big)
     scaled = np.ldexp(rows, -exp[:, None])
     norms = np.sqrt([row @ row for row in scaled])
-    with np.errstate(over="ignore"):  # a norm past float64's range
-        if (np.ldexp(norms, exp) < ZERO_NORM_EPS).any():
-            raise ZeroVectorError(f"{what} is numerically zero")
+    # a norm is never below its row's largest |entry|
+    if (big < ZERO_NORM_EPS).any():
+        with np.errstate(over="ignore"):  # a norm past float64's range
+            if (np.ldexp(norms, exp) < ZERO_NORM_EPS).any():
+                raise ZeroVectorError(f"{what} is numerically zero")
     return scaled, norms
 
 
 def id_rank(ids) -> np.ndarray:
     """Each id's position in ascending (id, position) order.
 
-    An integer key that sorts as the ids do, for top_order's tie-break.
+    An integer key that sorts as the ids do, for the doc_id tie-break of
+    search and of top_order.
     """
     return np.argsort(np.argsort(np.asarray(ids), kind="stable"))
 
@@ -42,7 +46,8 @@ def id_rank(ids) -> np.ndarray:
 def top_order(scores: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
     """Positions of the min(k, N) best scores, descending, ties by ascending id.
 
-    Equal to the first k of a full lexsort by (-score, id): a partition finds
+    Hard-negative mining ranks each query's scores with it. Equal to the
+    first k of a full lexsort by (-score, id): a partition finds
     the k-th best score, every candidate at or above it (all ties at the cut
     included) is kept, and only those are sorted.
     """

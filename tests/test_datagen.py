@@ -433,3 +433,29 @@ class TestBeirLoader:
             load_beir_dataset(*paths[:3])
         assert f"{null_in}.jsonl" in str(err.value)
         assert repr(bad_id) in str(err.value)
+
+    @pytest.mark.parametrize(
+        "null_in, field",
+        [
+            ("corpus", "_id"),
+            ("queries", "_id"),
+            ("pairs", "query"),
+            ("pairs", "doc_id"),
+        ],
+    )
+    def test_null_field_names_file_and_field(self, tmp_path, null_in, field):
+        # a null _id or query used to load as the string "None": doc id
+        # "None", query id "None", the training pair ("None", "d1")
+        files = {
+            "corpus": [{"_id": "d1", "text": "x"}, {"_id": "d2", "text": "y"}],
+            "queries": [{"_id": "q1", "text": "x"}, {"_id": "q2", "text": "y"}],
+            "pairs": [{"query": "x", "doc_id": "d1"}, {"query": "y", "doc_id": "d1"}],
+        }
+        files[null_in][1][field] = None
+        paths = _write_fixture(
+            tmp_path, files["corpus"], files["queries"], "q1\td1\t1\n", files["pairs"]
+        )
+        with pytest.raises(ParseError) as err:
+            load_beir_dataset(*paths)
+        assert f"{null_in}.jsonl:2" in str(err.value)
+        assert f"null {field}" in str(err.value)

@@ -213,6 +213,24 @@ class TestCompensate:
         with pytest.raises(ZeroVectorError):
             compensate_query(q, _vec(q.tolist(), 1, 2))
 
+    @pytest.mark.parametrize("shape", [(64,), (3, 64)])
+    def test_tiny_entries_with_a_norm_above_eps_pass(self, shape):
+        # every |entry| is 0.5e-12, below ZERO_NORM_EPS; the norm is 4e-12
+        q = np.full(shape, 0.5e-12)
+        out = compensate_query(q, _vec([0.0] * 64, 1, 2))
+        np.testing.assert_array_equal(out, q)
+
+    @pytest.mark.parametrize("shape", [(64,), (3, 64)])
+    def test_norm_below_eps_rejected(self, shape):
+        # a norm of 8e-14, alone or between two rows of ones
+        q = np.full(shape, 1e-14)
+        if q.ndim == 2:
+            q[[0, 2]] = 1.0
+        with pytest.raises(
+            ZeroVectorError, match="^compensated query is numerically zero$"
+        ):
+            compensate_query(q, _vec([0.0] * 64, 1, 2))
+
     def test_translation_recovered_exactly(self):
         """Raw outputs shifted by a constant are undone by the estimate."""
         rng = np.random.default_rng(3)

@@ -476,6 +476,28 @@ class TestSearchRows:
         with pytest.raises(ValueError):
             search_rows(index, np.ones((2, DIM)), 0)
 
+    def test_tiny_entries_with_a_norm_above_eps_search(self):
+        # every |entry| is 0.5e-12, below ZERO_NORM_EPS; the norm is 4e-12
+        rng = np.random.default_rng(30)
+        rows = rng.normal(size=(50, 64)).astype(np.float32)
+        index = CorpusIndex(1, 1, 64, rows, [f"doc{i:02d}" for i in range(50)])
+        queries = np.full((2, 64), 0.5e-12)
+        queries[1] = 1.0
+        tiny, ones = search_rows(index, queries, 5)
+        assert tiny == search_topk(index, queries[0], 5)
+        assert [doc_id for doc_id, _ in tiny] == [doc_id for doc_id, _ in ones]
+
+    def test_norm_below_eps_rejected_with_its_message(self):
+        rng = np.random.default_rng(30)
+        rows = rng.normal(size=(50, 64)).astype(np.float32)
+        index = CorpusIndex(1, 1, 64, rows, [f"doc{i:02d}" for i in range(50)])
+        queries = np.ones((3, 64))
+        queries[1] = 1e-14  # a norm of 8e-14
+        with pytest.raises(
+            ZeroVectorError, match="^query embedding is numerically zero$"
+        ):
+            search_rows(index, queries, 5)
+
 
 def _axis_index(rows, rng):
     return CorpusIndex(
@@ -635,6 +657,125 @@ class TestScanPrefilter:
         index, q = _near_tie_index(rng, dim, 300, 0.25, spread=3e-5)
         for k in (1, 2, 3, 4, 5, 50, 150, 302, 303, 306, 307, 309):
             assert search_topk(index, q, k) == _full_sort(index, q, k)
+
+
+def _scan_floor_and_kth(index, q, k):
+    """The search's floor for one query, the k-th best of the strided group
+    maxima, and the k-th best scan score itself."""
+    scan = index._scoring[0]
+    scans = (q / np.linalg.norm(q)).astype(np.float32) @ scan
+    n = len(scans)
+    kk = min(k, n)
+    m = min(n, 32 * kk)
+    best = scans[: n // m * m].reshape(-1, m).max(axis=0)
+    return np.sort(best)[m - kk], np.sort(scans)[n - kk]
+
+
+def _placed_rows(rng, n, top_at, top_scores):
+    """n rows scoring low for e_0, but the rows at top_at, whose first
+    entries are top_scores."""
+    rows = np.zeros((n, DIM))
+    rows[:, 0] = rng.uniform(0.1, 0.5, n)
+    rows[:, 1:] = rng.uniform(0.5, 1.0, size=(n, DIM - 1))
+    rows[top_at, 0] = top_scores
+    return rows
+
+
+class TestScanFloor:
+    """The search keeps every row scanning within the margin of a floor, the
+    k-th best of the maxima of strided groups of m = min(n, 32 k) rows.
+    Each layout here is hard for that floor; every ranking equals a float64
+    full lexsort of all rows and search_topk, bit for bit."""
+
+    @staticmethod
+    def _assert_exact(index, queries, k):
+        got = search_rows(index, queries, k)
+        assert got == [_full_sort(index, q, k) for q in queries]
+        assert got == [search_topk(index, q, k) for q in queries]
+
+    @staticmethod
+    def _queries(rng, dim):
+        # e_0 ranks the placed rows; near-e_0 and random queries mix them
+        e0 = np.eye(dim)[0]
+        near = e0 + 0.05 * rng.normal(size=dim)
+        return np.stack([e0, near, rng.normal(size=dim)])
+
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    def test_top_k_in_one_stride_group(self, k):
+        # positions j, j + m, j + 2m, ...: one group maximum is high, and
+        # the floor is the k-th best of the rest
+        rng = np.random.default_rng([41, k])
+        n, m = 9000, 32 * k
+        top_at = 7 + m * np.arange(k + 2)
+        rows = _placed_rows(rng, n, top_at, rng.uniform(3.0, 9.0, k + 2))
+        index = _axis_index(rows, rng)
+        e0 = np.eye(DIM)[0]
+        floor, kth = _scan_floor_and_kth(index, e0, k)
+        assert floor < kth or k == 1
+        self._assert_exact(index, self._queries(rng, DIM), k)
+
+    @pytest.mark.parametrize("k", [1, 4, 10])
+    def test_top_k_in_the_remainder_the_maxima_skip(self, k):
+        m = 32 * k
+        n = 20 * m + m // 2 + 3
+        rng = np.random.default_rng([42, k])
+        tail = n - n // m * m
+        top_at = n - tail + rng.choice(tail, size=k + 1, replace=False)
+        rows = _placed_rows(rng, n, top_at, rng.uniform(3.0, 9.0, k + 1))
+        index = _axis_index(rows, rng)
+        floor, kth = _scan_floor_and_kth(index, np.eye(DIM)[0], k)
+        assert n % m and floor < kth
+        self._assert_exact(index, self._queries(rng, DIM), k)
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (5, 1), (31, 1), (40, 2), (100, 5)])
+    def test_one_group(self, n, k):
+        # n < 32 k, so m = n and g = 1: the floor is the k-th best scan
+        # score; also k = n - 1 and k >= n
+        rng = np.random.default_rng([43, n])
+        index = _random_index(rng, n, duplicates=True)
+        queries = rng.normal(size=(6, DIM))
+        for kk in (k, n - 1, n, n + 1, n + 5):
+            if kk >= 1:
+                self._assert_exact(index, queries, kk)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 12, 40])
+    def test_exact_ties_at_the_cut_span_groups(self, k):
+        # 30 identical rows at random positions, in several stride groups,
+        # under 3 rows that score higher; k cuts the tie
+        rng = np.random.default_rng([44, k])
+        n = 2000 + 37
+        m = min(n, 32 * k)
+        tied_at = rng.choice(n, size=30, replace=False)
+        assert len(set((tied_at % m).tolist())) > 1
+        above = rng.choice(np.setdiff1d(np.arange(n), tied_at), 3, replace=False)
+        rows = _placed_rows(rng, n, above, [3.0, 4.0, 5.0])
+        rows[tied_at] = [2.0] + [0.5] * (DIM - 1)
+        index = _axis_index(rows, rng)
+        e0 = np.eye(DIM)[0]
+        exact = _exact_scores(index, e0)
+        assert len(set(exact[tied_at].tolist())) == 1
+        self._assert_exact(index, np.stack([e0, 2 * e0, -e0]), k)
+
+    def test_clustered_top_k_in_a_20000_by_64_index(self):
+        # the top 40 rows lie close to one direction and to each other, 20
+        # in one run of positions and 20 in one stride group (m = 320 at
+        # k = 10); queries near the direction rank them among themselves
+        rng = np.random.default_rng(45)
+        n, dim = 20_000, 64
+        rows = rng.normal(size=(n, dim))
+        center = rng.normal(size=dim)
+        center /= np.linalg.norm(center)
+        run = 5_000 + np.arange(20)
+        stride = 123 + 320 * np.arange(20)
+        cluster = np.concatenate([run, stride])
+        rows[cluster] = 10 * center + 0.01 * rng.normal(size=(len(cluster), dim))
+        index = CorpusIndex(
+            task_id=1, encoder_version=1, dim=dim, rows=rows.astype(np.float32),
+            doc_ids=[f"doc{i:05d}" for i in rng.permutation(n)],
+        )
+        queries = center + 0.02 * rng.normal(size=(5, dim))
+        for k in (1, 10, 25, 40, 41):
+            self._assert_exact(index, queries, k)
 
 
 class TestPersistence:

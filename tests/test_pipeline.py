@@ -11,6 +11,7 @@ from qdc.datagen import TaskDataset, generate_task_stream
 from qdc.drift import (
     DriftLedger,
     append_record,
+    compensate_query_path,
     estimate_drift,
     ledger_to_dict,
 )
@@ -34,6 +35,7 @@ from qdc.index import (
     doc_encoding_text,
     eval_query_rows,
     search_rows,
+    search_topk,
 )
 from qdc.metrics import compute_metrics
 from qdc.pipeline import (
@@ -845,6 +847,40 @@ class TestBenchDigest:
         assert digest == (
             "92ec0a9e27ad705efdf0666a8cb01081b238fc92a4d026a566a64e43a6d9156f"
         )
+
+    def test_served_qdc_rankings(self, bench_outcome, default_config):
+        # the one-query serve path: every test query of each old task at the
+        # final FT checkpoint, encoded alone, compensated and ranked by
+        # search_topk
+        _, trajectories, _ = bench_outcome
+        final = trajectories[False][-1]
+        params = final.params
+        lines = []
+        for task in range(1, params.version):
+            for _, text in final.datasets[task].queries_test:
+                emb = encode(params, tokenize(text, params.vocab_size))
+                emb = compensate_query_path(final.ledger, emb, task, params.version)
+                ranking = search_topk(final.indexes[task], emb, default_config.k)
+                lines += [f"{doc_id}\t{score:.6f}" for doc_id, score in ranking]
+        assert len(lines) == 200 * (params.version - 1) * default_config.k
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == (
+            "0bf5d99cee97f02df4ab03b7760440fbebc29c57fb19ce9c99791a24eb059b7f"
+        )
+
+    def test_encode_divides_by_the_norm_bit_for_bit(self, bench_outcome):
+        _, trajectories, _ = bench_outcome
+        final = trajectories[False][-1]
+        params = final.params
+        count = 0
+        for data in final.datasets.values():
+            for _, text in data.queries_test:
+                feats = tokenize(text, params.vocab_size)
+                raw = feats.weights @ params.W[feats.ids]
+                want = raw / float(np.linalg.norm(raw))
+                assert encode(params, feats).tobytes() == want.tobytes()
+                count += 1
+        assert count == 600
 
 
 class TestBenchEquivalence:

@@ -81,3 +81,19 @@ def test_scaled_rows_are_exact_powers_of_two(exp):
 def test_scaled_rows_rejects_a_numerically_zero_row(rows):
     with pytest.raises(ZeroVectorError, match="row is numerically zero"):
         scaled_rows(rows, "row")
+
+
+def test_scaled_rows_tiny_entries_with_a_norm_above_eps():
+    # every |entry| is below ZERO_NORM_EPS, the norm 4e-12 is not
+    rows = np.array([[1.0] * 64, [0.5e-12] * 64])
+    assert np.abs(rows[1]).max() < ZERO_NORM_EPS < np.linalg.norm(rows[1])
+    scaled, norms = scaled_rows(rows, "row")
+    np.testing.assert_array_equal(norms, [np.linalg.norm(row) for row in scaled])
+
+
+@pytest.mark.parametrize("tiny", [1e-14, 0.5e-12 / 8, 5e-324])
+def test_scaled_rows_rejects_a_norm_below_eps(tiny):
+    rows = np.array([[1.0] * 64, [tiny] * 64])
+    assert np.linalg.norm(rows[1]) < ZERO_NORM_EPS
+    with pytest.raises(ZeroVectorError, match="^row is numerically zero$"):
+        scaled_rows(rows, "row")
