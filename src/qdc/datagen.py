@@ -44,7 +44,9 @@ QUERY_STOPWORD_EXPONENT = 2.0
 @dataclass(frozen=True)
 class StreamSpec:
     """Knobs for one synthetic stream; identical specs generate identical
-    streams bit for bit."""
+    streams bit for bit. A query holds at most its document's distinct
+    tokens, so it can come out shorter than `query_len_range` asks; a
+    range that starts above the longest document's length is rejected."""
 
     num_tasks: int = 3
     docs_per_task: int = 2000
@@ -115,6 +117,8 @@ def _validate_spec(spec: StreamSpec) -> None:
     for lo, hi in (spec.doc_len_range, spec.query_len_range):
         if lo < 1 or hi < lo:
             raise InvalidSpecError("length ranges must satisfy 1 <= lo <= hi")
+    if spec.query_len_range[0] > spec.doc_len_range[1]:
+        raise InvalidSpecError("query_len_range lo must be <= doc_len_range hi")
     if spec.seed < 0:
         raise InvalidSpecError("seed must be non-negative")
 
@@ -143,46 +147,54 @@ def _zipf_draw(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return cdf.searchsorted(u, side="right")
 
 
-def _query_token_ids(
-    doc_token_ids: np.ndarray,
-    n_shared: int,
-    qlen: int,
-    rng: np.random.Generator,
-) -> list[int]:
-    # rarest unique tokens first; vocab position doubles as frequency rank
+def _query_pool(
+    doc_token_ids: np.ndarray, n_shared: int
+) -> tuple[list[int], list[int], np.ndarray | None]:
+    """A document's query material: its distinct fresh and shared ids,
+    rarest first, and the stopword pick probabilities (None without
+    stopwords). Built once per document and task, however many queries
+    the document feeds."""
+    # vocab position doubles as frequency rank
     ids = np.unique(doc_token_ids)
     cut = int(ids.searchsorted(n_shared))
     fresh = ids[cut:][::-1].tolist()
     shared = ids[:cut][::-1].tolist()
+    if not shared:
+        return fresh, shared, None
+    # weight by global frequency so queries carry the same few stopwords;
+    # those rows are what later training keeps moving
+    ranks = np.asarray(shared, dtype=np.float64) + 1.0
+    weights = 1.0 / ranks**QUERY_STOPWORD_EXPONENT
+    return fresh, shared, weights / weights.sum()
+
+
+def _query_token_ids(
+    pool: tuple[list[int], list[int], np.ndarray | None],
+    n_shared: int,
+    qlen: int,
+    rng: np.random.Generator,
+) -> list[int]:
+    fresh, shared, p = pool
     want_common = 2 if qlen >= 5 or n_shared == 0 else 1
     want_shared = min(want_common, len(shared))
     n_topic = max(qlen - want_common, 0)
     picked = fresh[:n_topic]
     chosen = []
     if want_shared:
-        # weight by global frequency so queries carry the same few
-        # stopwords; those rows are what later training keeps moving
-        ranks = np.asarray(shared, dtype=np.float64) + 1.0
-        weights = 1.0 / ranks**QUERY_STOPWORD_EXPONENT
         chosen = sorted(
-            rng.choice(
-                len(shared),
-                size=want_shared,
-                replace=False,
-                p=weights / weights.sum(),
-            ).tolist()
+            rng.choice(len(shared), size=want_shared, replace=False, p=p).tolist()
         )
         picked.extend(shared[i] for i in chosen)
-    # no shared pool (or a stopword-free document): fill the common-word
-    # slots with the document's most frequent topic tokens instead, so
-    # same-task queries still share a few high-traffic rows; then with the
-    # stopwords not chosen, rarest first
-    fill = fresh[n_topic:][::-1] + [
-        ix for i, ix in enumerate(shared) if i not in chosen
-    ]
-    picked.extend(fill[: qlen - len(picked)])
-    order = rng.permutation(len(picked))
-    return [picked[int(i)] for i in order]
+    if len(picked) < qlen:
+        # no shared pool (or a stopword-free document): fill the common-word
+        # slots with the document's most frequent topic tokens instead, so
+        # same-task queries still share a few high-traffic rows; then with
+        # the stopwords not chosen, rarest first
+        fill = fresh[n_topic:][::-1] + [
+            ix for i, ix in enumerate(shared) if i not in chosen
+        ]
+        picked.extend(fill[: qlen - len(picked)])
+    return list(map(picked.__getitem__, rng.permutation(len(picked)).tolist()))
 
 
 def _doc_token_ids(
@@ -249,11 +261,15 @@ def generate_task_stream(spec: StreamSpec) -> list[TaskDataset]:
             )
 
         q_lo, q_hi = spec.query_len_range
+        pools: dict[int, tuple] = {}
 
         def make_query(doc_pos: int, rng: np.random.Generator) -> str:
             qlen = int(rng.integers(q_lo, q_hi + 1))
-            ids = _query_token_ids(doc_tokens[doc_pos], n_shared, qlen, rng)
-            return " ".join(vocab[int(j)] for j in ids)
+            pool = pools.get(doc_pos)
+            if pool is None:
+                pool = pools[doc_pos] = _query_pool(doc_tokens[doc_pos], n_shared)
+            ids = _query_token_ids(pool, n_shared, qlen, rng)
+            return " ".join(map(vocab.__getitem__, ids))
 
         train_pairs = []
         for doc_pos in _sample_doc_indices(

@@ -467,6 +467,18 @@ class TestMistypedConfigRejected:
         assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
         assert key in captured.err and "must be" in captured.err
 
+    def test_query_longer_than_every_document_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        stream = {"doc_len_range": [2, 3], "query_len_range": [4, 6]}
+        path.write_text(json.dumps({"stream": stream}), encoding="utf-8")
+        args = ["gen-data", "--config", str(path), "--out", str(tmp_path / "out")]
+        assert dispatch(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: query_len_range lo must be <= doc_len_range hi"
+        ]
+
     def test_unknown_dataset_key_exits_one(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         entry = {"corpus": "c", "queries": "q", "qrels": "r", "qrel": "r"}

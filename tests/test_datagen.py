@@ -88,6 +88,27 @@ class TestStreamDigest:
         spec = StreamSpec(vocab_overlap=overlap, **_SMALL)
         assert _stream_digest(generate_task_stream(spec)) == digest
 
+    @pytest.mark.parametrize(
+        "changes, digest",
+        [
+            # more pairs than documents: drawn with replacement, so one
+            # document feeds several queries
+            (
+                {"train_pairs_per_task": 800},
+                "93dc4c7281fda2d047394d2b3be0555021e97ee59c2594f2870e84c3cbe96918",
+            ),
+            # long queries reach the fill list, short ones a lone stopword,
+            # and from 5 tokens up a query picks two stopwords
+            (
+                {"query_len_range": (1, 12)},
+                "db15a87e236ce2ab3c71add619cfa2c5172ace37f4153472bdcea00d05954cac",
+            ),
+        ],
+    )
+    def test_repeat_and_long_query_streams(self, changes, digest):
+        spec = StreamSpec(**{**_SMALL, **changes})
+        assert _stream_digest(generate_task_stream(spec)) == digest
+
 
 class TestGeneration:
     def test_same_spec_is_bit_identical(self, tiny_spec):
@@ -201,12 +222,30 @@ class TestSpecValidation:
             {"doc_len_range": (10, 5)},
             {"doc_len_range": (0, 5)},
             {"query_len_range": (4, 2)},
+            # no 2-3-token document can supply a 4-token query
+            {"doc_len_range": (2, 3), "query_len_range": (4, 6)},
             {"seed": -1},
         ],
     )
     def test_invalid_spec_rejected(self, kwargs):
         with pytest.raises(InvalidSpecError):
             generate_task_stream(replace(StreamSpec(), **kwargs))
+
+    def test_query_may_start_at_the_longest_document(self):
+        spec = StreamSpec(
+            num_tasks=1,
+            docs_per_task=50,
+            train_pairs_per_task=20,
+            test_queries_per_task=20,
+            doc_len_range=(2, 3),
+            query_len_range=(3, 6),
+            seed=1,
+        )
+        (ds,) = generate_task_stream(spec)
+        text_by_id = {doc.doc_id: doc.text for doc in ds.corpus}
+        # a query holds at most its document's distinct tokens
+        for query, doc_id in ds.train_pairs:
+            assert len(query.split()) <= len(set(text_by_id[doc_id].split()))
 
 
 class TestDatasetValidation:
