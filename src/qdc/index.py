@@ -33,7 +33,7 @@ from .errors import (
     NonFiniteError,
 )
 from .fileio import atomic_write
-from .vecops import ZERO_NORM_EPS, id_rank, scaled_rows
+from .vecops import ZERO_NORM_EPS, above_floor, id_rank, scaled_rows
 
 if TYPE_CHECKING:
     from .datagen import TaskDataset
@@ -200,11 +200,9 @@ def search_rows(
     """search_topk for each row of an (n, d) query matrix, in row order.
 
     Each block of queries is scanned with one float32 matrix product. A
-    query's floor is the k-th best of its scan maxima over the m = min(n,
-    32 k) strided groups j, j + m, j + 2m, ...: m distinct rows' scans, so
-    at or below its k-th best scan. Its candidates, the rows scanning within
-    _scan_margin of the floor, are scored exactly, and one lexsort by
-    (query, -score, doc_id) ranks the whole block's.
+    query's candidates, the rows scanning within _scan_margin of its floor
+    (above_floor), are scored exactly, and one lexsort by (query, -score,
+    doc_id) ranks the whole block's.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -219,19 +217,11 @@ def search_rows(
     doc_ids = index.doc_ids
     n = len(doc_ids)
     kk = min(k, n)
-    # a floor from m strided groups of g rows: m distinct rows' maxima
-    m = min(n, 32 * kk)
-    g = n // m
     step = max(1, _SEARCH_SCORES // n)
     rankings = []
     for lo in range(0, len(arr), step):
         block = arr[lo : lo + step]
-        scans = block.astype(np.float32) @ scan
-        best = scans[:, : g * m].reshape(len(block), g, m).max(axis=1)
-        floor = np.partition(best, m - kk, axis=1)[:, m - kk]
-        # row-major (row, cand) pairs, the order np.nonzero gives
-        flat = np.flatnonzero(scans >= (floor - margin)[:, None])
-        row, cand = np.divmod(flat, n)
+        row, cand = above_floor(block.astype(np.float32) @ scan, kk, margin)
         # exact scores of the candidates: one fixed-order float64 dot a row
         scores = np.einsum(
             "ij,ij->i", index.rows[cand].astype(np.float64), block[row]

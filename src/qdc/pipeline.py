@@ -35,6 +35,7 @@ from .encoder import (
 )
 from .errors import DataMismatchError, MissingIndexError
 from .index import (
+    _SEARCH_SCORES,
     CorpusIndex,
     build_index,
     corpus_rows,
@@ -43,7 +44,7 @@ from .index import (
     train_query_rows,
 )
 from .metrics import METRIC_NAMES, MetricReport, compute_metrics, performance_drop
-from .vecops import id_rank, top_order
+from .vecops import above_floor, id_rank, top_per_row
 
 STRATEGIES = ("plain", "qdc", "reindex")
 
@@ -136,7 +137,11 @@ def mine_hard_negatives(
     corpus has fewer than h other documents. q_units and doc_units are
     params' embeddings of the pairs' queries and of the corpus. queries is
     the pairs' queries' table (one row per pair) when the caller has it.
+    A block's positives are set to -inf; above_floor keeps each row's
+    candidates, as in search_rows, and one top_per_row ranks them.
     """
+    if h < 0:
+        raise ValueError(f"h must be >= 0, got {h}")
     vocab = params.vocab_size
     if queries is None:
         queries = tokenize_rows([q for q, _ in pairs], vocab)
@@ -147,18 +152,23 @@ def mine_hard_negatives(
         return negs, q_units, doc_units
     rank = id_rank([d.doc_id for d in corpus])
     position = {d.doc_id: j for j, d in enumerate(corpus)}
-    positives: dict[str, set[int]] = {}
+    positives: dict[str, list[int]] = {}
     for query, doc_id in pairs:
-        positives.setdefault(query, set()).add(position[doc_id])
+        positives.setdefault(query, []).append(position[doc_id])
+    # every (pair, positive of its query), in pair order
+    excluded = [(i, j) for i, (q, _) in enumerate(pairs) for j in positives[q]]
+    pair_of, excluded = np.array(excluded, dtype=np.intp).T
     step = max(1, _MINE_SCORES // len(corpus))
+    sub = max(1, _SEARCH_SCORES // len(corpus))  # rows selected at a time
     for lo in range(0, len(pairs), step):
         scores = q_units[lo : lo + step] @ doc_units.T
-        for i, (query, _) in enumerate(pairs[lo : lo + step]):
-            exclude = positives[query]
-            # the h best non-positives lie within the h + |positives| best
-            order = top_order(scores[i], rank, h + len(exclude))
-            found = [j for j in order.tolist() if j not in exclude][:h]
-            negs[lo + i, : len(found)] = found
+        a, b = np.searchsorted(pair_of, [lo, lo + step])
+        scores[pair_of[a:b] - lo, excluded[a:b]] = -np.inf
+        for s in range(0, len(scores), sub):
+            block = scores[s : s + sub]
+            row, cand = above_floor(block, min(h, len(corpus)))
+            picks, slots = top_per_row(row, block[row, cand], rank[cand], h)
+            negs[lo + s + row[picks], slots] = cand[picks]
     return negs, q_units, doc_units
 
 

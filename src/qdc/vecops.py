@@ -38,23 +38,30 @@ def id_rank(ids) -> np.ndarray:
     """Each id's position in ascending (id, position) order.
 
     An integer key that sorts as the ids do, for the doc_id tie-break of
-    search and of top_order.
+    search and of hard-negative mining.
     """
     return np.argsort(np.argsort(np.asarray(ids), kind="stable"))
 
 
-def top_order(scores: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
-    """Positions of the min(k, N) best scores, descending, ties by ascending id.
+def above_floor(scores: np.ndarray, k: int, below=0) -> tuple[np.ndarray, ...]:
+    """(row, column) of each row's finite scores at or above its floor less
+    below, row-major. For 1 <= k <= n, a row's floor is the k-th best of its
+    maxima over the m = min(n, 32 k) strided groups j, j + m, ... (columns
+    past the last whole group are in none), so at most its k-th best score."""
+    b, n = scores.shape
+    m = min(n, 32 * k)
+    best = scores[:, : n // m * m].reshape(b, n // m, m).max(axis=1)
+    floor = np.partition(best, m - k, axis=1)[:, m - k] - below
+    floor = np.maximum(floor, np.finfo(scores.dtype).min)
+    return np.divmod(np.flatnonzero(scores >= floor[:, None]), n)
 
-    Hard-negative mining ranks each query's scores with it. Equal to the
-    first k of a full lexsort by (-score, id): a partition finds
-    the k-th best score, every candidate at or above it (all ties at the cut
-    included) is kept, and only those are sorted.
-    """
-    n = len(scores)
-    if k < n:
-        kth = np.partition(scores, n - k)[n - k]
-        cand = np.flatnonzero(scores >= kth)
-    else:
-        cand = np.arange(n)
-    return cand[np.lexsort((ids[cand], -scores[cand]))][:k]
+
+def top_per_row(row, scores, ids, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's first k entries by descending score, ties by ascending id
+    (entry i is in row row[i]; a shorter row keeps all): their positions,
+    rows ascending and best first, and each one's place in its row."""
+    order = np.lexsort((ids, -scores, row))
+    row = row[order]
+    slots = np.arange(len(order)) - np.searchsorted(row, row)
+    keep = slots < k
+    return order[keep], slots[keep]

@@ -27,6 +27,7 @@ from qdc.encoder import (
     feature_rows,
     sgd_step,
     tokenize,
+    tokenize_rows,
 )
 from qdc.errors import DataMismatchError, MissingIndexError
 from qdc.index import (
@@ -56,6 +57,7 @@ from qdc.pipeline import (
     train_trajectory,
     zero_shot_run,
 )
+from qdc.vecops import above_floor
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +100,43 @@ def _mined_ids(params, pairs, corpus, h):
     negs, _, _ = mine_hard_negatives(params, pairs, corpus, h)
     assert negs.shape == (len(pairs), h)
     return [[corpus[j].doc_id for j in row if j >= 0] for row in negs.tolist()]
+
+
+def _negs_by_string_keys(scores, pairs, ids, h):
+    """Each pair's first h non-positives by (-score, doc id), -1 padded,
+    from one full lexsort of its row of scores with the string ids."""
+    want = np.full((len(pairs), h), -1, dtype=np.intp)
+    for i, (query, _) in enumerate(pairs):
+        positives = {ids.index(d) for q, d in pairs if q == query}
+        order = np.lexsort((np.asarray(ids), -scores[i]))
+        found = [j for j in order.tolist() if j not in positives][:h]
+        want[i, : len(found)] = found
+    return want
+
+
+def _mine_scored(monkeypatch, config, scores, pairs, ids, h):
+    """mine_hard_negatives over documents ids that score scores[i] against
+    pair i's query, checked against the string-keyed oracle.
+
+    The scores are small integers and pair i's query embeds as unit vector
+    i, so every score and every tie is exact however the product is blocked.
+    """
+    params = init_state(config).params
+    queries = tokenize_rows([q for q, _ in pairs], params.vocab_size)
+
+    def embed(params, table):
+        return np.eye(len(pairs)) if table is queries else scores.T * 1.0
+
+    monkeypatch.setattr(qdc.pipeline, "encode_batch", embed)
+    corpus = [_doc(doc_id, "alpha") for doc_id in ids]
+    negs, _, _ = mine_hard_negatives(params, pairs, corpus, h, queries)
+    want = _negs_by_string_keys(scores, pairs, ids, h)
+    assert negs.tobytes() == want.tobytes()
+    return negs
+
+
+def _shuffled_ids(n, seed):
+    return [f"d{i:04d}" for i in np.random.default_rng(seed).permutation(n)]
 
 
 class TestMineHardNegatives:
@@ -210,13 +249,7 @@ class TestMineHardNegatives:
         ]
         params = init_state(tiny_config).params
         negs, q_units, doc_units = mine_hard_negatives(params, pairs, corpus, h)
-        scores = q_units @ doc_units.T
-        want = np.full_like(negs, -1)
-        for i, (query, _) in enumerate(pairs):
-            positives = {ids.index(d) for q, d in pairs if q == query}
-            order = np.lexsort((np.asarray(ids), -scores[i]))
-            found = [j for j in order.tolist() if j not in positives][:h]
-            want[i, : len(found)] = found
+        want = _negs_by_string_keys(q_units @ doc_units.T, pairs, ids, h)
         assert negs.tobytes() == want.tobytes()
 
     def test_h_plus_positives_beyond_corpus_size(self, tiny_config):
@@ -228,6 +261,132 @@ class TestMineHardNegatives:
         assert [len(neg) for neg in got] == [2, 2, 3]
         negs, _, _ = mine_hard_negatives(params, pairs, corpus, 3)
         assert (negs[:2, 2] == -1).all() and (negs[2] >= 0).all()
+
+    def test_rejects_a_negative_h(self, tiny_stream, tiny_config):
+        ds = tiny_stream[0]
+        params = init_state(tiny_config).params
+        with pytest.raises(ValueError, match="^h must be >= 0, got -1$"):
+            mine_hard_negatives(params, ds.train_pairs, ds.corpus, -1)
+
+    @pytest.mark.parametrize(
+        "task, digest",
+        [
+            (1, "00fa8f7790b2254f4f835ddcbbef779f1a1e40790b346cb3e8b529399ecd5022"),
+            (2, "18c41041dafbeafee2e200bb5f651d312d0d455f1479a9cd8cc527fdb94c39fa"),
+            (3, "cd40e22ab09ad73bdd3282f16f00c1dcff9e4e4fb11ee555827ea8bb8702658c"),
+        ],
+    )
+    def test_shipped_stream_digest(
+        self, shipped_stream, default_config, task, digest
+    ):
+        # f_0 at seed 42, h = 7 over 2,000 documents: past 32 h, so each
+        # floor comes from strided groups
+        ds = shipped_stream[task - 1]
+        params = init_state(default_config).params
+        negs, _, _ = mine_hard_negatives(params, ds.train_pairs, ds.corpus, 7)
+        assert hashlib.sha256(negs.tobytes()).hexdigest() == digest
+
+
+class TestMineStridedFloor:
+    """Corpora of n > 32 h documents, whose floors come from m = 32 min(h, n)
+    strided groups, with n % m columns past the last whole group."""
+
+    def test_top_h_in_the_tail_columns(self, monkeypatch, tiny_config):
+        n, h = 250, 3  # 96 groups of 2; columns 192-249 are in none
+        ids = _shuffled_ids(n, 1)
+        pairs = [
+            ("q0", ids[200]), ("q1", ids[10]), ("q0", ids[240]), ("q2", ids[249])
+        ]
+        rng = np.random.default_rng(1)
+        rows = {q: rng.integers(0, 50, size=n) for q in ("q0", "q1", "q2")}
+        scores = np.array([rows[q] for q, _ in pairs], dtype=np.float64)
+        scores[:, [195, 200, 220, 240, 249]] = [100, 103, 101, 102, 104]
+        negs = _mine_scored(monkeypatch, tiny_config, scores, pairs, ids, h)
+        assert (negs >= 192).all()
+
+    @pytest.mark.parametrize("h", [1, 2, 3, 5])
+    @pytest.mark.parametrize("top", [4, 1000])
+    def test_ties_across_groups_and_at_the_cut(
+        self, monkeypatch, tiny_config, h, top
+    ):
+        # few distinct scores (top 4) tie everywhere; many (top 1000) rarely
+        n = 64 * h + 37
+        ids = _shuffled_ids(n, h)
+        rng = np.random.default_rng(top + h)
+        queries = ["q0", "q1", "q0", "q2", "q1", "q0"]
+        rows = {q: rng.integers(0, top, size=n) for q in sorted(set(queries))}
+        for row in rows.values():
+            # the best score on 2 h + 1 columns, so the cut falls in a tie
+            row[rng.choice(n, 2 * h + 1, replace=False)] = top
+        pairs = [(q, ids[int(j)]) for q, j in zip(queries, rng.integers(0, n, 6))]
+        scores = np.array([rows[q] for q in queries], dtype=np.float64)
+        _mine_scored(monkeypatch, tiny_config, scores, pairs, ids, h)
+
+    @pytest.mark.parametrize("h", [1, 2, 4])
+    def test_positives_fill_the_groups(self, monkeypatch, tiny_config, h):
+        # q0's positives fill every group but h - 1 of them, so fewer than h
+        # groups hold a non-positive
+        n, m = 64 * h + 12, 32 * h
+        ids = _shuffled_ids(n, h)
+        free = [j for g in range(h - 1) for j in (g, g + m)]
+        positives = [j for j in range(2 * m) if j not in free]
+        assert len(positives) > h
+        pairs = [("q0", ids[j]) for j in positives] + [("q1", ids[7])]
+        rng = np.random.default_rng(h)
+        rows = {q: rng.integers(0, 1000, size=n) for q in ("q0", "q1")}
+        scores = np.array([rows[q] for q, _ in pairs], dtype=np.float64)
+        # the floor is -inf: every non-positive is a candidate
+        masked = scores[:1].copy()
+        masked[0, positives] = -np.inf
+        assert len(above_floor(masked, h)[1]) == n - len(positives)
+        _mine_scored(monkeypatch, tiny_config, scores, pairs, ids, h)
+
+    @pytest.mark.parametrize("free", [0, 1, 2, 3])
+    def test_fewer_non_positives_than_h_pads(
+        self, monkeypatch, tiny_config, free
+    ):
+        n, h = 130, 2  # 64 groups of 2 and 2 tail columns
+        ids = _shuffled_ids(n, free)
+        rng = np.random.default_rng(free)
+        negatives = set(rng.choice(n, free, replace=False).tolist())
+        pairs = [("q0", ids[j]) for j in range(n) if j not in negatives]
+        pairs.append(("q1", ids[0]))
+        rows = {q: rng.integers(0, 1000, size=n) for q in ("q0", "q1")}
+        scores = np.array([rows[q] for q, _ in pairs], dtype=np.float64)
+        negs = _mine_scored(monkeypatch, tiny_config, scores, pairs, ids, h)
+        pads = (negs[:-1] == -1).sum(axis=1)
+        assert pads.tolist() == [max(0, h - free)] * (n - free)
+
+    @pytest.mark.parametrize(
+        "mine_rows, select_rows", [(5, 2), (4, 3), (6, 6), (3, 1)]
+    )
+    def test_a_querys_pairs_split_across_blocks(
+        self, monkeypatch, tiny_config, mine_rows, select_rows
+    ):
+        # q2's pairs straddle score blocks and selection sub-blocks
+        n, h = 250, 3
+        monkeypatch.setattr(qdc.pipeline, "_MINE_SCORES", mine_rows * n + 1)
+        monkeypatch.setattr(qdc.pipeline, "_SEARCH_SCORES", select_rows * n + 1)
+        queries = "q0 q1 q1 q2 q2 q2 q2 q3 q2 q4 q1".split()
+        ids = _shuffled_ids(n, mine_rows)
+        rng = np.random.default_rng(select_rows)
+        rows = {q: rng.integers(0, 1000, size=n) for q in sorted(set(queries))}
+        pairs = [(q, ids[int(j)]) for q, j in zip(queries, rng.integers(0, n, 11))]
+        scores = np.array([rows[q] for q in queries], dtype=np.float64)
+        _mine_scored(monkeypatch, tiny_config, scores, pairs, ids, h)
+
+    def test_trained_scores_match_brute_force_oracle(
+        self, monkeypatch, tiny_spec, tiny_config
+    ):
+        # 300 documents at h = 3: 96 groups of 3, 12 tail columns; five
+        # pairs a score block, two a selection sub-block
+        spec = replace(tiny_spec, num_tasks=1, docs_per_task=300)
+        ds = generate_task_stream(spec)[0]
+        monkeypatch.setattr(qdc.pipeline, "_MINE_SCORES", 5 * 300)
+        monkeypatch.setattr(qdc.pipeline, "_SEARCH_SCORES", 2 * 300)
+        params = init_state(tiny_config).params
+        got = _mined_ids(params, ds.train_pairs, ds.corpus, 3)
+        assert got == _mined_by_full_sort(params, ds.train_pairs, ds.corpus, 3)
 
 
 class TestTrainTask:

@@ -2,45 +2,106 @@ import numpy as np
 import pytest
 
 from qdc.errors import ZeroVectorError
-from qdc.vecops import ZERO_NORM_EPS, id_rank, scaled_rows, top_order
+from qdc.vecops import (
+    ZERO_NORM_EPS,
+    above_floor,
+    id_rank,
+    scaled_rows,
+    top_per_row,
+)
+
+
+def _one_row(scores, ids, k):
+    """top_per_row's picks for one row of scores."""
+    scores = np.asarray(scores, dtype=np.float64)
+    picks, slots = top_per_row(
+        np.zeros(len(scores), dtype=np.intp), scores, np.asarray(ids), k
+    )
+    assert slots.tolist() == list(range(len(picks)))
+    return picks
 
 
 @pytest.mark.parametrize("k", [1, 2, 7, 39, 40, 55])
-def test_top_order_matches_full_lexsort(k):
+def test_top_per_row_matches_full_lexsort(k):
     rng = np.random.default_rng(3)
-    # few distinct scores force ties, also across the k-th position
-    scores = rng.integers(0, 6, size=40).astype(np.float64)
-    ids = rng.permutation(1000)[:40]
-    expected = np.lexsort((ids, -scores))[:k]
-    np.testing.assert_array_equal(top_order(scores, ids, k), expected)
+    # few distinct scores force ties, also across the k-th position; rows
+    # of 40, 0, 25 and 1 entries, given in no particular order
+    row = rng.permutation(np.repeat([0, 2, 3, 5], [40, 25, 1, 0]))
+    scores = rng.integers(0, 6, size=len(row)).astype(np.float64)
+    ids = rng.permutation(1000)[: len(row)]
+    picks, slots = top_per_row(row, scores, ids, k)
+    want = []
+    for r in range(6):
+        entries = np.flatnonzero(row == r)
+        order = np.lexsort((ids[entries], -scores[entries]))
+        want += entries[order][:k].tolist()
+    assert picks.tolist() == want
+    assert slots.tolist() == [
+        slot for r in (0, 2, 3) for slot in range(min(k, (row == r).sum()))
+    ]
 
 
-def test_top_order_descending_scores():
-    scores = np.array([0.1, 0.9, -0.3, 0.5])
-    ids = np.arange(4)
-    np.testing.assert_array_equal(top_order(scores, ids, 3), [1, 3, 0])
+def test_top_per_row_descending_scores():
+    scores = [0.1, 0.9, -0.3, 0.5]
+    assert _one_row(scores, np.arange(4), 3).tolist() == [1, 3, 0]
 
 
-def test_top_order_ties_break_by_ascending_id():
-    scores = np.zeros(4)
-    ids = np.array([5, 2, 9, 1])
-    np.testing.assert_array_equal(top_order(scores, ids, 2), [3, 1])
+def test_top_per_row_ties_break_by_ascending_id():
+    assert _one_row(np.zeros(4), [5, 2, 9, 1], 2).tolist() == [3, 1]
 
 
-def test_top_order_ties_at_cut_keep_lowest_ids():
-    scores = np.array([3.0, 1.0, 2.0, 2.0, 2.0])
-    ids = np.array([10, 11, 14, 12, 13])
-    np.testing.assert_array_equal(top_order(scores, ids, 2), [0, 3])
+def test_top_per_row_ties_at_cut_keep_lowest_ids():
+    scores = [3.0, 1.0, 2.0, 2.0, 2.0]
+    assert _one_row(scores, [10, 11, 14, 12, 13], 2).tolist() == [0, 3]
 
 
-def test_top_order_k_beyond_n_returns_every_position():
-    scores = np.array([0.2, 0.4, 0.3])
-    np.testing.assert_array_equal(top_order(scores, np.arange(3), 10), [1, 2, 0])
+def test_top_per_row_k_beyond_n_returns_every_position():
+    assert _one_row([0.2, 0.4, 0.3], np.arange(3), 10).tolist() == [1, 2, 0]
 
 
-def test_top_order_empty_scores():
-    out = top_order(np.array([]), np.array([], dtype=np.int64), 5)
-    assert len(out) == 0
+def test_top_per_row_empty_input():
+    empty = np.array([], dtype=np.intp)
+    picks, slots = top_per_row(empty, np.array([]), empty, 5)
+    assert len(picks) == 0 and len(slots) == 0
+
+
+@pytest.mark.parametrize(
+    "n, k", [(1, 1), (5, 2), (64, 2), (97, 3), (300, 3), (641, 20), (641, 1)]
+)
+@pytest.mark.parametrize("below", [0.0, 1.5])
+def test_above_floor_keeps_each_rows_k_best(n, k, below):
+    rng = np.random.default_rng(n * k)
+    # ties, -inf entries (masked positives) and rows of both
+    scores = rng.integers(0, 8, size=(6, n)).astype(np.float64)
+    scores[1] = -np.inf
+    scores[2, rng.random(n) < 0.9] = -np.inf
+    scores[3, : n - k] = -np.inf
+    row, col = above_floor(scores, k, below)
+    # the k-th best of the m = min(n, 32 k) strided group maxima, less below
+    m = min(n, 32 * k)
+    groups = scores[:, : n // m * m].reshape(6, n // m, m).max(axis=1)
+    floor = -np.sort(-groups, axis=1)[:, k - 1] - below
+    assert (floor <= -np.sort(-scores, axis=1)[:, k - 1]).all()
+    want = np.nonzero((scores >= floor[:, None]) & (scores > -np.inf))
+    np.testing.assert_array_equal(row, want[0])
+    np.testing.assert_array_equal(col, want[1])
+
+
+def test_above_floor_reads_no_tail_column():
+    # 70 columns, m = 32 groups of 2: the 6 columns past 64 are in none
+    scores = np.zeros((1, 70))
+    scores[0, 64:] = 5.0
+    scores[0, [3, 40]] = [2.0, 1.0]
+    _, col = above_floor(scores, 1)
+    assert col.tolist() == [3, 64, 65, 66, 67, 68, 69]
+    _, col = above_floor(scores, 2)
+    assert col.tolist() == [3, 40, 64, 65, 66, 67, 68, 69]
+
+
+def test_above_floor_keeps_float32_scans_within_the_margin():
+    scans = np.array([[0.5, 0.25, 0.125, 0.0]], dtype=np.float32)
+    _, col = above_floor(scans, 1, np.float32(0.25))
+    assert col.tolist() == [0, 1]
 
 
 @pytest.mark.parametrize("k", [1, 5, 30, 60, 65])
@@ -55,7 +116,7 @@ def test_id_rank_orders_as_the_string_ids(k):
         np.lexsort((rank, -scores)), np.lexsort((ids, -scores))
     )
     np.testing.assert_array_equal(
-        top_order(scores, rank, k), top_order(scores, ids, k)
+        _one_row(scores, rank, k), _one_row(scores, ids, k)
     )
 
 
