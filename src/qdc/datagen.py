@@ -24,6 +24,7 @@ from .errors import (
     DanglingReferenceError,
     DuplicateDocIdError,
     InvalidSpecError,
+    MissingQrelsError,
     ParseError,
 )
 from .fileio import atomic_write
@@ -333,8 +334,10 @@ def _write_jsonl(path, rows) -> None:
             fh.write(json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n")
 
 
-def _read_jsonl(path, required: tuple[str, ...]) -> list[dict]:
+def _read_jsonl(path, required: tuple[str, ...], unique=None) -> list[dict]:
+    """Rows of a JSONL file; `unique` names a field no two rows may share."""
     rows = []
+    seen = set()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -350,6 +353,11 @@ def _read_jsonl(path, required: tuple[str, ...]) -> list[dict]:
                 if row[key] is None:
                     named = "" if row.get("_id") is None else f" (_id {row['_id']!r})"
                     raise ParseError(f"{path}:{lineno}: null {key}{named}")
+            if unique is not None:
+                value = str(row[unique])
+                if value in seen:
+                    raise ParseError(f"{path}:{lineno}: repeated {unique} {value!r}")
+                seen.add(value)
             rows.append(row)
     return rows
 
@@ -385,8 +393,10 @@ def load_beir_dataset(
 ) -> TaskDataset:
     """BEIR-layout loader: JSONL corpus/queries, TSV qrels, optional pairs.
 
-    Without a pairs file, train pairs are derived from the positive qrels
-    entries of the given file in sorted order.
+    The test queries are those with at least one row in the given qrels
+    file, in queries-file order: a BEIR queries file holds every split's
+    queries. Without a pairs file, train pairs are derived from the
+    positive qrels entries of the given file in sorted order.
     """
     corpus = [
         DocRecord(
@@ -399,9 +409,13 @@ def load_beir_dataset(
     ]
     queries = [
         (str(row["_id"]), str(row["text"]))
-        for row in _read_jsonl(queries_path, required=("_id", "text"))
+        for row in _read_jsonl(queries_path, ("_id", "text"), unique="_id")
     ]
     qrels = _read_qrels(qrels_path)
+    judged = {query_id for query_id, _ in qrels}
+    queries = [(query_id, text) for query_id, text in queries if query_id in judged]
+    if not queries:
+        raise MissingQrelsError(f"{qrels_path} judges no query of {queries_path}")
 
     if pairs_path is not None:
         train_pairs = [

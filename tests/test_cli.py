@@ -780,3 +780,51 @@ class TestGradCheck:
         assert len(lines) == 4
         assert all(line.endswith("ok") for line in lines)
         assert lines[0].startswith("contrastive seed=0 max_rel_err=")
+
+
+class TestBeirQueriesFile:
+    """A BEIR queries.jsonl holds every split's queries, judged or not."""
+
+    @pytest.fixture
+    def beir_cfg(self, tmp_path):
+        rows = {
+            "corpus": [
+                {"_id": f"d{i}", "title": f"topic {i % 8}", "text": f"word{i} body"}
+                for i in range(40)
+            ],
+            "queries": [{"_id": f"q{i}", "text": f"word{i}"} for i in range(12)],
+        }
+        for name, file_rows in rows.items():
+            (tmp_path / f"{name}.jsonl").write_text(
+                "".join(json.dumps(r) + "\n" for r in file_rows), encoding="utf-8"
+            )
+        (tmp_path / "qrels.tsv").write_text(
+            "query-id\tcorpus-id\tscore\n"
+            + "".join(f"q{i}\td{i}\t1\n" for i in range(8)),
+            encoding="utf-8",
+        )
+        entry = {n: str(tmp_path / f"{n}.jsonl") for n in rows}
+        entry["qrels"] = str(tmp_path / "qrels.tsv")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"datasets": [entry]}), encoding="utf-8")
+        return cfg
+
+    def _train(self, cfg):
+        out = cfg.parent / "out"
+        return dispatch(
+            ["train", "--config", str(cfg), "--method", "FT", "--out", str(out)]
+        )
+
+    def test_unjudged_queries_are_not_evaluated(self, beir_cfg, capsys):
+        assert self._train(beir_cfg) == 0
+        assert "final checkpoint" in capsys.readouterr().out
+
+    def test_repeated_query_id_exits_one(self, beir_cfg, capsys):
+        queries = beir_cfg.parent / "queries.jsonl"
+        with queries.open("a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"_id": "q3", "text": "word3 again"}) + "\n")
+        assert self._train(beir_cfg) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: {queries}:13: repeated _id 'q3'"
+        ]

@@ -16,6 +16,7 @@ from qdc.errors import (
     DanglingReferenceError,
     DuplicateDocIdError,
     InvalidSpecError,
+    MissingQrelsError,
     ParseError,
 )
 from qdc.index import DocRecord, doc_encoding_text
@@ -498,3 +499,37 @@ class TestBeirLoader:
             load_beir_dataset(*paths)
         assert f"{null_in}.jsonl:2" in str(err.value)
         assert f"null {field}" in str(err.value)
+
+    def test_test_queries_are_the_judged_ones(self, tmp_path):
+        # a BEIR queries file holds every split's queries; a query with any
+        # qrels row, grade 0 included, is a test query, in queries-file order
+        paths = _write_fixture(
+            tmp_path,
+            [{"_id": f"d{i}", "text": f"body {i}"} for i in range(40)],
+            [{"_id": f"q{i}", "text": f"ask {i}"} for i in range(12)],
+            "".join(f"q{i}\td{i}\t{i % 2}\n" for i in (7, 0, 5, 2, 3, 6, 1, 4)),
+        )
+        ds = load_beir_dataset(*paths[:3])
+        assert ds.queries_test == [(f"q{i}", f"ask {i}") for i in range(8)]
+        assert ds.train_pairs == [(f"ask {i}", f"d{i}") for i in (1, 3, 5, 7)]
+
+    def test_no_judged_query_is_rejected(self, tmp_path):
+        queries = [{"_id": "q1", "text": "x"}]
+        paths = _write_fixture(
+            tmp_path, [{"_id": "d1", "text": "x"}], queries, "q2\td1\t1\n"
+        )
+        with pytest.raises(MissingQrelsError, match="judges no query"):
+            load_beir_dataset(*paths[:3])
+
+    def test_repeated_query_id_names_file_line_and_id(self, tmp_path):
+        queries = [
+            {"_id": "q1", "text": "first"},
+            {"_id": "q2", "text": "other"},
+            {"_id": "q1", "text": "second"},
+        ]
+        paths = _write_fixture(
+            tmp_path, [{"_id": "d1", "text": "x"}], queries, "q1\td1\t1\n"
+        )
+        with pytest.raises(ParseError) as err:
+            load_beir_dataset(*paths[:3])
+        assert str(err.value) == f"{paths[1]}:3: repeated _id 'q1'"
