@@ -267,6 +267,13 @@ def _reconstruct_states(
     ]
 
 
+def _checkpoint_bits(state: ContinualState) -> tuple:
+    """A loaded checkpoint's f_t and index t, bit for bit."""
+    params, index = state.params, state.indexes[state.trained_through]
+    weights = (params.version, params.W.shape, params.W.tobytes())
+    return weights + (index.rows.tobytes(), index.doc_ids)
+
+
 def _cmd_eval(args) -> int:
     run_dir = Path(args.run)
     config = load_config(run_dir / "config.json")
@@ -286,6 +293,10 @@ def _cmd_eval(args) -> int:
             raise ConfigError(f"run has no {slug} trajectory for {method}")
         if kd not in trajectories:
             trajectories[kd] = _reconstruct_states(run_dir, stored, slug, datasets)
+    ft, ft_kd = trajectories.get(False), trajectories.get(True)
+    if ft and ft_kd and _checkpoint_bits(ft[0]) == _checkpoint_bits(ft_kd[0]):
+        # FT+KD trains task 1 as FT does: one state, so its cells are shared
+        ft_kd[0] = ft[0]
     results = evaluate_methods(trajectories, methods, config.k)
     print(results_to_csv(results), end="")
     return 0

@@ -83,11 +83,14 @@ def estimate_drift(
         raise DimMismatchError("old and new encoder shapes differ")
     new = encode_batch(params_new, queries)
     old = encode_batch(params_old, queries)
-    return DriftVector(
-        values=np.cumsum(new - old, axis=0)[-1] / len(queries),
-        from_task=params_old.version,
-        to_task=params_new.version,
-    )
+    return mean_drift(new, old, params_old.version, params_new.version)
+
+
+def mean_drift(new, old, from_task: int, to_task: int) -> DriftVector:
+    """Mean of new - old, two encoders' embeddings of the same queries row
+    for row, the rows summed first to last at every dim."""
+    mean = np.cumsum(new - old, axis=0)[-1] / len(new)
+    return DriftVector(values=mean, from_task=from_task, to_task=to_task)
 
 
 def accumulate_drift(ledger: DriftLedger, t_prime: int, t: int) -> DriftVector:
@@ -173,16 +176,3 @@ def ledger_from_dict(payload: dict) -> DriftLedger:
         if rec.to_task != rec.from_task + 1:
             raise CorruptLedgerError("stored record spans multiple transitions")
     return DriftLedger(dim=dim, records=records)
-
-
-__all__ = [
-    "DriftVector",
-    "DriftLedger",
-    "append_record",
-    "estimate_drift",
-    "accumulate_drift",
-    "compensate_query",
-    "compensate_query_path",
-    "ledger_to_dict",
-    "ledger_from_dict",
-]

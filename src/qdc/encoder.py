@@ -168,17 +168,6 @@ class FeatureRows:
         return len(self.indptr) - 1
 
 
-def _entry_positions(starts, lengths, offsets) -> np.ndarray:
-    """Table positions of the entries of rows laid end to end.
-
-    Row i has lengths[i] entries from starts[i] and comes offsets[i]
-    entries into the run, so entry e of the run lies at its row's start
-    plus e less that offset.
-    """
-    shift = np.repeat(starts - offsets, lengths)
-    return np.arange(len(shift)) + shift
-
-
 def _one_row(ids, weights) -> FeatureRows:
     """The table of one input: ascending token ids and their weights."""
     return FeatureRows(
@@ -255,33 +244,50 @@ def _block_rows(vocab_size: int) -> int:
     return max(1, min(_BLOCK_ROWS, _MAX_WEIGHTS // vocab_size))
 
 
+def _sorted_distinct(ids: np.ndarray) -> np.ndarray:
+    """ids' distinct values, ascending: one sort and an adjacent-difference
+    mask."""
+    ids = np.sort(ids)
+    keep = np.ones(len(ids), dtype=bool)
+    np.not_equal(ids[1:], ids[:-1], out=keep[1:])
+    return ids[keep]
+
+
 def _weight_blocks(table: FeatureRows, sel: np.ndarray, vocab_size: int):
     """Yield (lo, rows, x): table rows sel, in runs, with dense weights.
 
     Entry (i, j) of x is the weight of token rows[j] in table row
-    sel[lo + i], so those inputs' raw embeddings are x @ W[rows].
+    sel[lo + i], so those inputs' raw embeddings are x @ W[rows]. The
+    selection's entries are gathered once. A run's rows are its ids sorted
+    less repeats, and a vocabulary-length slot map gives each id its column.
     """
     step = _block_rows(vocab_size)
     starts = table.indptr[sel]
     lengths = table.indptr[sel + 1] - starts
-    for lo in range(0, len(sel), step):
-        run = lengths[lo : lo + step]
-        n = len(run)
-        owner = np.repeat(np.arange(n), run)
-        pos = _entry_positions(starts[lo : lo + step], run, np.cumsum(run) - run)
-        rows, cols = np.unique(table.ids[pos], return_inverse=True)
+    ends = np.cumsum(lengths)
+    first = ends - lengths
+    # entry e of the selection lies at its row's start plus e less first
+    pos = np.repeat(starts - first, lengths)
+    pos += np.arange(len(pos))
+    ids, weights = table.ids[pos], table.weights[pos]
+    owner = np.repeat(np.arange(len(sel)) % step, lengths)
+    bounds = np.append(first[::step], ends[-1:]).tolist()
+    slot = np.empty(vocab_size, dtype=np.intp)
+    for lo, a, b in zip(range(0, len(sel), step), bounds, bounds[1:]):
+        rows = _sorted_distinct(ids[a:b])
         if int(rows[-1]) >= vocab_size:
             raise ValueError(f"token id {int(rows[-1])} >= vocab {vocab_size}")
-        x = np.zeros((n, len(rows)), dtype=np.float64)
-        x[owner, cols] = table.weights[pos]
+        slot[rows] = np.arange(len(rows))
+        x = np.zeros((min(step, len(sel) - lo), len(rows)), dtype=np.float64)
+        x[owner[a:b], slot[ids[a:b]]] = weights[a:b]
         yield lo, rows, x
 
 
 def _project(W: np.ndarray, blocks, out: np.ndarray) -> np.ndarray:
     """Write the raw (unnormalized) embeddings of the inputs the blocks
-    cover into out; returns out."""
+    cover into out; returns out. W.take is W[rows], faster."""
     for lo, rows, x in blocks:
-        out[lo : lo + len(x)] = x @ W[rows]
+        out[lo : lo + len(x)] = x @ W.take(rows, axis=0)
     return out
 
 
@@ -339,19 +345,18 @@ def merge_grads(parts, shape: tuple[int, int]) -> RowGrad:
     """Sum (rows, values) gradient blocks of a shape-sized W, in order.
 
     The rows of one block must be distinct. Each touched row starts at zero
-    and adds the blocks that hold it in the order given.
+    and adds the blocks that hold it in the order given. The touched rows
+    come from one sort, and a slot map over W's rows places each block.
     """
     parts = list(parts)
     if not parts:
         return RowGrad(np.empty(0, dtype=np.intp), np.zeros((0, shape[1])))
-    rows, slot = np.unique(
-        np.concatenate([r for r, _ in parts]), return_inverse=True
-    )
+    rows = _sorted_distinct(np.concatenate([r for r, _ in parts]))
+    slot = np.empty(shape[0], dtype=np.intp)
+    slot[rows] = np.arange(len(rows))
     values = np.zeros((len(rows), shape[1]), dtype=np.float64)
-    lo = 0
     for block_rows, block in parts:
-        values[slot[lo : lo + len(block_rows)]] += block
-        lo += len(block_rows)
+        values[slot[block_rows]] += block
     return RowGrad(rows, values)
 
 
@@ -368,14 +373,14 @@ def _backprop(batch: _EncodedBatch, g_units: np.ndarray):
 
 def _first_occurrence(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(distinct, slot): rows' distinct values in first-occurrence order,
-    and each entry's position among them."""
-    distinct, first, inverse = np.unique(
-        rows, return_index=True, return_inverse=True
-    )
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return distinct[order], rank[inverse]
+    and each entry's position among them. rows are nonnegative; a map over
+    0..max(rows) holds each value's first position."""
+    n = len(rows)
+    first = np.full(int(rows.max()) + 1 if n else 0, n)
+    np.minimum.at(first, rows, np.arange(n))
+    head = first[rows]
+    is_first = head == np.arange(n)
+    return rows[is_first], (np.cumsum(is_first) - 1)[head]
 
 
 def contrastive_loss(
@@ -533,8 +538,11 @@ def sgd_step(
         raise ValueError(f"scale must be positive, got {scale}")
     # W' = s'v' with s' = s(1 - lr*wd), and dLoss/dW = dLoss/dv / s
     new_scale = scale * (1.0 - lr * wd)
-    v[rows] -= lr * values / (scale * new_scale)
-    if not np.isfinite(v[rows]).all():
+    # the rows are gathered once, for the update and for its check
+    stepped = v.take(rows, axis=0)
+    stepped -= lr * values / (scale * new_scale)
+    v[rows] = stepped
+    if not np.isfinite(stepped).all():
         raise NonFiniteError("sgd step produced non-finite weights")
     return new_scale
 

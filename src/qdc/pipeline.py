@@ -19,7 +19,7 @@ from .drift import (
     DriftLedger,
     append_record,
     compensate_query_path,
-    estimate_drift,
+    mean_drift,
 )
 from .encoder import (
     EncoderParams,
@@ -226,9 +226,10 @@ def _train_params(
 
 def _prepare_rows(
     data: TaskDataset, params: EncoderParams, h: int, kd: bool
-) -> _TaskRows:
-    """Tables of the task's training queries and of its corpus, and the
-    negatives and distillation targets mined with params."""
+) -> tuple[_TaskRows, np.ndarray]:
+    """Tables of the task's training queries and of its corpus, the
+    negatives and distillation targets mined with params, and params'
+    embeddings of the training queries."""
     queries = train_query_rows(data, params.vocab_size)
     docs = corpus_rows(data.corpus, params.vocab_size)
     position = {d.doc_id: j for j, d in enumerate(data.corpus)}
@@ -241,7 +242,7 @@ def _prepare_rows(
         params, data.train_pairs, data.corpus, h, queries
     )
     targets = (q_units, doc_units[pos]) if kd else None
-    return _TaskRows(queries, docs, pos, negs, targets)
+    return _TaskRows(queries, docs, pos, negs, targets), q_units
 
 
 def train_task(
@@ -255,20 +256,20 @@ def train_task(
         raise DataMismatchError(f"no dataset registered for task {t}")
     data = state.datasets[t]
     prev = state.params
+    rows, q_old = _prepare_rows(data, prev, config.hard_negatives, kd=kd and t > 1)
     params = _train_params(
         start=prev,
         version=t,
-        rows=_prepare_rows(data, prev, config.hard_negatives, kd=kd and t > 1),
+        rows=rows,
         shuffle_rng=derive_rng(config.seed, "shuffle", t),
         config=config,
     )
 
     ledger = state.ledger
     if t > 1:
-        record = estimate_drift(
-            params, prev, train_query_rows(data, prev.vocab_size)
-        )
-        ledger = append_record(ledger, record)
+        # mining encoded the same queries with f_{t-1}: only f_t's side is new
+        q_new = encode_batch(params, rows.queries)
+        ledger = append_record(ledger, mean_drift(q_new, q_old, t - 1, t))
 
     indexes = dict(state.indexes)
     indexes[t] = build_index(params, data.corpus, t)

@@ -16,7 +16,7 @@ from qdc.drift import (
     ledger_from_dict,
     ledger_to_dict,
 )
-from qdc.encoder import encode, init_params, load_snapshot, tokenize
+from qdc.encoder import encode, init_params, load_snapshot, save_snapshot, tokenize
 from qdc.index import build_index, load_index, save_index, search_topk
 from qdc.pipeline import retrieve_eval, train_trajectory
 
@@ -269,6 +269,45 @@ class TestEval:
         assert lines[1:] == [
             row for row in stored[1:] if row.split(",")[2] == "FT+KD"
         ]
+
+    @staticmethod
+    def _count_calls(monkeypatch, names):
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            real = getattr(qdc.pipeline, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(qdc.pipeline, name, counted)
+        return calls
+
+    def test_ft_kd_shares_ft_first_checkpoint(self, bench_run, capsys, monkeypatch):
+        # ft_kd/task1.enc and task1.idx are FT's bytes, so eval evaluates
+        # checkpoint 1 once, as bench did. Two tasks: each trajectory has a
+        # diagonal and a zero-shot cell at checkpoint 1 and four cells
+        # (three strategies on task 1, the diagonal) at checkpoint 2; a
+        # zero-shot cell and a reindexed old task each build an index
+        calls = self._count_calls(monkeypatch, ["retrieve_eval", "build_index"])
+        assert dispatch(["eval", "--run", str(bench_run)]) == 0
+        assert capsys.readouterr().out == (bench_run / "metrics.csv").read_text()
+        assert calls == {"retrieve_eval": 2 + 4 + 4, "build_index": 1 + 1 + 1}
+
+    def test_a_different_first_checkpoint_is_evaluated_apart(
+        self, bench_run, tmp_path, capsys, monkeypatch
+    ):
+        run = tmp_path / "run"
+        shutil.copytree(bench_run, run)
+        path = run / "snapshots" / "ft_kd" / "task1.enc"
+        params = load_snapshot(path)
+        w = params.W.copy()
+        w[0, 0] = np.nextafter(w[0, 0], np.inf)
+        save_snapshot(replace(params, W=w), path)
+        calls = self._count_calls(monkeypatch, ["retrieve_eval", "build_index"])
+        assert dispatch(["eval", "--run", str(run)]) == 0
+        capsys.readouterr()
+        assert calls == {"retrieve_eval": 2 * (2 + 4), "build_index": 2 * (1 + 1)}
 
     def test_missing_run_dir_exits_one(self, tmp_path, capsys):
         assert dispatch(["eval", "--run", str(tmp_path / "nope")]) == 1

@@ -432,7 +432,7 @@ class TestTrainTask:
         ds = tiny_stream[0]
         start = init_state(config).params
         vocab = start.vocab_size
-        rows = qdc.pipeline._prepare_rows(ds, start, 2, kd=True)
+        rows, _ = qdc.pipeline._prepare_rows(ds, start, 2, kd=True)
         steps = []
 
         def recording_step(v, scale, grads, lr, wd):
