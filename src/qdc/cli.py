@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from functools import cached_property
 from pathlib import Path
 
 from .config import (
@@ -54,12 +55,6 @@ def _slug(kd: bool) -> str:
     return "ft_kd" if kd else "ft"
 
 
-def _num_tasks(config: RunConfig) -> int:
-    if config.datasets is not None:
-        return len(config.datasets)
-    return config.stream.num_tasks
-
-
 def _load_datasets(config: RunConfig) -> list[TaskDataset]:
     if config.datasets is None:
         return generate_task_stream(config.stream)
@@ -94,16 +89,11 @@ def _resolve_config(args) -> RunConfig:
     return config
 
 
-def _write_trajectory(run_dir: Path, slug: str, f0, checkpoints) -> None:
-    snap_dir = run_dir / "snapshots" / slug
-    idx_dir = run_dir / "indexes" / slug
-    snap_dir.mkdir(parents=True, exist_ok=True)
-    idx_dir.mkdir(parents=True, exist_ok=True)
-    save_snapshot(f0, snap_dir / "task0.enc")
-    for state in checkpoints:
-        t = state.trained_through
-        save_snapshot(state.params, snap_dir / f"task{t}.enc")
-        save_index(state.indexes[t], idx_dir / f"task{t}.idx")
+def _artifact_path(run_dir: Path, kind: str, slug: str, t: int) -> Path:
+    """The one place a run's per-checkpoint files live: kind "enc" is f_t
+    of trajectory slug, kind "idx" its frozen index of task t."""
+    folder = "snapshots" if kind == "enc" else "indexes"
+    return run_dir / folder / slug / f"task{t}.{kind}"
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -124,7 +114,15 @@ def _write_run(
     ledgers = {}
     for kd, checkpoints in trajectories.items():
         slug = _slug(kd)
-        _write_trajectory(run_dir, slug, f0, checkpoints)
+        for kind in ("enc", "idx"):
+            _artifact_path(run_dir, kind, slug, 0).parent.mkdir(
+                parents=True, exist_ok=True
+            )
+        save_snapshot(f0, _artifact_path(run_dir, "enc", slug, 0))
+        for state in checkpoints:
+            t = state.trained_through
+            save_snapshot(state.params, _artifact_path(run_dir, "enc", slug, t))
+            save_index(state.indexes[t], _artifact_path(run_dir, "idx", slug, t))
         ledgers[slug] = ledger_to_dict(checkpoints[-1].ledger)
     _write_json(run_dir / "ledger.json", ledgers)
     atomic_write_text(run_dir / "metrics.csv", results_to_csv(results))
@@ -134,74 +132,103 @@ def _write_run(
     print(f"artifacts in {run_dir}")
 
 
-def _load_run_ledgers(run_dir: Path) -> dict:
-    path = run_dir / "ledger.json"
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CorruptLedgerError(f"ledger map is not UTF-8 JSON: {path}") from exc
-    if not isinstance(payload, dict):
-        raise CorruptLedgerError(f"ledger map is not an object: {path}")
-    return payload
+class _Run:
+    """A finished run directory, read piece by piece.
 
-
-def _load_run_snapshot(run_dir: Path, slug: str, t: int):
-    """f_t of one trajectory; a snapshot of another version is rejected."""
-    path = run_dir / "snapshots" / slug / f"task{t}.enc"
-    params = load_snapshot(path)
-    if params.version != t:
-        raise CorruptSnapshotError(
-            f"encoder version {params.version} in place of {t}: {path}"
-        )
-    return params
-
-
-def _load_run_index(run_dir: Path, slug: str, t: int, dim: int):
-    """Task t's index, which f_t must have built in dim dimensions."""
-    path = run_dir / "indexes" / slug / f"task{t}.idx"
-    index = load_index(path)
-    if (index.task_id, index.encoder_version, index.dim) != (t, t, dim):
-        raise CorruptIndexError(
-            f"task {index.task_id}, encoder version {index.encoder_version}, "
-            f"dim {index.dim} in place of task {t}, version {t}, dim {dim}: "
-            f"{path}"
-        )
-    return index
-
-
-def _load_run_ledger(
-    run_dir: Path, stored: dict, slug: str, num_tasks: int, snapshots
-) -> DriftLedger:
-    """slug's drift ledger, which must match the run it was loaded with.
-
-    Its dim must be every given snapshot's, and its records must be exactly
-    the transitions 1->2 ... num_tasks-1->num_tasks.
+    Every piece must belong to the run's config.json, or loading it raises:
+    task{t}.enc holds encoder version t with the config's vocab size, dim
+    and temperature; task{t}.idx holds task t, built by version t, in the
+    config's dim; a trajectory's ledger has the config's dim and exactly
+    the transitions 1->2 ... T-1->T of the config's T tasks.
     """
-    path = run_dir / "ledger.json"
-    if slug not in stored:
-        raise ConfigError(f"run has no {slug} trajectory: {path}")
-    ledger = ledger_from_dict(stored[slug])
-    for params in snapshots:
-        if params.dim != ledger.dim:
-            raise CorruptLedgerError(
-                f"{slug} ledger of dim {ledger.dim} for encoders of dim "
-                f"{params.dim}: {path}"
-            )
-    found = [f"{rec.from_task}->{rec.to_task}" for rec in ledger.records]
-    expected = [f"{t}->{t + 1}" for t in range(1, num_tasks)]
-    if found != expected:
-        raise CorruptLedgerError(
-            f"{slug} ledger holds transitions [{', '.join(found)}] in place "
-            f"of [{', '.join(expected)}]: {path}"
+
+    def __init__(self, run_dir) -> None:
+        self.dir = Path(run_dir)
+        self.config = load_config(self.dir / "config.json")
+        datasets = self.config.datasets
+        self.num_tasks = (
+            self.config.stream.num_tasks if datasets is None else len(datasets)
         )
-    return ledger
+        path = self.dir / "ledger.json"
+        try:
+            self._ledgers = json.loads(path.read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CorruptLedgerError(f"ledger map is not UTF-8 JSON: {path}") from exc
+        if not isinstance(self._ledgers, dict):
+            raise CorruptLedgerError(f"ledger map is not an object: {path}")
 
+    def methods(self) -> list[str]:
+        """Every method whose trajectory the run stores."""
+        return [m for m in METHODS if _slug(parse_method(m)[0]) in self._ledgers]
 
-def _dataset_for(datasets: list[TaskDataset], task_id: int) -> TaskDataset:
-    for ds in datasets:
-        if ds.task_id == task_id:
-            return ds
-    raise ConfigError(f"run has no task {task_id}")
+    def slug(self, method: str) -> str:
+        """The stored trajectory method reads."""
+        slug = _slug(parse_method(method)[0])
+        if slug not in self._ledgers:
+            raise ConfigError(f"run has no {slug} trajectory for {method}")
+        return slug
+
+    def snapshot(self, slug: str, t: int):
+        path = _artifact_path(self.dir, "enc", slug, t)
+        p, c = load_snapshot(path), self.config
+        if (p.version, p.vocab_size, p.dim, p.temperature) != (
+            t, c.vocab_size, c.dim, c.temperature
+        ):
+            raise CorruptSnapshotError(
+                f"encoder version {p.version}, vocab {p.vocab_size}, dim "
+                f"{p.dim}, temperature {p.temperature} in place of version "
+                f"{t}, vocab {c.vocab_size}, dim {c.dim}, temperature "
+                f"{c.temperature}: {path}"
+            )
+        return p
+
+    def index(self, slug: str, t: int):
+        path = _artifact_path(self.dir, "idx", slug, t)
+        index, dim = load_index(path), self.config.dim
+        if (index.task_id, index.encoder_version, index.dim) != (t, t, dim):
+            raise CorruptIndexError(
+                f"task {index.task_id}, encoder version {index.encoder_version}, "
+                f"dim {index.dim} in place of task {t}, version {t}, dim {dim}: "
+                f"{path}"
+            )
+        return index
+
+    def ledger(self, slug: str) -> DriftLedger:
+        ledger, dim = ledger_from_dict(self._ledgers[slug]), self.config.dim
+        found = [f"{rec.from_task}->{rec.to_task}" for rec in ledger.records]
+        expected = [f"{t}->{t + 1}" for t in range(1, self.num_tasks)]
+        if (found, ledger.dim) != (expected, dim):
+            raise CorruptLedgerError(
+                f"{slug} ledger holds [{', '.join(found)}] in dim {ledger.dim} "
+                f"in place of [{', '.join(expected)}] in dim {dim}: "
+                f"{self.dir / 'ledger.json'}"
+            )
+        return ledger
+
+    @cached_property
+    def _datasets(self) -> dict[int, TaskDataset]:
+        return {ds.task_id: ds for ds in _load_datasets(self.config)}
+
+    def dataset(self, task: int) -> TaskDataset:
+        if task not in self._datasets:
+            raise ConfigError(f"run has no task {task}")
+        return self._datasets[task]
+
+    def trajectory(self, slug: str) -> list[ContinualState]:
+        """slug's checkpoints 1..T, as training left them."""
+        tasks = range(1, self.num_tasks + 1)
+        snapshots = [self.snapshot(slug, t) for t in tasks]
+        ledger = self.ledger(slug)
+        indexes = {t: self.index(slug, t) for t in tasks}
+        return [
+            ContinualState(
+                params=params,
+                indexes={tp: indexes[tp] for tp in range(1, t + 1)},
+                ledger=ledger,
+                datasets=self._datasets,
+            )
+            for t, params in zip(tasks, snapshots)
+        ]
 
 
 def _cmd_gen_data(args) -> int:
@@ -243,30 +270,6 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _reconstruct_states(
-    run_dir: Path, stored: dict, slug: str, datasets: list[TaskDataset]
-) -> list[ContinualState]:
-    by_id = {ds.task_id: ds for ds in datasets}
-    num_tasks = len(datasets)
-    snaps = {
-        t: _load_run_snapshot(run_dir, slug, t) for t in range(1, num_tasks + 1)
-    }
-    ledger = _load_run_ledger(run_dir, stored, slug, num_tasks, snaps.values())
-    indexes = {
-        t: _load_run_index(run_dir, slug, t, snaps[t].dim)
-        for t in range(1, num_tasks + 1)
-    }
-    return [
-        ContinualState(
-            params=snaps[t],
-            indexes={tp: indexes[tp] for tp in range(1, t + 1)},
-            ledger=ledger,
-            datasets=by_id,
-        )
-        for t in range(1, num_tasks + 1)
-    ]
-
-
 def _checkpoint_bits(state: ContinualState) -> tuple:
     """A loaded checkpoint's f_t and index t, bit for bit."""
     params, index = state.params, state.indexes[state.trained_through]
@@ -275,40 +278,29 @@ def _checkpoint_bits(state: ContinualState) -> tuple:
 
 
 def _cmd_eval(args) -> int:
-    run_dir = Path(args.run)
-    config = load_config(run_dir / "config.json")
-    datasets = _load_datasets(config)
-    stored = _load_run_ledgers(run_dir)
-    if args.method:
-        methods = [args.method]
-    else:
-        methods = [m for m in METHODS if _slug(parse_method(m)[0]) in stored]
+    run = _Run(args.run)
+    methods = [args.method] if args.method else run.methods()
     if not methods:
-        raise ConfigError(f"no evaluable trajectories in {run_dir}")
+        raise ConfigError(f"no evaluable trajectories in {run.dir}")
     trajectories: dict[bool, list[ContinualState]] = {}
     for method in methods:
         kd, _ = parse_method(method)
-        slug = _slug(kd)
-        if slug not in stored:
-            raise ConfigError(f"run has no {slug} trajectory for {method}")
         if kd not in trajectories:
-            trajectories[kd] = _reconstruct_states(run_dir, stored, slug, datasets)
+            trajectories[kd] = run.trajectory(run.slug(method))
     ft, ft_kd = trajectories.get(False), trajectories.get(True)
     if ft and ft_kd and _checkpoint_bits(ft[0]) == _checkpoint_bits(ft_kd[0]):
         # FT+KD trains task 1 as FT does: one state, so its cells are shared
         ft_kd[0] = ft[0]
-    results = evaluate_methods(trajectories, methods, config.k)
+    results = evaluate_methods(trajectories, methods, run.config.k)
     print(results_to_csv(results), end="")
     return 0
 
 
 def _cmd_retrieve(args) -> int:
-    run_dir = Path(args.run)
-    config = load_config(run_dir / "config.json")
-    method = args.method or config.method
-    kd, strategy = parse_method(method)
-    slug = _slug(kd)
-    num_tasks = _num_tasks(config)
+    run = _Run(args.run)
+    method = args.method or run.config.method
+    _, strategy = parse_method(method)
+    num_tasks = run.num_tasks
     checkpoint = args.checkpoint if args.checkpoint is not None else num_tasks
     task = args.task
     if not 1 <= task <= num_tasks:
@@ -317,19 +309,17 @@ def _cmd_retrieve(args) -> int:
         raise ConfigError(
             f"checkpoint must be in {task}..{num_tasks} for task {task}"
         )
-    k = config.k if args.k is None else args.k
+    k = run.config.k if args.k is None else args.k
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    stored = _load_run_ledgers(run_dir)
-    if slug not in stored:
-        raise ConfigError(f"run has no {slug} trajectory for {method}")
 
-    params = _load_run_snapshot(run_dir, slug, checkpoint)
-    index = _load_run_index(run_dir, slug, task, params.dim)
-    ledger = _load_run_ledger(run_dir, stored, slug, num_tasks, [params])
+    slug = run.slug(method)
+    params = run.snapshot(slug, checkpoint)
+    index = run.index(slug, task)
+    ledger = run.ledger(slug)
     corpus = []
     if strategy == "reindex" and task != checkpoint:
-        corpus = _dataset_for(_load_datasets(config), task).corpus
+        corpus = run.dataset(task).corpus
     emb = encode(params, tokenize(args.query, params.vocab_size))
     (ranking,) = retrieve(params, index, corpus, ledger, emb[None], task, strategy, k)
     for rank, (doc_id, score) in enumerate(ranking, start=1):
@@ -338,9 +328,8 @@ def _cmd_retrieve(args) -> int:
 
 
 def _cmd_drift_report(args) -> int:
-    run_dir = Path(args.run)
-    config = load_config(run_dir / "config.json")
-    num_tasks = _num_tasks(config)
+    run = _Run(args.run)
+    num_tasks = run.num_tasks
     to_task = args.to_task if args.to_task is not None else num_tasks
     from_task = args.from_task if args.from_task is not None else to_task - 1
     task = args.task
@@ -351,25 +340,19 @@ def _cmd_drift_report(args) -> int:
         )
     if not 1 <= task <= num_tasks:
         raise ConfigError(f"task must be in 1..{num_tasks}")
-    kd, _ = parse_method(args.method or "FT")
-    slug = _slug(kd)
-    params_old = _load_run_snapshot(run_dir, slug, from_task)
-    params_new = _load_run_snapshot(run_dir, slug, to_task)
-    _load_run_ledger(
-        run_dir,
-        _load_run_ledgers(run_dir),
-        slug,
-        num_tasks,
-        [params_old, params_new],
-    )
-    data = _dataset_for(_load_datasets(config), task)
+    slug = run.slug(args.method or "FT")
+    params_old = run.snapshot(slug, from_task)
+    params_new = run.snapshot(slug, to_task)
+    # the report reads no drift, but a foreign ledger still rejects the run
+    run.ledger(slug)
+    data = run.dataset(task)
     report = drift_report(
         params_new,
         params_old,
         [text for _, text in data.queries_test],
         data.corpus,
     )
-    out_path = Path(args.out) if args.out else run_dir / "drift_report.csv"
+    out_path = Path(args.out) if args.out else run.dir / "drift_report.csv"
     atomic_write_text(out_path, drift_report_csv(report))
     print(f"wrote {out_path}")
     return 0

@@ -89,6 +89,10 @@ def estimate_drift(
 def mean_drift(new, old, from_task: int, to_task: int) -> DriftVector:
     """Mean of new - old, two encoders' embeddings of the same queries row
     for row, the rows summed first to last at every dim."""
+    if len(new) == 0:
+        raise EmptyQuerySetError(
+            f"drift {from_task} -> {to_task} needs at least one training query"
+        )
     mean = np.cumsum(new - old, axis=0)[-1] / len(new)
     return DriftVector(values=mean, from_task=from_task, to_task=to_task)
 
@@ -142,10 +146,15 @@ def ledger_to_dict(ledger: DriftLedger) -> dict:
 
 
 def ledger_from_dict(payload: dict) -> DriftLedger:
-    """Parse dim and records; any other key, such as the per-task query
-    centroids that older ledgers stored, is ignored."""
+    """Parse dim and records as strictly as a config is parsed: dim, from
+    and to are JSON integers, vector entries JSON numbers, and the records
+    run 1->2, 2->3, ... without a gap, as append_record builds them. Any
+    other key, such as the per-task query centroids that older ledgers
+    stored, is ignored."""
     try:
-        dim = int(payload["dim"])
+        dim = payload["dim"]
+        if type(dim) is not int or dim < 1:
+            raise CorruptLedgerError(f"ledger dim {dim!r} is not a positive integer")
         records = []
         for raw in payload["records"]:
             if raw["kind"] == "multi":
@@ -155,24 +164,24 @@ def ledger_from_dict(payload: dict) -> DriftLedger:
                 )
             if raw["kind"] != "single":
                 raise CorruptLedgerError(f"unknown record kind {raw['kind']!r}")
-            vec = np.asarray(raw["vector"], dtype=np.float64)
+            # a bool or float equals an int, so the types are checked first
+            start, end, n = raw["from"], raw["to"], len(records)
+            if (type(start), type(end), start, end) != (int, int, n + 1, n + 2):
+                raise CorruptLedgerError(
+                    f"record {start!r} -> {end!r} in place of {n + 1} -> "
+                    f"{n + 2}: records run 1 -> 2, 2 -> 3, ... without a gap"
+                )
+            vector = raw["vector"]
+            if not isinstance(vector, list) or not all(
+                type(x) in (int, float) for x in vector
+            ):
+                raise CorruptLedgerError("record vector entries must be numbers")
+            vec = np.asarray(vector, dtype=np.float64)
             if vec.shape != (dim,):
                 raise CorruptLedgerError("record dim mismatch")
             if not np.isfinite(vec).all():
                 raise CorruptLedgerError("record vector has NaN or infinite entries")
-            records.append(
-                DriftVector(
-                    values=vec,
-                    from_task=int(raw["from"]),
-                    to_task=int(raw["to"]),
-                )
-            )
+            records.append(DriftVector(values=vec, from_task=n + 1, to_task=n + 2))
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptLedgerError(f"malformed ledger payload: {exc}") from exc
-    for prev, cur in zip(records, records[1:]):
-        if cur.from_task != prev.to_task:
-            raise CorruptLedgerError("ledger transitions are not contiguous")
-    for rec in records:
-        if rec.to_task != rec.from_task + 1:
-            raise CorruptLedgerError("stored record spans multiple transitions")
     return DriftLedger(dim=dim, records=records)

@@ -367,6 +367,80 @@ class TestMixedRunRejected:
         assert "dim 4 in place of" in capsys.readouterr().err
 
 
+def _make_foreign(path, piece, tiny_stream):
+    """Overwrite a run file with one whose piece disagrees with the run's
+    config.json: a snapshot's vocab size or temperature, or the dim of an
+    index or of the ft ledger."""
+    if path.name == "ledger.json":
+        stored = json.loads(path.read_text(encoding="utf-8"))
+        stored["ft"]["dim"] = 4
+        for rec in stored["ft"]["records"]:
+            rec["vector"] = rec["vector"][:4]
+        path.write_text(json.dumps(stored), encoding="utf-8")
+        return
+    t = int(path.stem.removeprefix("task"))
+    config = load_config(path.parents[2] / "config.json")
+    rng = np.random.default_rng(0)
+    if path.suffix == ".idx":
+        params = replace(init_params(config.vocab_size, 4, 0.5, rng), version=t)
+        save_index(build_index(params, tiny_stream[t - 1].corpus, t), path)
+    elif piece == "vocab":
+        params = init_params(1024, config.dim, config.temperature, rng)
+        save_snapshot(replace(params, version=t), path)
+    else:
+        params = load_snapshot(path)
+        save_snapshot(replace(params, temperature=2 * params.temperature), path)
+
+
+_DRIFT_FROM_F0 = ["drift-report", "--from-task", "0", "--to-task", "1"]
+
+
+class TestConfigMismatchRejected:
+    """Each piece a command reads must match config.json, so a foreign
+    piece is rejected even where the command could still compute with it."""
+
+    @pytest.mark.parametrize(
+        "piece, name, args",
+        [
+            ("vocab", "snapshots/ft/task2.enc", ["eval"]),
+            ("vocab", "snapshots/ft/task2.enc", _RETRIEVE_OLD),
+            ("vocab", "snapshots/ft/task2.enc", ["drift-report"]),
+            ("vocab", "snapshots/ft_kd/task1.enc", ["eval", "--method", "FT+KD"]),
+            ("vocab", "snapshots/ft/task0.enc", _DRIFT_FROM_F0),
+            ("temperature", "snapshots/ft/task2.enc", ["eval"]),
+            ("temperature", "snapshots/ft/task2.enc", _RETRIEVE_OLD),
+            ("temperature", "snapshots/ft/task2.enc", ["drift-report"]),
+            ("dim", "indexes/ft/task1.idx", ["eval"]),
+            ("dim", "indexes/ft/task1.idx", _RETRIEVE_OLD),
+            ("dim", "ledger.json", ["drift-report"]),
+        ],
+        ids=[
+            "vocab-eval",
+            "vocab-retrieve",
+            "vocab-drift-report",
+            "vocab-eval-ft-kd-first-checkpoint",
+            "vocab-drift-report-from-f0",
+            "temperature-eval",
+            "temperature-retrieve",
+            "temperature-drift-report",
+            "index-dim-eval",
+            "index-dim-retrieve",
+            "ledger-dim-drift-report",
+        ],
+    )
+    def test_exits_one_naming_the_file(
+        self, bench_run, tmp_path, tiny_stream, piece, name, args, capsys
+    ):
+        run = tmp_path / "foreign"
+        shutil.copytree(bench_run, run)
+        _make_foreign(run / name, piece, tiny_stream)
+        assert dispatch([args[0], "--run", str(run)] + args[1:]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error:") and line.endswith(str(run / name))
+
+
 def _ledger_copy(bench_run, tmp_path, kind):
     """A copy of the run whose ft ledger lost its last record or its dim."""
     run = tmp_path / "mixed"
@@ -857,6 +931,26 @@ class TestBeirQueriesFile:
     def test_unjudged_queries_are_not_evaluated(self, beir_cfg, capsys):
         assert self._train(beir_cfg) == 0
         assert "final checkpoint" in capsys.readouterr().out
+
+    def test_task_without_training_pairs_exits_one(self, beir_cfg, capsys):
+        # grade-0 judgments give task 2 test queries but, with no pairs
+        # file, no training pairs, so the drift 1 -> 2 has no mean
+        qrels = beir_cfg.parent / "qrels0.tsv"
+        qrels.write_text(
+            "query-id\tcorpus-id\tscore\n"
+            + "".join(f"q{i}\td{i}\t0\n" for i in range(8)),
+            encoding="utf-8",
+        )
+        (entry,) = json.loads(beir_cfg.read_text(encoding="utf-8"))["datasets"]
+        cfg = beir_cfg.parent / "two.json"
+        payload = {"datasets": [entry, dict(entry, qrels=str(qrels))]}
+        cfg.write_text(json.dumps(payload), encoding="utf-8")
+        out = beir_cfg.parent / "out"
+        assert dispatch(["bench", "--config", str(cfg), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error:") and "1 -> 2" in line
 
     def test_repeated_query_id_exits_one(self, beir_cfg, capsys):
         queries = beir_cfg.parent / "queries.jsonl"

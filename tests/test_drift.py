@@ -433,6 +433,38 @@ class TestLedgerPersistence:
         with pytest.raises(CorruptLedgerError):
             ledger_from_dict(payload)
 
+    @pytest.mark.parametrize("value", [2.5, True, 3.0, "3", 0])
+    def test_dim_that_is_no_positive_json_integer_rejected(self, value):
+        # with no record, no vector's length can disagree with int(value)
+        with pytest.raises(CorruptLedgerError, match="not a positive integer"):
+            ledger_from_dict({"dim": value, "records": []})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("from", 1.9), ("from", 1.0), ("from", True), ("to", "2"), ("to", 2.0)],
+        ids=["from-float", "from-integral-float", "from-bool", "to-string", "to-float"],
+    )
+    def test_span_that_is_no_json_integer_rejected(self, field, value):
+        payload = ledger_to_dict(self._ledger())
+        payload["records"][0][field] = value
+        with pytest.raises(CorruptLedgerError, match="in place of 1 -> 2"):
+            ledger_from_dict(payload)
+
+    @pytest.mark.parametrize("entry", [True, False, "0.5", None, [0.5]])
+    def test_vector_entry_that_is_no_json_number_rejected(self, entry):
+        payload = ledger_to_dict(self._ledger())
+        payload["records"][1]["vector"][0] = entry
+        with pytest.raises(CorruptLedgerError, match="must be numbers"):
+            ledger_from_dict(payload)
+
+    def test_records_starting_above_the_first_transition_rejected(self):
+        payload = ledger_to_dict(self._ledger())
+        for rec in payload["records"]:
+            rec["from"] += 1
+            rec["to"] += 1
+        with pytest.raises(CorruptLedgerError, match="2 -> 3 in place of 1 -> 2"):
+            ledger_from_dict(payload)
+
     def test_multi_transition_record_rejected(self):
         payload = {
             "dim": 1,

@@ -29,7 +29,7 @@ from qdc.encoder import (
     tokenize,
     tokenize_rows,
 )
-from qdc.errors import DataMismatchError, MissingIndexError
+from qdc.errors import DataMismatchError, EmptyQuerySetError, MissingIndexError
 from qdc.index import (
     DocRecord,
     build_index,
@@ -555,6 +555,14 @@ class TestTrainTask:
             acc = acc + row
         (record,) = second.ledger.records
         assert record.values.tobytes() == (acc / len(pairs)).tobytes()
+
+    def test_task_without_training_pairs_names_its_transition(
+        self, tiny_stream, tiny_config
+    ):
+        # no training query, so the drift 1 -> 2 has no mean
+        stream = [tiny_stream[0], replace(tiny_stream[1], train_pairs=[])]
+        with pytest.raises(EmptyQuerySetError, match="1 -> 2"):
+            train_trajectory(stream, False, tiny_config)
 
     def test_ledger_records_one_transition_per_later_task(self, tiny_traj):
         final = tiny_traj[-1]
