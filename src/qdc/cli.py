@@ -194,14 +194,17 @@ class _Run:
         return index
 
     def ledger(self, slug: str) -> DriftLedger:
-        ledger, dim = ledger_from_dict(self._ledgers[slug]), self.config.dim
+        path, dim = self.dir / "ledger.json", self.config.dim
+        try:
+            ledger = ledger_from_dict(self._ledgers[slug])
+        except CorruptLedgerError as exc:
+            raise CorruptLedgerError(f"{exc}: {path}") from exc
         found = [f"{rec.from_task}->{rec.to_task}" for rec in ledger.records]
         expected = [f"{t}->{t + 1}" for t in range(1, self.num_tasks)]
         if (found, ledger.dim) != (expected, dim):
             raise CorruptLedgerError(
                 f"{slug} ledger holds [{', '.join(found)}] in dim {ledger.dim} "
-                f"in place of [{', '.join(expected)}] in dim {dim}: "
-                f"{self.dir / 'ledger.json'}"
+                f"in place of [{', '.join(expected)}] in dim {dim}: {path}"
             )
         return ledger
 

@@ -313,15 +313,40 @@ class _EncodedBatch:
         self.norms = _normalize(self.units)
 
 
+# table rows encoded at a time: their gathered entries, dense weight blocks
+# and norms are the encoder's temporaries, bounded however large the table
+_ENCODE_ROWS = 1024
+
+
+def _encode_into(params: EncoderParams, table: FeatureRows, out: np.ndarray):
+    """Write the embeddings of the table's rows into out, a float array of
+    len(table) rows, _ENCODE_ROWS rows at a time; returns out.
+
+    A chunk holds a whole number of weight blocks and starts at a block
+    boundary, so every block, and the GEMM that projects it, is the one a
+    single pass over the table would make.
+    """
+    step = _block_rows(params.vocab_size)
+    chunk = step * max(1, _ENCODE_ROWS // step)
+    n = len(table)
+    for lo in range(0, n, chunk):
+        sel = np.arange(lo, min(n, lo + chunk))
+        units = _project(
+            params.W,
+            _weight_blocks(table, sel, params.vocab_size),
+            np.empty((len(sel), params.dim)),
+        )
+        if not params.linear_output:
+            _normalize(units)
+        out[lo : lo + len(units)] = units
+    return out
+
+
 def encode_batch(params: EncoderParams, feats_list: FeatureRows) -> np.ndarray:
     """Encode every row of a FeatureRows table; rows follow the table."""
-    out = np.empty((len(feats_list), params.dim), dtype=np.float64)
-    # one block at a time, so only one dense weight block is ever alive
-    rows = np.arange(len(feats_list))
-    _project(params.W, _weight_blocks(feats_list, rows, params.vocab_size), out)
-    if not params.linear_output:
-        _normalize(out)
-    return out
+    return _encode_into(
+        params, feats_list, np.empty((len(feats_list), params.dim), dtype=np.float64)
+    )
 
 
 class RowGrad(NamedTuple):

@@ -12,19 +12,26 @@ matrix product, gives search_topk's rankings and scores to the bit. The
 scan reads the unit rows laid out for it, as one (d, N) matrix, and takes
 each query's candidates, the rows within a margin of a floor at or below its
 k-th best scan, out of its block's flat mask.
+
+Beyond the index itself, building, scanning, saving and loading allocate a
+chunk of rows at a time, never a float64 or byte copy of all of them: a
+build writes each encoded chunk's float32 rows into the index, the scan
+rows and norms are computed a chunk at a time, a save writes and checksums
+the rows from their own buffer, and a load reads them into their float32
+array and checks them a chunk at a time.
 """
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .encoder import EncoderParams, FeatureRows, encode_batch, tokenize_rows
+from .encoder import EncoderParams, FeatureRows, _encode_into, tokenize_rows
 from .errors import (
     CorruptIndexError,
     DimMismatchError,
@@ -46,9 +53,12 @@ INDEX_MAGIC = b"QDCIDX01"
 # every row ties.
 _SEARCH_SCORES = 1 << 16
 _INDEX_HEADER = struct.Struct("<IIII")  # task_id, encoder_version, N, d
+# rows an index casts or checks at a time, so that a float64 or boolean copy
+# of its rows is never made whole
+_CHUNK_ROWS = 1024
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DocRecord:
     doc_id: str
     title: str
@@ -127,10 +137,17 @@ class CorpusIndex:
         # block's scan is block32 @ scan; against the F-order view of (N, d)
         # rows the product took 1.6 times as long on a 32 x 2,000 block and
         # twice as long on a 3 x 20,000 one (d = 64, one BLAS thread).
-        rows64 = self.rows.astype(np.float64)
-        norms = np.linalg.norm(rows64, axis=1)
-        rows64 /= norms[:, None]
-        scan = rows64.T.astype(np.float32, order="C")
+        # The norms are per row, so casting a chunk of rows at a time
+        # changes none of their bits.
+        n = len(self.rows)
+        norms = np.empty(n)
+        scan = np.empty((self.dim, n), dtype=np.float32)
+        for lo in range(0, n, _CHUNK_ROWS):
+            rows64 = self.rows[lo : lo + _CHUNK_ROWS].astype(np.float64)
+            hi = lo + len(rows64)
+            norms[lo:hi] = np.linalg.norm(rows64, axis=1)
+            rows64 /= norms[lo:hi, None]
+            scan[:, lo:hi] = rows64.T
         return scan, norms, id_rank(self.doc_ids), _scan_margin(self.dim)
 
 
@@ -146,8 +163,13 @@ def build_index(
         if doc_id in seen:
             raise DuplicateDocIdError(f"duplicate doc_id {doc_id!r}")
         seen.add(doc_id)
-    rows = encode_batch(params, corpus_rows(corpus, params.vocab_size))
-    rows = rows.astype(np.float32)
+    # each chunk's float32 rows go straight into the index: no float64
+    # matrix of the whole corpus
+    rows = _encode_into(
+        params,
+        corpus_rows(corpus, params.vocab_size),
+        np.empty((len(corpus), params.dim), dtype=np.float32),
+    )
     return CorpusIndex(
         task_id=task_id,
         encoder_version=params.version,
@@ -236,66 +258,82 @@ def search_rows(
 
 
 def save_index(index: CorpusIndex, path) -> None:
-    """Binary dump with a CRC32 over the payload; round-trips bit-exactly."""
+    """Binary dump with a CRC32 over the payload; round-trips bit-exactly.
+
+    The payload is the rows, little-endian float32, then the doc-id table
+    (each id's UTF-8 length and bytes). The rows are written, and checked,
+    from the array's own buffer.
+    """
     n = len(index.doc_ids)
-    rows = np.ascontiguousarray(index.rows, dtype="<f4")
-    parts = [rows.tobytes()]
+    rows = memoryview(np.ascontiguousarray(index.rows, dtype="<f4")).cast("B")
+    table = bytearray()
     for doc_id in index.doc_ids:
         raw = doc_id.encode("utf-8")
-        parts.append(struct.pack("<I", len(raw)))
-        parts.append(raw)
-    payload = b"".join(parts)
+        table += struct.pack("<I", len(raw))
+        table += raw
     header = _INDEX_HEADER.pack(index.task_id, index.encoder_version, n, index.dim)
-    crc = struct.pack("<I", zlib.crc32(payload))
+    crc = struct.pack("<I", zlib.crc32(table, zlib.crc32(rows)))
     with atomic_write(path) as f:
         f.write(INDEX_MAGIC + header + crc)
-        f.write(payload)
+        f.write(rows)
+        f.write(table)
 
 
 def load_index(path) -> CorpusIndex:
-    """Read an index file, rejecting bad magic, bad CRC, or layout drift."""
-    data = Path(path).read_bytes()
+    """Read an index file, rejecting bad magic, bad CRC, or layout drift.
+
+    The rows are read into their float32 array and checked a chunk at a
+    time: each must be finite, and a row whose largest |entry| is below
+    ZERO_NORM_EPS must have an exact norm of at least that.
+    """
     base = len(INDEX_MAGIC) + _INDEX_HEADER.size + 4
-    if len(data) < base or data[: len(INDEX_MAGIC)] != INDEX_MAGIC:
-        raise CorruptIndexError(f"bad magic or truncated header: {path}")
-    task_id, encoder_version, n, dim = _INDEX_HEADER.unpack(
-        data[len(INDEX_MAGIC) : len(INDEX_MAGIC) + _INDEX_HEADER.size]
-    )
-    (crc,) = struct.unpack(
-        "<I", data[len(INDEX_MAGIC) + _INDEX_HEADER.size : base]
-    )
-    payload = data[base:]
-    if n < 1 or dim < 1:
-        raise CorruptIndexError(f"invalid header counts: {path}")
-    if zlib.crc32(payload) != crc:
+    with open(path, "rb") as f:
+        head = f.read(base)
+        if len(head) < base or head[: len(INDEX_MAGIC)] != INDEX_MAGIC:
+            raise CorruptIndexError(f"bad magic or truncated header: {path}")
+        task_id, encoder_version, n, dim = _INDEX_HEADER.unpack_from(
+            head, len(INDEX_MAGIC)
+        )
+        (crc,) = struct.unpack_from("<I", head, base - 4)
+        if n < 1 or dim < 1:
+            raise CorruptIndexError(f"invalid header counts: {path}")
+        # the size is checked before the rows are allocated
+        if os.fstat(f.fileno()).st_size - base < n * dim * 4:
+            raise CorruptIndexError(f"row data truncated: {path}")
+        rows = np.empty((n, dim), dtype="<f4")
+        if f.readinto(memoryview(rows).cast("B")) != rows.nbytes:
+            raise CorruptIndexError(f"row data truncated: {path}")
+        table = f.read()
+    if zlib.crc32(table, zlib.crc32(memoryview(rows).cast("B"))) != crc:
         raise CorruptIndexError(f"payload CRC mismatch: {path}")
-    rows_bytes = n * dim * 4
-    if len(payload) < rows_bytes:
-        raise CorruptIndexError(f"row data truncated: {path}")
-    rows = np.frombuffer(payload, dtype="<f4", count=n * dim).reshape(n, dim)
-    rows = rows.astype(np.float32)
-    offset = rows_bytes
+    offset = 0
     doc_ids: list[str] = []
     for _ in range(n):
-        if offset + 4 > len(payload):
+        if offset + 4 > len(table):
             raise CorruptIndexError(f"doc_id table truncated: {path}")
-        (length,) = struct.unpack_from("<I", payload, offset)
+        (length,) = struct.unpack_from("<I", table, offset)
         offset += 4
-        if offset + length > len(payload):
+        if offset + length > len(table):
             raise CorruptIndexError(f"doc_id table truncated: {path}")
         try:
-            doc_ids.append(payload[offset : offset + length].decode("utf-8"))
+            doc_ids.append(table[offset : offset + length].decode("utf-8"))
         except UnicodeDecodeError as exc:
             raise CorruptIndexError(f"doc_id not valid UTF-8: {path}") from exc
         offset += length
-    if offset != len(payload):
+    if offset != len(table):
         raise CorruptIndexError(f"trailing bytes after doc_id table: {path}")
     if len(set(doc_ids)) != n:
         raise CorruptIndexError(f"duplicate doc_ids in file: {path}")
-    if not np.all(np.isfinite(rows)) or bool(
-        (np.linalg.norm(rows.astype(np.float64), axis=1) < ZERO_NORM_EPS).any()
-    ):
-        raise CorruptIndexError(f"non-finite or zero rows: {path}")
+    # a no-op on little-endian hosts
+    rows = rows.astype(np.float32, copy=False)
+    for lo in range(0, n, _CHUNK_ROWS):
+        chunk = rows[lo : lo + _CHUNK_ROWS]
+        if not np.isfinite(chunk).all():
+            raise CorruptIndexError(f"non-finite or zero rows: {path}")
+        # a row's norm is never below its largest |entry|
+        small = chunk[np.abs(chunk).max(axis=1) < ZERO_NORM_EPS]
+        if (np.linalg.norm(small.astype(np.float64), axis=1) < ZERO_NORM_EPS).any():
+            raise CorruptIndexError(f"non-finite or zero rows: {path}")
     return CorpusIndex(
         task_id=task_id,
         encoder_version=encoder_version,

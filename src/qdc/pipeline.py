@@ -4,7 +4,10 @@ One trajectory trains f_1..f_T task by task (optionally with distillation),
 indexing each corpus with its own model and recording per-transition drift.
 Retrieval strategies then read the same frozen state: plain search, drift
 compensation, or re-indexing. Training is retrieval-strategy independent,
-so FT and FT+QDC share bit-identical snapshots.
+so FT and FT+QDC share bit-identical snapshots. Hard-negative mining scans
+as search does, a float32 block of scores at a time, and ranks its
+candidates by exact float64 scores, so its negatives do not depend on how
+the pairs are blocked.
 """
 from __future__ import annotations
 
@@ -37,6 +40,7 @@ from .errors import DataMismatchError, MissingIndexError
 from .index import (
     _SEARCH_SCORES,
     CorpusIndex,
+    _scan_margin,
     build_index,
     corpus_rows,
     eval_query_rows,
@@ -48,8 +52,8 @@ from .vecops import above_floor, id_rank, top_per_row
 
 STRATEGIES = ("plain", "qdc", "reindex")
 
-# scores computed at a time while mining: a block of queries against the
-# whole corpus, 16 MB at most however large the corpus
+# float32 scan scores computed at a time while mining: a block of queries
+# against the whole corpus, 8 MB at most however large the corpus
 _MINE_SCORES = 1 << 21
 # training folds a weight scale below this into v, so that v stays within
 # 1,000x of the weights it stands for
@@ -137,8 +141,12 @@ def mine_hard_negatives(
     corpus has fewer than h other documents. q_units and doc_units are
     params' embeddings of the pairs' queries and of the corpus. queries is
     the pairs' queries' table (one row per pair) when the caller has it.
-    A block's positives are set to -inf; above_floor keeps each row's
-    candidates, as in search_rows, and one top_per_row ranks them.
+    Each block of pairs is scanned as search_rows scans: one float32
+    product with the unit corpus laid out (d, N), its positives set to
+    -inf. above_floor keeps each row's candidates within _scan_margin of
+    its floor, their exact scores are one fixed-order float64 dot of the
+    units a candidate, and one top_per_row ranks them. A candidate's
+    score therefore does not depend on the block it is scored in.
     """
     if h < 0:
         raise ValueError(f"h must be >= 0, got {h}")
@@ -158,18 +166,26 @@ def mine_hard_negatives(
     # every (pair, positive of its query), in pair order
     excluded = [(i, j) for i, (q, _) in enumerate(pairs) for j in positives[q]]
     pair_of, excluded = np.array(excluded, dtype=np.intp).T
+    scan = doc_units.T.astype(np.float32, order="C")
+    # the margin holds for unit embeddings; unnormalized ones rescore every
+    # finite scan score
+    margin = np.float32(np.inf) if params.linear_output else _scan_margin(params.dim)
     step = max(1, _MINE_SCORES // len(corpus))
     # rows selected at a time: bounds the candidates a tie-heavy block hands
     # to top_per_row; selecting a whole block was no faster at 2k or 20k docs
     sub = max(1, _SEARCH_SCORES // len(corpus))
+    # every block's scan is written into one buffer, so that a block's
+    # product is never made beside the last one's
+    buf = np.empty((min(step, len(pairs)), len(corpus)), dtype=np.float32)
     for lo in range(0, len(pairs), step):
-        scores = q_units[lo : lo + step] @ doc_units.T
+        q32 = q_units[lo : lo + step].astype(np.float32)
+        scores = np.matmul(q32, scan, out=buf[: len(q32)])
         a, b = np.searchsorted(pair_of, [lo, lo + step])
         scores[pair_of[a:b] - lo, excluded[a:b]] = -np.inf
         for s in range(0, len(scores), sub):
-            block = scores[s : s + sub]
-            row, cand = above_floor(block, min(h, len(corpus)))
-            picks, slots = top_per_row(row, block[row, cand], rank[cand], h)
+            row, cand = above_floor(scores[s : s + sub], min(h, len(corpus)), margin)
+            exact = np.einsum("ij,ij->i", doc_units[cand], q_units[lo + s + row])
+            picks, slots = top_per_row(row, exact, rank[cand], h)
             negs[lo + s + row[picks], slots] = cand[picks]
     return negs, q_units, doc_units
 

@@ -494,6 +494,33 @@ def test_non_finite_ledger_vector_exits_one(bench_run, tmp_path, value, capsys):
     assert line.startswith("error:") and "NaN or infinite" in line
 
 
+@pytest.mark.parametrize(
+    "key, value, reason",
+    [
+        ("vector", [True], "record vector entries must be numbers"),
+        ("from", 2, "records run 1 -> 2, 2 -> 3"),
+        ("kind", "affine", "unknown record kind 'affine'"),
+    ],
+)
+def test_malformed_ledger_record_names_the_file(
+    bench_run, tmp_path, key, value, reason, capsys
+):
+    run = tmp_path / "malformed"
+    shutil.copytree(bench_run, run)
+    path = run / "ledger.json"
+    stored = json.loads(path.read_text(encoding="utf-8"))
+    record = stored["ft"]["records"][0]
+    record[key] = value + record["vector"][1:] if key == "vector" else value
+    path.write_text(json.dumps(stored), encoding="utf-8")
+    args = ["retrieve", "--run", str(run), "--task", "1", "--query", "x"]
+    assert dispatch(args + ["--method", "FT"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error:") and reason in line
+    assert line.endswith(f": {path}")
+
+
 def _truncated(data: bytes) -> bytes:
     return data[: len(data) // 2]
 

@@ -354,6 +354,35 @@ class TestFeatureRows:
         expected = np.array([encode(params, feats[int(j)]) for j in sel])
         np.testing.assert_allclose(units, expected, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("chunk", [1, 33, 50, 10_000])
+    @pytest.mark.parametrize("vocab", [64, 1 << 18])
+    @pytest.mark.parametrize("linear", [False, True])
+    def test_chunks_keep_every_bit(self, monkeypatch, chunk, vocab, linear):
+        # encode_batch projects and normalizes _ENCODE_ROWS rows at a time,
+        # in whole weight blocks: the bits of one pass over the table
+        rng = np.random.default_rng(43)
+        params = replace(init_params(vocab, 8, 0.5, rng), linear_output=linear)
+        table = feature_rows([_rand_feats(rng, vocab) for _ in range(203)])
+        whole = encoder._project(
+            params.W,
+            encoder._weight_blocks(table, np.arange(203), vocab),
+            np.empty((203, 8)),
+        )
+        if not linear:
+            encoder._normalize(whole)
+        monkeypatch.setattr(encoder, "_ENCODE_ROWS", chunk)
+        starts = []
+        weight_blocks = encoder._weight_blocks
+
+        def chunk_blocks(table, sel, vocab_size):
+            starts.append(int(sel[0]))
+            return weight_blocks(table, sel, vocab_size)
+
+        monkeypatch.setattr(encoder, "_weight_blocks", chunk_blocks)
+        assert encode_batch(params, table).tobytes() == whole.tobytes()
+        step = encoder._block_rows(vocab)
+        assert starts[0] == 0 and all(lo % step == 0 for lo in starts)
+        assert len(starts) == -(-203 // (step * max(1, chunk // step)))
 
 
 class TestTokenizeRows:

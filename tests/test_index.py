@@ -848,3 +848,102 @@ class TestPersistence:
         path.write_bytes(blob[:24] + crc + payload)
         with pytest.raises(CorruptIndexError):
             load_index(path)
+
+    def test_bytes_follow_the_file_format(self, tmp_path):
+        # magic, header, CRC32 of the payload, then the payload: float32
+        # rows, then each doc id's UTF-8 length and bytes
+        import zlib
+
+        index, path = self._saved(tmp_path)
+        table = b"".join(
+            struct.pack("<I", len(raw)) + raw
+            for raw in (doc_id.encode("utf-8") for doc_id in index.doc_ids)
+        )
+        payload = index.rows.astype("<f4").tobytes() + table
+        header = struct.pack(
+            "<IIII", index.task_id, index.encoder_version, len(index.doc_ids), DIM
+        )
+        expected = (
+            b"QDCIDX01" + header + struct.pack("<I", zlib.crc32(payload)) + payload
+        )
+        assert path.read_bytes() == expected
+
+    def test_every_truncation_rejected(self, tmp_path):
+        _, path = self._saved(tmp_path, n=6)
+        blob = path.read_bytes()
+        cut = tmp_path / "cut.idx"
+        for size in range(len(blob)):
+            cut.write_bytes(blob[:size])
+            with pytest.raises(CorruptIndexError):
+                load_index(cut)
+
+    def test_a_flipped_byte_in_each_region_rejected(self, tmp_path):
+        # the magic, the header's counts (N and d), the CRC, every row byte
+        # and every doc-id table byte; the task id and encoder version are
+        # not under the CRC, and a run's reader checks them against its
+        # config
+        index, path = self._saved(tmp_path, n=6)
+        blob = path.read_bytes()
+        assert len(blob) > 8 + 16 + 4 + index.rows.nbytes  # a doc-id table
+        flipped = tmp_path / "flipped.idx"
+        for at in [*range(8), *range(16, 24), *range(24, len(blob))]:
+            corrupt = bytearray(blob)
+            corrupt[at] ^= 0xFF
+            flipped.write_bytes(bytes(corrupt))
+            with pytest.raises(CorruptIndexError):
+                load_index(flipped)
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            np.full(DIM, 1e-13),
+            np.full(DIM, -1e-13),
+            np.eye(DIM)[3] * 1e-13,
+            np.full(DIM, 1e-40),  # float32 subnormals
+            np.zeros(DIM),
+        ],
+        ids=["1e-13", "minus-1e-13", "one-entry", "subnormal", "zero"],
+    )
+    def test_a_numerically_zero_row_rejected(self, tmp_path, row):
+        index, path = self._saved(tmp_path)
+        index.rows[4] = row
+        save_index(index, path)
+        with pytest.raises(CorruptIndexError, match="non-finite or zero rows"):
+            load_index(path)
+
+    def test_small_entries_with_a_norm_past_the_threshold_load(self, tmp_path):
+        # every entry is below ZERO_NORM_EPS, the row's norm is not
+        index, path = self._saved(tmp_path)
+        index.rows[4] = 5e-13
+        assert np.linalg.norm(index.rows[4].astype(np.float64)) > 1e-12
+        save_index(index, path)
+        np.testing.assert_array_equal(load_index(path).rows, index.rows)
+
+    def test_a_row_past_the_first_chunk_checked(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(qdc.index, "_CHUNK_ROWS", 4)
+        index, path = self._saved(tmp_path)
+        for value in (np.nan, 1e-13):
+            index.rows[13] = value
+            save_index(index, path)
+            with pytest.raises(CorruptIndexError, match="non-finite or zero rows"):
+                load_index(path)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7, 40])
+def test_scoring_a_chunk_at_a_time_keeps_every_bit(monkeypatch, chunk):
+    # the norms and the float32 unit rows of the whole float64 matrix
+    rng = np.random.default_rng(chunk)
+    rows = rng.normal(size=(23, DIM)) * rng.uniform(0.1, 10, (23, 1))
+    rows = rows.astype(np.float32)
+    index = CorpusIndex(
+        task_id=1, encoder_version=1, dim=DIM, rows=rows,
+        doc_ids=[f"d{i:02d}" for i in range(23)],
+    )
+    monkeypatch.setattr(qdc.index, "_CHUNK_ROWS", chunk)
+    scan, norms, _, _ = index._scoring
+    rows64 = rows.astype(np.float64)
+    want_norms = np.linalg.norm(rows64, axis=1)
+    rows64 /= want_norms[:, None]
+    assert norms.tobytes() == want_norms.tobytes()
+    assert scan.tobytes() == rows64.T.astype(np.float32, order="C").tobytes()
+    assert scan.flags.c_contiguous and scan.shape == (DIM, 23)

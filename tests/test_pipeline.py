@@ -287,6 +287,96 @@ class TestMineHardNegatives:
         assert hashlib.sha256(negs.tobytes()).hexdigest() == digest
 
 
+def _negs_by_exact_dots(pairs, corpus, h, q_units, doc_units):
+    """Each pair's first h documents by (-dot, doc_id) from one full sort,
+    every positive of its query left out, -1 padded. A dot is the fixed-order
+    float64 dot of the units that mining rescores its candidates with."""
+    ids = [d.doc_id for d in corpus]
+    positives = {}
+    for query, doc_id in pairs:
+        positives.setdefault(query, set()).add(ids.index(doc_id))
+    want = np.full((len(pairs), h), -1, dtype=np.intp)
+    for i, (query, _) in enumerate(pairs):
+        q = np.repeat(q_units[i : i + 1], len(corpus), axis=0)
+        dots = np.einsum("ij,ij->i", doc_units, q)
+        order = np.lexsort((np.asarray(ids), -dots)).tolist()
+        found = [j for j in order if j not in positives[query]][:h]
+        want[i, : len(found)] = found
+    return want
+
+
+class TestMineOracle:
+    """mine_hard_negatives against a full float64 sort of every document,
+    on a corpus of duplicated texts, whose copies tie exactly."""
+
+    @staticmethod
+    def _corpus_and_pairs(n=90, seed=5):
+        rng = np.random.default_rng(seed)
+        texts = [
+            " ".join(f"w{int(t)}" for t in rng.integers(0, 30, int(rng.integers(2, 7))))
+            for _ in range(14)
+        ]
+        ids = [f"d{i:03d}" for i in rng.permutation(n)]
+        corpus = [_doc(ids[i], texts[int(rng.integers(0, 14))]) for i in range(n)]
+        queries = [texts[int(j)] for j in rng.integers(0, 14, size=6)]
+        queries += ["w1 w2 w3", "w7"]
+        # repeated queries: each pair excludes every positive of its query
+        pairs = [
+            (queries[int(q)], ids[int(j)])
+            for q, j in zip(rng.integers(0, 8, size=30), rng.integers(0, n, size=30))
+        ]
+        return corpus, pairs
+
+    @pytest.mark.parametrize("h", [1, 4, 17, 80, 87, 89, 120])
+    def test_matches_a_full_sort(self, tiny_config, h):
+        corpus, pairs = self._corpus_and_pairs()
+        params = init_state(tiny_config).params
+        negs, q_units, doc_units = mine_hard_negatives(params, pairs, corpus, h)
+        # copies of one text embed identically, so the cut can fall in a tie
+        assert len({row.tobytes() for row in doc_units}) < len(corpus)
+        want = _negs_by_exact_dots(pairs, corpus, h, q_units, doc_units)
+        assert negs.tobytes() == want.tobytes()
+        # a row runs out of documents once its query's positives are out
+        positives = {}
+        for query, doc_id in pairs:
+            positives.setdefault(query, set()).add(doc_id)
+        kept = [min(h, len(corpus) - len(positives[q])) for q, _ in pairs]
+        assert [int((row >= 0).sum()) for row in negs] == kept
+        assert (h >= 87) == any(k < h for k in kept)
+
+    @pytest.mark.parametrize("h", [3, 40])
+    def test_blocks_change_no_negative(self, tiny_config, monkeypatch, h):
+        corpus, pairs = self._corpus_and_pairs(seed=6)
+        params = init_state(tiny_config).params
+        want, _, _ = mine_hard_negatives(params, pairs, corpus, h)
+        for mine_scores, search_scores in [(1, 1), (3 * 90, 90), (7 * 90 + 1, 2 * 90)]:
+            monkeypatch.setattr(qdc.pipeline, "_MINE_SCORES", mine_scores)
+            monkeypatch.setattr(qdc.pipeline, "_SEARCH_SCORES", search_scores)
+            got, _, _ = mine_hard_negatives(params, pairs, corpus, h)
+            assert got.tobytes() == want.tobytes()
+
+
+def test_mining_unnormalized_embeddings_rescores_every_scan(tiny_config, monkeypatch):
+    # Linear-output embeddings are not unit vectors, so the scan margin
+    # does not bound their scan error. Document a scores 4e-4 exactly, but
+    # its float32 scan cancels to 0; document b scores 2e-4 either way.
+    params = replace(init_state(tiny_config).params, linear_output=True)
+    pairs = [("q", "d2")]
+    queries = tokenize_rows(["q"], params.vocab_size)
+    docs = np.array([[1e4 + 4e-4, -1e4], [2e-4, 0.0], [0.0, 0.0]])
+
+    def embed(params, table):
+        return np.ones((1, 2)) if table is queries else docs
+
+    monkeypatch.setattr(qdc.pipeline, "encode_batch", embed)
+    corpus = [_doc(f"d{i}", "alpha") for i in range(3)]
+    exact = docs @ np.ones(2)
+    scan = docs.astype(np.float32) @ np.ones(2, dtype=np.float32)
+    assert exact[0] > exact[1] > 0.0 and scan[0] == 0.0 < scan[1]
+    negs, _, _ = mine_hard_negatives(params, pairs, corpus, 1, queries)
+    assert negs.tolist() == [[0]]
+
+
 class TestMineStridedFloor:
     """Corpora of n > 32 h documents, whose floors come from m = 32 min(h, n)
     strided groups, with n % m columns past the last whole group."""
